@@ -9,9 +9,7 @@ and learning-curve reporting. Neural models are treated as external
 producers and consumers of files and are never invoked here.
 
 Hot kernels (component labeling, overlap counting, greedy selection
-updates) are compiled with numba when available. Setting the environment
-variable ``CORESEG_DISABLE_NUMBA=1`` forces the pure-numpy fallbacks;
-both paths produce identical output.
+updates) are plain NumPy, with one implementation each.
 """
 
 __version__ = "0.1.0"

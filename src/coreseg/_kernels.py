@@ -1,225 +1,106 @@
-"""Compiled hot loops with pure-numpy fallbacks.
+"""The three hot loops of the pipeline, in plain NumPy.
 
-Three kernels dominate pipeline runtime: 3D connected-component labeling,
-instance-overlap pair counting, and the per-pick min-distance update of
-k-center greedy selection. Each has a numba implementation and a numpy
-implementation that produce identical results. Dispatch order:
-
-  1. an explicit ``use_numba`` argument wins when given,
-  2. otherwise numba is used when importable and the environment variable
-     ``CORESEG_DISABLE_NUMBA`` is unset, empty, or "0".
-
-The numba kernels avoid ``prange`` on purpose: canonical outputs must be
-byte-identical across thread counts, and these loops are memory-bound
-enough that single-threaded compiled code already dominates the numpy
-fallbacks (see benchmarks/bench_kernels.py).
+3D connected-component labeling, instance-overlap pair counting, and the
+per-pick min-distance update of k-center greedy selection dominate
+pipeline runtime. Each has exactly one implementation, and none depends on
+thread count, so canonical outputs are byte-identical on every machine.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit, types
-    from numba.typed import Dict
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_ENV_DISABLED = os.environ.get("CORESEG_DISABLE_NUMBA", "") not in ("", "0")
-NUMBA_ENABLED = HAS_NUMBA and not _ENV_DISABLED
-
-
-def _dispatch(use_numba: bool | None) -> bool:
-    if use_numba is None:
-        return NUMBA_ENABLED
-    return bool(use_numba) and HAS_NUMBA
-
 
 # ---------------------------------------------------------------------------
 # 3D connected-component labeling
 # ---------------------------------------------------------------------------
 
-if HAS_NUMBA:
 
-    @njit(cache=True)
-    def _label_union_find(mask, dzs, dys, dxs):
-        # Single raster scan assigning provisional ids in scan order, merging
-        # with already-visited neighbors through a union-find whose union rule
-        # keeps the smallest provisional id as root. Path halving keeps find
-        # near-constant. The second scan renumbers roots by first encounter,
-        # which equals ascending first-voxel scan order.
-        nz, ny, nx = mask.shape
-        plane = ny * nx
-        provisional = np.zeros(mask.size, np.int64)
-        parent = np.empty(mask.size, np.int64)
-        count = 0
-        for z in range(nz):
-            for y in range(ny):
-                for x in range(nx):
-                    if mask[z, y, x] == 0:
-                        continue
-                    lid = count
-                    parent[lid] = lid
-                    count += 1
-                    provisional[z * plane + y * nx + x] = lid + 1
-                    for k in range(dzs.size):
-                        zz = z + dzs[k]
-                        yy = y + dys[k]
-                        xx = x + dxs[k]
-                        if zz < 0 or zz >= nz or yy < 0 or yy >= ny:
-                            continue
-                        if xx < 0 or xx >= nx:
-                            continue
-                        nlab = provisional[zz * plane + yy * nx + xx]
-                        if nlab == 0:
-                            continue
-                        ra = lid
-                        while parent[ra] != ra:
-                            parent[ra] = parent[parent[ra]]
-                            ra = parent[ra]
-                        rb = nlab - 1
-                        while parent[rb] != rb:
-                            parent[rb] = parent[parent[rb]]
-                            rb = parent[rb]
-                        if ra < rb:
-                            parent[rb] = ra
-                        elif rb < ra:
-                            parent[ra] = rb
-        out = np.zeros((nz, ny, nx), np.uint32)
-        canonical = np.zeros(count, np.uint32)
-        next_id = 0
-        for z in range(nz):
-            for y in range(ny):
-                for x in range(nx):
-                    lab = provisional[z * plane + y * nx + x]
-                    if lab == 0:
-                        continue
-                    r = lab - 1
-                    while parent[r] != r:
-                        parent[r] = parent[parent[r]]
-                        r = parent[r]
-                    if canonical[r] == 0:
-                        next_id += 1
-                        canonical[r] = next_id
-                    out[z, y, x] = canonical[r]
-        return out
+def _pair_views(shape, offset) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Slices (here, there) such that there[i] is here[i] shifted by offset."""
+    here = tuple(slice(max(0, -d), n - max(0, d)) for n, d in zip(shape, offset))
+    there = tuple(slice(max(0, d), n - max(0, -d)) for n, d in zip(shape, offset))
+    return here, there
 
 
-def _shift_filled(a: np.ndarray, dz: int, dy: int, dx: int, fill) -> np.ndarray:
-    """Return b with b[z, y, x] = a[z+dz, y+dy, x+dx], out-of-bounds = fill."""
-    out = np.full_like(a, fill)
-    src = []
-    dst = []
-    for n, d in zip(a.shape, (dz, dy, dx)):
-        src.append(slice(max(0, d), n - max(0, -d)))
-        dst.append(slice(max(0, -d), n - max(0, d)))
-    out[tuple(dst)] = a[tuple(src)]
-    return out
+def _union_round(parent: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """One hook-and-shortcut round over the edges (a, b).
 
-
-def _label_minprop(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    # Vectorized fixed-point iteration: every foreground voxel repeatedly
-    # takes the minimum linear index reachable through its neighbors, so a
-    # component converges to its smallest linear index, which is also its
-    # first voxel in z-major scan order. Iteration count is bounded by the
-    # longest in-component shortest path; fine for the fallback role.
-    fg = mask != 0
-    sentinel = np.iinfo(np.int64).max
-    lab = np.where(fg, np.arange(mask.size, dtype=np.int64).reshape(mask.shape), sentinel)
+    parent must be fully shortcut on entry (every entry is a root) and is
+    again on return. Edges whose endpoints already share a root are
+    dropped; each remaining root is hooked to the smallest root it shares
+    an edge with, when that root is smaller. Returns the edges that were
+    still open at the start of the round.
+    """
+    ra = parent[a]
+    rb = parent[b]
+    open_ = ra != rb
+    a, b, ra, rb = a[open_], b[open_], ra[open_], rb[open_]
+    np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
     while True:
-        best = lab.copy()
-        for dz, dy, dx in offsets:
-            np.minimum(best, _shift_filled(lab, int(dz), int(dy), int(dx), sentinel), out=best)
-        best[~fg] = sentinel
-        if np.array_equal(best, lab):
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
             break
-        lab = best
-    out = np.zeros(mask.shape, np.uint32)
-    if fg.any():
-        roots = lab[fg]
-        uniq = np.unique(roots)
-        out[fg] = (np.searchsorted(uniq, roots) + 1).astype(np.uint32)
-    return out
+        parent[:] = grand
+    return a, b
 
 
-def label_components(
-    mask: np.ndarray, prev_offsets: np.ndarray, use_numba: bool | None = None
-) -> np.ndarray:
+def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
     """Canonically label the connected components of a 3D binary mask.
+
+    Union-find on the foreground only, run as vectorised hook-and-shortcut
+    rounds: each foreground voxel gets a compact id in z-major scan order,
+    each scan-order-previous offset contributes the foreground pairs of
+    two shifted views of the mask as edges, and every hook points a root
+    at a smaller one. A component's root is therefore its smallest compact
+    id, i.e. its first voxel in scan order, and a running count of roots
+    is the canonical numbering.
 
     Args:
         mask: 3D array, nonzero = foreground.
         prev_offsets: (K, 3) int array of scan-order-previous neighbor
             offsets (dz, dy, dx), each lexicographically below (0, 0, 0).
-        use_numba: Force a path; None picks the module default.
 
     Returns:
         uint32 array of the mask's shape with components numbered 1..C by
         ascending position of each component's first voxel in z-major scan
         order; background stays 0.
     """
-    mask_u8 = np.ascontiguousarray(mask != 0).view(np.uint8)
-    offsets = np.ascontiguousarray(prev_offsets, dtype=np.int64)
-    if _dispatch(use_numba):
-        return _label_union_find(
-            mask_u8,
-            np.ascontiguousarray(offsets[:, 0]),
-            np.ascontiguousarray(offsets[:, 1]),
-            np.ascontiguousarray(offsets[:, 2]),
-        )
-    both_ways = np.concatenate([offsets, -offsets])
-    return _label_minprop(mask_u8, both_ways)
+    fg = np.ascontiguousarray(mask != 0)
+    n = int(np.count_nonzero(fg))
+    id_dtype = np.int32 if n < 2**31 else np.int64
+    ids = np.cumsum(fg, dtype=id_dtype).reshape(fg.shape)
+    ids -= 1
+    parent = np.arange(n, dtype=id_dtype)
+    a = b = np.empty(0, dtype=id_dtype)
+    # One round per offset keeps only the edges still open, so the edge
+    # lists stay small on solid foreground.
+    for offset in prev_offsets:
+        here, there = _pair_views(fg.shape, offset)
+        pairs = fg[here] & fg[there]
+        a = np.concatenate([a, ids[here][pairs]])
+        b = np.concatenate([b, ids[there][pairs]])
+        del pairs
+        a, b = _union_round(parent, a, b)
+    del ids
+    while a.size:
+        a, b = _union_round(parent, a, b)
+    canonical = np.cumsum(parent == np.arange(n, dtype=id_dtype), dtype=np.uint32)
+    out = np.zeros(fg.shape, np.uint32)
+    out[fg] = canonical[parent]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Instance-overlap pair counting
 # ---------------------------------------------------------------------------
 
-if HAS_NUMBA:
 
-    @njit(cache=True)
-    def _overlap_pairs_nb(pred, gt):
-        pairs = Dict.empty(key_type=types.uint64, value_type=types.int64)
-        for i in range(pred.size):
-            p = pred[i]
-            g = gt[i]
-            if p > 0 and g > 0:
-                key = (np.uint64(p) << np.uint64(32)) | np.uint64(g)
-                if key in pairs:
-                    pairs[key] += 1
-                else:
-                    pairs[key] = 1
-        keys = np.empty(len(pairs), np.uint64)
-        counts = np.empty(len(pairs), np.int64)
-        i = 0
-        for key in pairs:
-            keys[i] = key
-            counts[i] = pairs[key]
-            i += 1
-        order = np.argsort(keys)
-        return keys[order], counts[order]
-
-
-def _overlap_pairs_np(pred: np.ndarray, gt: np.ndarray):
-    both = (pred > 0) & (gt > 0)
-    keys = (pred[both].astype(np.uint64) << np.uint64(32)) | gt[both].astype(np.uint64)
-    uniq, counts = np.unique(keys, return_counts=True)
-    return uniq.astype(np.uint64), counts.astype(np.int64)
-
-
-def overlap_pairs(
-    pred: np.ndarray, gt: np.ndarray, use_numba: bool | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def overlap_pairs(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count co-labeled voxels for every overlapping (pred, gt) id pair.
 
     Args:
         pred: Flat uint32 label array.
         gt: Flat uint32 label array of the same size.
-        use_numba: Force a path; None picks the module default.
 
     Returns:
         (keys, counts) where keys = (pred_id << 32) | gt_id, ascending, and
@@ -228,58 +109,32 @@ def overlap_pairs(
     """
     pred_flat = np.ascontiguousarray(pred.ravel(), dtype=np.uint32)
     gt_flat = np.ascontiguousarray(gt.ravel(), dtype=np.uint32)
-    if _dispatch(use_numba):
-        return _overlap_pairs_nb(pred_flat, gt_flat)
-    return _overlap_pairs_np(pred_flat, gt_flat)
+    both = (pred_flat > 0) & (gt_flat > 0)
+    keys = pred_flat[both].astype(np.uint64) << np.uint64(32)
+    keys |= gt_flat[both].astype(np.uint64)
+    uniq, counts = np.unique(keys, return_counts=True)
+    return uniq.astype(np.uint64), counts.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Greedy selection min-distance update
 # ---------------------------------------------------------------------------
 
-if HAS_NUMBA:
 
-    @njit(cache=True)
-    def _min_update_argmax_nb(min_d, row, selected):
-        best = -1.0
-        best_i = -1
-        for j in range(min_d.size):
-            v = row[j]
-            if v < min_d[j]:
-                min_d[j] = v
-            if not selected[j] and min_d[j] > best:
-                best = min_d[j]
-                best_i = j
-        return best_i
-
-
-def _min_update_argmax_np(min_d: np.ndarray, row: np.ndarray, selected: np.ndarray) -> int:
-    np.minimum(min_d, row, out=min_d)
-    if selected.all():
-        return -1
-    masked = np.where(selected, -np.inf, min_d)
-    return int(np.argmax(masked))
-
-
-def min_update_argmax(
-    min_d: np.ndarray,
-    row: np.ndarray,
-    selected: np.ndarray,
-    use_numba: bool | None = None,
-) -> int:
+def min_update_argmax(min_d: np.ndarray, row: np.ndarray, selected: np.ndarray) -> int:
     """Fold one distance row into the running minima and pick the next item.
 
     Updates min_d in place to elementwise min(min_d, row), then returns the
     index of the largest min_d among unselected items, lowest index on ties,
-    or -1 when everything is selected. Both paths compare the same float64
-    values, so their picks are identical bit for bit.
+    or -1 when everything is selected.
 
     Args:
         min_d: float64 running minimum distances, modified in place.
         row: float64 distances from the newest selected item.
         selected: bool mask of already-selected items.
-        use_numba: Force a path; None picks the module default.
     """
-    if _dispatch(use_numba):
-        return int(_min_update_argmax_nb(min_d, row, selected))
-    return _min_update_argmax_np(min_d, row, selected)
+    np.minimum(min_d, row, out=min_d)
+    if selected.all():
+        return -1
+    masked = np.where(selected, -np.inf, min_d)
+    return int(np.argmax(masked))

@@ -37,6 +37,7 @@ from .config import (
     resolved_lines,
 )
 from .coreset import (
+    check_budget,
     kcenter_greedy,
     normalize_rows,
     random_select,
@@ -367,6 +368,12 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
     E = read_embeddings(stem)
     En = normalize_rows(E)
     budgets = (cfg.budget,) if cfg.budget is not None else cfg.budgets
+    # Every budget is checked before the first write, so an infeasible one
+    # leaves no partial selection behind to block the corrected rerun.
+    k_init = cfg.k_init if cfg.method == "coreset" else None
+    for b in budgets:
+        if b > 0:
+            check_budget(len(En.ids), b, k_init)
     names = [f"selection_{cfg.method}_b{b}.txt" for b in budgets if b > 0]
     # Manifest name carries the method so coreset and random runs can
     # share a directory without colliding.

@@ -199,13 +199,21 @@ def _as_normalized(E: EmbeddingMatrix) -> EmbeddingMatrix:
     return E if E.normalized else normalize_rows(E)
 
 
+def check_budget(n: int, budget: int, k_init: int | None = None) -> None:
+    """Raise SelectionError unless budget picks (k_init of them random, for
+    k-center greedy) can be drawn from n items."""
+    if budget > n:
+        raise SelectionError(f"budget {budget} exceeds item count {n}")
+    if k_init is not None and not 1 <= k_init <= budget:
+        raise SelectionError(f"k_init {k_init} outside [1, budget={budget}]")
+
+
 def kcenter_greedy(
     E: EmbeddingMatrix,
     budget: int,
     k_init: int = 3,
     rng_seed: int = 0,
     distances: DistanceMatrix | None = None,
-    use_numba: bool | None = None,
 ) -> SelectionManifest:
     """Select a core-set by k-center greedy (farthest-point) sampling.
 
@@ -223,7 +231,6 @@ def kcenter_greedy(
         rng_seed: Seed for the documented SplitMix64 generator.
         distances: Optional precomputed DistanceMatrix to read rows from;
             the selection is identical either way.
-        use_numba: Force a kernel path; None picks the package default.
 
     Returns:
         A validated SelectionManifest with method "coreset".
@@ -234,10 +241,7 @@ def kcenter_greedy(
     """
     En = _as_normalized(E)
     n = len(En.ids)
-    if budget > n:
-        raise SelectionError(f"budget {budget} exceeds item count {n}")
-    if not 1 <= k_init <= budget:
-        raise SelectionError(f"k_init {k_init} outside [1, budget={budget}]")
+    check_budget(n, budget, k_init)
     if distances is not None:
         distances.validate()
         if distances.size != n:
@@ -263,9 +267,7 @@ def kcenter_greedy(
             raise InternalError("greedy ran out of candidates before the budget")
         selected_mask[pick] = True
         order.append(pick)
-        next_pick = _kernels.min_update_argmax(
-            min_d, row_of(pick), selected_mask, use_numba
-        )
+        next_pick = _kernels.min_update_argmax(min_d, row_of(pick), selected_mask)
         trace.append(float(min_d[next_pick]) if next_pick >= 0 else 0.0)
     manifest = SelectionManifest(
         method=METHOD_CORESET,
@@ -284,7 +286,6 @@ def random_select(
     budget: int,
     rng_seed: int = 0,
     embeddings: EmbeddingMatrix | None = None,
-    use_numba: bool | None = None,
 ) -> SelectionManifest:
     """Select a uniform random subset as the baseline strategy.
 
@@ -295,7 +296,6 @@ def random_select(
         embeddings: Optional embeddings for the same ids; when given, the
             coverage radius is recorded after every pick for reporting.
             The trace is diagnostic only and is unconstrained.
-        use_numba: Force a kernel path; None picks the package default.
 
     Returns:
         A validated SelectionManifest with method "random" and k_init =
@@ -306,8 +306,7 @@ def random_select(
             disagree with ids.
     """
     n = len(ids)
-    if budget > n:
-        raise SelectionError(f"budget {budget} exceeds item count {n}")
+    check_budget(n, budget)
     order = SplitMix64(rng_seed).sample(n, budget)
     trace: list[float] = []
     if embeddings is not None and budget > 0:
@@ -319,9 +318,7 @@ def random_select(
         min_d = np.full(n, np.inf, dtype=np.float64)
         for pick in order:
             selected_mask[pick] = True
-            nxt = _kernels.min_update_argmax(
-                min_d, _distance_row(values, pick), selected_mask, use_numba
-            )
+            nxt = _kernels.min_update_argmax(min_d, _distance_row(values, pick), selected_mask)
             trace.append(float(min_d[nxt]) if nxt >= 0 else 0.0)
     manifest = SelectionManifest(
         method=METHOD_RANDOM,

@@ -106,14 +106,13 @@ class MetricsRecord:
 
 
 def overlap_histogram(
-    pred: LabelVolume, gt: LabelVolume, use_numba: bool | None = None
+    pred: LabelVolume, gt: LabelVolume
 ) -> tuple[dict[tuple[int, int], int], dict[int, int], dict[int, int]]:
     """Count overlap voxels per (pred_id, gt_id) pair plus per-id totals.
 
     Args:
         pred: Predicted instance volume.
         gt: Ground-truth instance volume of the same shape.
-        use_numba: Force a kernel path; None picks the package default.
 
     Returns:
         (pairs, pred_totals, gt_totals): pairs maps (pred_id, gt_id) to the
@@ -130,7 +129,7 @@ def overlap_histogram(
             f"pred shape {tuple(pred.voxels.shape)} does not match "
             f"gt shape {tuple(gt.voxels.shape)}"
         )
-    keys, counts = _kernels.overlap_pairs(pred.voxels, gt.voxels, use_numba)
+    keys, counts = _kernels.overlap_pairs(pred.voxels, gt.voxels)
     pairs = {
         (int(k >> np.uint64(32)), int(k & np.uint64(0xFFFFFFFF))): int(c)
         for k, c in zip(keys, counts)
@@ -150,7 +149,6 @@ def match_instances(
     pred: LabelVolume,
     gt: LabelVolume,
     iou_threshold: float = 0.5,
-    use_numba: bool | None = None,
 ) -> MatchResult:
     """Match instances across volumes by strict IoU > iou_threshold.
 
@@ -159,7 +157,6 @@ def match_instances(
         gt: Ground-truth instance volume of the same shape.
         iou_threshold: Strict threshold in [0.5, 1); 0.5 guarantees a
             unique matching.
-        use_numba: Force a kernel path; None picks the package default.
 
     Returns:
         A MatchResult partitioning both id sets.
@@ -171,7 +168,7 @@ def match_instances(
         raise MetricsError(
             f"iou threshold must lie in [0.5, 1), got {iou_threshold}"
         )
-    pairs, pred_totals, gt_totals = overlap_histogram(pred, gt, use_numba)
+    pairs, pred_totals, gt_totals = overlap_histogram(pred, gt)
     matches: list[tuple[int, int, float]] = []
     matched_pred: set[int] = set()
     matched_gt: set[int] = set()
@@ -208,13 +205,12 @@ def evaluate(
     pred: LabelVolume,
     gt: LabelVolume,
     iou_threshold: float = 0.5,
-    use_numba: bool | None = None,
 ) -> MetricsRecord:
     """Match and score in one step.
 
     Equivalent to compute_metrics(match_instances(pred, gt, iou_threshold)).
     """
-    return compute_metrics(match_instances(pred, gt, iou_threshold, use_numba))
+    return compute_metrics(match_instances(pred, gt, iou_threshold))
 
 
 def pool_matches(results: list[MatchResult]) -> MetricsRecord:

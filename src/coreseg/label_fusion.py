@@ -5,7 +5,7 @@ first binarizes and stacks them along z, then partitions the foreground
 into 3D connected components. Components are numbered canonically: 1..C
 by ascending position of each component's first voxel in z-major scan
 order, so the labeling is a pure function of (mask, connectivity) and is
-byte-identical across kernel paths and thread counts.
+byte-identical across thread counts.
 """
 
 from __future__ import annotations
@@ -108,14 +108,12 @@ def stack_slices(slices: Sequence[np.ndarray | LabelVolume]) -> LabelVolume:
 def connected_components(
     vol: LabelVolume,
     conn: Connectivity = CONN_FULL26,
-    use_numba: bool | None = None,
 ) -> LabelVolume:
     """Label the connected components of a binary mask volume.
 
     Args:
         vol: A binary_mask LabelVolume.
         conn: Neighborhood rule; defaults to full26.
-        use_numba: Force a kernel path; None picks the package default.
 
     Returns:
         An instance_labels LabelVolume with components numbered 1..C by
@@ -130,7 +128,7 @@ def connected_components(
             f"{vol.header.value_kind!r}"
         )
     vol.validate()
-    labels = _kernels.label_components(vol.voxels, conn.prev_offsets, use_numba)
+    labels = _kernels.label_components(vol.voxels, conn.prev_offsets)
     return LabelVolume(
         VolumeHeader(shape=vol.header.shape, value_kind=KIND_INSTANCE), labels
     )

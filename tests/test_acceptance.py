@@ -256,7 +256,7 @@ def test_criterion_09_byte_identical_reruns(tmp_path, capsys):
 
     def subprocess_runner(threads):
         env = dict(os.environ)
-        env["NUMBA_NUM_THREADS"] = threads
+        env["OPENBLAS_NUM_THREADS"] = threads
         env["OMP_NUM_THREADS"] = threads
 
         def go(args):

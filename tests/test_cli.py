@@ -362,6 +362,39 @@ def test_select_k_init_beyond_budget_fails(capsys, tmp_path, demo_embeddings):
     assert "k_init" in err
 
 
+@pytest.mark.parametrize("method", ["coreset", "random"])
+def test_select_infeasible_budget_in_list_writes_nothing(
+    capsys, tmp_path, demo_embeddings, method
+):
+    stem, _ = demo_embeddings
+    out_dir = tmp_path / "sel"
+    args = ("select", "--embeddings", stem, "--method", method, "--out-dir", out_dir)
+    code, out, err = run(capsys, *args, "--budgets", "4,8,64")
+    assert code == 3
+    assert "budget 64 exceeds item count 12" in err
+    assert out == ""
+    assert not out_dir.exists()
+    # Nothing was left behind, so the corrected rerun needs no --force.
+    assert run(capsys, *args, "--budgets", "4,8")[0] == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        f"run_manifest_{method}.txt",
+        f"selection_{method}_b4.txt",
+        f"selection_{method}_b8.txt",
+    ]
+
+
+def test_select_k_init_beyond_later_budget_writes_nothing(capsys, tmp_path, demo_embeddings):
+    stem, _ = demo_embeddings
+    out_dir = tmp_path / "sel"
+    code, _, err = run(
+        capsys, "select", "--embeddings", stem, "--budgets", "0,6,2",
+        "--k-init", "4", "--out-dir", out_dir,
+    )
+    assert code == 3
+    assert "k_init 4 outside [1, budget=2]" in err
+    assert not out_dir.exists()
+
+
 def test_select_outputs_are_rerun_stable(capsys, tmp_path, demo_embeddings):
     stem, _ = demo_embeddings
     out_dir = tmp_path / "sel"

@@ -135,15 +135,6 @@ def test_precomputed_distances_identical_to_on_the_fly():
         assert a.radius_trace == b.radius_trace
 
 
-def test_kernel_paths_identical():
-    rng = np.random.default_rng(30)
-    E = gaussian_embeddings(rng, 50, 8)
-    a = kcenter_greedy(E, 20, k_init=3, rng_seed=1, use_numba=True)
-    b = kcenter_greedy(E, 20, k_init=3, rng_seed=1, use_numba=False)
-    assert a.selected == b.selected
-    assert a.radius_trace == b.radius_trace
-
-
 def test_selection_is_scale_invariant():
     # Scaling by a power of two changes no mantissa, so the normalized
     # values and therefore the whole run are bit-identical.

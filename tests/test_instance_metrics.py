@@ -50,15 +50,6 @@ def test_overlap_histogram_matches_naive_count():
         assert got == naive_histogram(pred, gt)
 
 
-def test_overlap_histogram_kernel_paths_agree():
-    rng = np.random.default_rng(1)
-    pred = random_labels(rng)
-    gt = random_labels(rng)
-    assert overlap_histogram(pred, gt, use_numba=True) == overlap_histogram(
-        pred, gt, use_numba=False
-    )
-
-
 def test_overlap_histogram_rejects_shape_mismatch():
     a = instance_volume(np.zeros((2, 2, 2), dtype=np.uint32))
     b = instance_volume(np.zeros((2, 2, 3), dtype=np.uint32))

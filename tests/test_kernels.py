@@ -1,58 +1,14 @@
-"""Tests for kernel dispatch and compiled/fallback path agreement."""
-
-import os
-import subprocess
-import sys
+"""Tests for the overlap-counting and greedy-update kernels."""
 
 import numpy as np
-import pytest
 
 from coreseg import _kernels
-from coreseg.label_fusion import CONN_FACE6, CONN_FULL26
-
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-
-
-def test_default_dispatch_matches_flag():
-    assert _kernels._dispatch(None) == _kernels.NUMBA_ENABLED
-    assert _kernels._dispatch(False) is False
-
-
-@needs_numba
-def test_forced_numba_dispatch():
-    assert _kernels._dispatch(True) is True
-
-
-@needs_numba
-@pytest.mark.parametrize("conn", [CONN_FACE6, CONN_FULL26])
-def test_label_paths_bit_identical(conn):
-    rng = np.random.default_rng(3)
-    for _ in range(15):
-        shape = tuple(int(rng.integers(1, 14)) for _ in range(3))
-        mask = (rng.random(shape) < rng.uniform(0.1, 0.8)).astype(np.uint32)
-        a = _kernels.label_components(mask, conn.prev_offsets, use_numba=True)
-        b = _kernels.label_components(mask, conn.prev_offsets, use_numba=False)
-        assert a.dtype == b.dtype == np.uint32
-        np.testing.assert_array_equal(a, b)
-
-
-@needs_numba
-def test_overlap_paths_bit_identical():
-    rng = np.random.default_rng(4)
-    for _ in range(15):
-        n = int(rng.integers(1, 2000))
-        pred = rng.integers(0, 12, size=n, dtype=np.uint32)
-        gt = rng.integers(0, 12, size=n, dtype=np.uint32)
-        ka, ca = _kernels.overlap_pairs(pred, gt, use_numba=True)
-        kb, cb = _kernels.overlap_pairs(pred, gt, use_numba=False)
-        np.testing.assert_array_equal(ka, kb)
-        np.testing.assert_array_equal(ca, cb)
 
 
 def test_overlap_keys_sorted_and_background_free():
     pred = np.array([0, 1, 1, 2, 2, 2], dtype=np.uint32)
     gt = np.array([5, 0, 7, 7, 7, 9], dtype=np.uint32)
-    keys, counts = _kernels.overlap_pairs(pred, gt, use_numba=False)
+    keys, counts = _kernels.overlap_pairs(pred, gt)
     decoded = [(int(k >> np.uint64(32)), int(k & np.uint64(0xFFFFFFFF))) for k in keys]
     assert decoded == [(1, 7), (2, 7), (2, 9)]
     assert counts.tolist() == [1, 2, 1]
@@ -61,29 +17,14 @@ def test_overlap_keys_sorted_and_background_free():
 
 def test_overlap_empty_foreground():
     zero = np.zeros(10, dtype=np.uint32)
-    keys, counts = _kernels.overlap_pairs(zero, zero, use_numba=False)
+    keys, counts = _kernels.overlap_pairs(zero, zero)
     assert keys.size == 0 and counts.size == 0
-
-
-@needs_numba
-def test_min_update_paths_bit_identical():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        n = int(rng.integers(1, 300))
-        min_a = rng.random(n)
-        min_b = min_a.copy()
-        row = rng.random(n)
-        selected = rng.random(n) < 0.4
-        ia = _kernels.min_update_argmax(min_a, row, selected, use_numba=True)
-        ib = _kernels.min_update_argmax(min_b, row, selected, use_numba=False)
-        assert ia == ib
-        np.testing.assert_array_equal(min_a, min_b)
 
 
 def test_min_update_all_selected_returns_sentinel():
     min_d = np.array([0.5, 0.25])
     row = np.array([0.4, 0.9])
-    out = _kernels.min_update_argmax(min_d, row, np.array([True, True]), use_numba=False)
+    out = _kernels.min_update_argmax(min_d, row, np.array([True, True]))
     assert out == -1
     np.testing.assert_array_equal(min_d, [0.4, 0.25])
 
@@ -91,23 +32,5 @@ def test_min_update_all_selected_returns_sentinel():
 def test_min_update_tie_breaks_to_lowest_index():
     min_d = np.array([np.inf, np.inf, np.inf])
     row = np.array([0.7, 0.7, 0.7])
-    out = _kernels.min_update_argmax(min_d, row, np.zeros(3, dtype=bool), use_numba=False)
+    out = _kernels.min_update_argmax(min_d, row, np.zeros(3, dtype=bool))
     assert out == 0
-
-
-def _enabled_with_env(value: str | None) -> str:
-    env = dict(os.environ)
-    env.pop("CORESEG_DISABLE_NUMBA", None)
-    if value is not None:
-        env["CORESEG_DISABLE_NUMBA"] = value
-    code = "from coreseg import _kernels; print(_kernels.NUMBA_ENABLED)"
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    ).stdout.strip()
-
-
-@needs_numba
-def test_env_flag_disables_compiled_path():
-    assert _enabled_with_env("1") == "False"
-    assert _enabled_with_env("0") == "True"
-    assert _enabled_with_env(None) == "True"

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coreseg.errors import FusionError, VolumeFormatError
 from coreseg.label_fusion import (
@@ -114,14 +117,52 @@ def test_matches_flood_fill_oracle(conn):
         np.testing.assert_array_equal(got.voxels, expected)
 
 
+@st.composite
+def masks(draw):
+    # Edges start at 1, so size-1 axes are common; empty and full volumes
+    # are drawn on purpose rather than left to chance.
+    shape = draw(st.tuples(*[st.integers(1, 9)] * 3))
+    fill = draw(st.sampled_from(["drawn", "seeded", "empty", "full"]))
+    if fill == "empty":
+        return np.zeros(shape, dtype=bool)
+    if fill == "full":
+        return np.ones(shape, dtype=bool)
+    if fill == "seeded":
+        # Uniform noise at a drawn density: many interleaved components.
+        density = draw(st.floats(0.2, 0.8))
+        seed = draw(st.integers(0, 2**32 - 1))
+        return np.random.default_rng(seed).random(shape) < density
+    return draw(hnp.arrays(np.bool_, shape))
+
+
 @pytest.mark.parametrize("conn", [CONN_FACE6, CONN_FULL26])
-def test_kernel_paths_agree(conn):
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        vol = random_mask(rng, max_edge=10)
-        a = connected_components(vol, conn, use_numba=True)
-        b = connected_components(vol, conn, use_numba=False)
-        np.testing.assert_array_equal(a.voxels, b.voxels)
+@settings(max_examples=300, deadline=None)
+@given(mask=masks())
+def test_matches_flood_fill_property(conn, mask):
+    got = connected_components(mask_volume(mask), conn).voxels
+    assert got.dtype == np.uint32
+    np.testing.assert_array_equal(got, bfs_label(mask, conn.kind))
+
+
+def serpentine(size: int) -> np.ndarray:
+    """One winding path: full rows joined by one pixel at alternate ends."""
+    path = np.zeros((size, size), dtype=bool)
+    path[0::2, :] = True
+    for row in range(1, size, 2):
+        path[row, -1 if (row // 2) % 2 == 0 else 0] = True
+    return path
+
+
+@pytest.mark.parametrize("conn", [CONN_FACE6, CONN_FULL26])
+def test_serpentine_long_path_is_one_component(conn):
+    # Slices 0 and 2 carry the path; slice 1 joins them at one end only,
+    # so the single component winds through ~2.5k voxels.
+    mask = np.zeros((3, 49, 49), dtype=bool)
+    mask[0] = mask[2] = serpentine(49)
+    mask[1, -1, -1] = True
+    out = connected_components(mask_volume(mask), conn)
+    assert out.voxels.dtype == np.uint32
+    np.testing.assert_array_equal(out.voxels, mask.astype(np.uint32))
 
 
 def test_all_background_and_all_foreground():
