@@ -8,12 +8,13 @@ entropy, so identical configurations produce byte-identical outputs.
 
 A ``run_manifest`` capturing the tool version, the hash of the resolved
 configuration, and the digest of every input is written alongside every
-output set.
+output set. A command writes all of its outputs or none (see _commit).
 
 Exit statuses:
     0  success
     2  usage or configuration error
-    3  input error (missing or malformed files, invalid request)
+    3  input error (missing or malformed files, invalid request, or a
+       failed read or write)
     4  internal invariant violation
     5  outputs exist and --force was not given
 """
@@ -24,18 +25,11 @@ import argparse
 import hashlib
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    PipelineConfig,
-    apply_overrides,
-    load_config,
-    parse_budgets,
-    parse_connectivity,
-    parse_shape,
-    resolved_lines,
-)
+from .config import _PARSERS, PipelineConfig, apply_overrides, load_config, resolved_lines
 from .coreset import (
     check_budget,
     kcenter_greedy,
@@ -63,7 +57,7 @@ from .label_fusion import (
     connected_components,
     stack_slices,
 )
-from .patch_grid import PatchId, patch_filename, plan_grid, tile, write_grid_manifest
+from .patch_grid import extract_patch, patch_filename, patch_ids, plan_grid, write_grid_manifest
 from .report import build_curve, percent_csv, render_curve_table, surpass_summary
 from .volume_io import read_volume, write_volume
 
@@ -76,8 +70,7 @@ EXIT_EXISTS = 5
 RUN_MANIFEST_VERSION = 1
 
 _INPUT_ERRORS = (
-    FileNotFoundError,
-    NotADirectoryError,
+    OSError,
     VolumeFormatError,
     GridError,
     FusionError,
@@ -87,11 +80,14 @@ _INPUT_ERRORS = (
 )
 
 
-def _flag(parser_fn):
-    # Adapt config-value parsers to argparse so bad flag values exit 2.
+def _flag(key: str):
+    # Parse a flag with its config key's parser, so a flag accepts exactly
+    # what a config file accepts and a bad value exits 2.
+    parse = _PARSERS[key]
+
     def convert(text: str):
         try:
-            return parser_fn(text)
+            return parse(text)
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -117,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume", help="input .vol3d volume")
     p.add_argument("--name", dest="volume_name", help="volume name for patch files")
     p.add_argument(
-        "--patch", dest="patch_shape", type=_flag(parse_shape), help="patch shape Z,Y,X"
+        "--patch", dest="patch_shape", type=_flag("patch_shape"), help="patch shape Z,Y,X"
     )
     p.add_argument("--pad-mode", dest="pad_mode", choices=("zero", "reflect"))
     p.add_argument("--out-dir", dest="out_dir", help="directory for patches")
@@ -126,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--slices-dir", dest="slices_dir", help="directory of z=1 .vol3d slices")
     p.add_argument(
-        "--connectivity", type=_flag(parse_connectivity), help="6 or 26 (default 26)"
+        "--connectivity", type=_flag("connectivity"), help="6 or 26 (default 26)"
     )
     p.add_argument("--out", help="output .vol3d instance volume")
 
@@ -134,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mask", help="input binary_mask .vol3d volume")
     p.add_argument(
-        "--connectivity", type=_flag(parse_connectivity), help="6 or 26 (default 26)"
+        "--connectivity", type=_flag("connectivity"), help="6 or 26 (default 26)"
     )
     p.add_argument("--out", help="output .vol3d instance volume")
 
@@ -143,13 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="embedding file stem (<stem>.meta/.f32/.ids)")
     p.add_argument("--method", choices=("coreset", "random"))
     p.add_argument(
-        "--budget", type=_flag(int), help="single budget overriding the config list"
+        "--budget", type=_flag("budget"), help="single budget overriding the config list"
     )
     p.add_argument(
-        "--budgets", type=_flag(parse_budgets), help="comma-separated budget list"
+        "--budgets", type=_flag("budgets"), help="comma-separated budget list"
     )
-    p.add_argument("--seed", dest="rng_seed", type=_flag(int), help="selection seed")
-    p.add_argument("--k-init", dest="k_init", type=_flag(int), help="random initial picks")
+    p.add_argument("--seed", dest="rng_seed", type=_flag("rng_seed"), help="selection seed")
+    p.add_argument("--k-init", dest="k_init", type=_flag("k_init"), help="random initial picks")
     p.add_argument("--out-dir", dest="out_dir", help="directory for manifests")
 
     p = sub.add_parser("evaluate", help="score a prediction against ground truth")
@@ -157,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", help="predicted instance .vol3d volume")
     p.add_argument("--gt", help="ground-truth instance .vol3d volume")
     p.add_argument(
-        "--iou-threshold", dest="iou_threshold", type=_flag(float), help="default 0.5"
+        "--iou-threshold", dest="iou_threshold", type=_flag("iou_threshold"), help="default 0.5"
     )
-    p.add_argument("--budget", type=_flag(int), help="budget stamped into the record")
+    p.add_argument("--budget", type=_flag("budget"), help="budget stamped into the record")
     p.add_argument("--out-dir", dest="out_dir", help="directory for metrics files")
 
     p = sub.add_parser("report", help="aggregate metrics files into learning curves")
@@ -168,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fraction",
         dest="surpass_fraction",
-        type=_flag(float),
+        type=_flag("surpass_fraction"),
         help="surpass fraction (default 0.9)",
     )
     p.add_argument("--out-dir", dest="out_dir", help="directory for report files")
@@ -179,30 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     overrides = {
-        key: getattr(args, key)
-        for key in (
-            "patch_shape",
-            "pad_mode",
-            "connectivity",
-            "iou_threshold",
-            "k_init",
-            "budgets",
-            "rng_seed",
-            "method",
-            "surpass_fraction",
-            "budget",
-            "volume",
-            "volume_name",
-            "slices_dir",
-            "mask",
-            "embeddings",
-            "pred",
-            "gt",
-            "metrics_dir",
-            "out",
-            "out_dir",
-        )
-        if hasattr(args, key)
+        f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)
     }
     return apply_overrides(cfg, overrides)
 
@@ -225,14 +198,6 @@ def _input_dir(value: str | None, what: str) -> Path:
     if not p.is_dir():
         raise NotADirectoryError(f"{what} does not exist: {p}")
     return p
-
-
-def _guard_outputs(targets: list[Path], force: bool) -> None:
-    if force:
-        return
-    for t in targets:
-        if t.exists():
-            raise OverwriteRefused(f"output exists: {t} (use --force to overwrite)")
 
 
 def _write_run_manifest(
@@ -259,35 +224,71 @@ def _write_run_manifest(
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _commit(
+    command: str,
+    cfg: PipelineConfig,
+    force: bool,
+    out_dir: Path,
+    writers: dict,
+    run_name: str,
+    inputs: list[tuple[str, Path]],
+) -> None:
+    """Write a command's outputs and its run manifest, all of them or none.
+
+    writers maps each output file name to a function that writes that
+    output to the path it is given. Every target is checked before
+    anything is written: one that exists is refused unless force is set,
+    and one that is not a regular file is refused even then. Each output,
+    and then the run manifest, is written to a sibling ``<name>.part``;
+    only when all of them are written are they renamed onto their final
+    names, the run manifest last, so a run manifest marks a complete
+    output set. On any failure the temp files are deleted and the error
+    re-raised.
+    """
+    steps = {
+        **writers,
+        run_name: lambda p: _write_run_manifest(p, command, cfg, inputs, list(writers)),
+    }
+    for name in steps:
+        target = out_dir / name
+        if target.exists():
+            if not target.is_file():
+                raise FileExistsError(f"output path is not a regular file: {target}")
+            if not force:
+                raise OverwriteRefused(f"output exists: {target} (use --force to overwrite)")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    made: list[Path] = []
+    try:
+        for name, write in steps.items():
+            made.append(out_dir / f"{name}.part")
+            write(made[-1])
+        for name, tmp in zip(steps, made):
+            tmp.replace(out_dir / name)
+    except BaseException:
+        for tmp in made:
+            if tmp.is_file():
+                tmp.unlink()
+        raise
+
+
+def _text(content: str):
+    return lambda p: p.write_text(content, encoding="ascii")
+
+
 def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
     vol_path = _input_file(cfg.volume, "input volume (--volume / volume)")
     out_dir = Path(_require(cfg.out_dir, "output directory (--out-dir / out_dir)"))
     vol = read_volume(vol_path)
     name = cfg.volume_name or vol_path.stem
     spec = plan_grid(vol.header.shape, cfg.patch_shape, cfg.pad_mode)
+    # Each writer extracts its own patch, so only one patch is held at a time.
+    writers = {
+        patch_filename(pid): lambda p, pid=pid: write_volume(extract_patch(vol, spec, pid), p)
+        for pid in patch_ids(spec, name)
+    }
+    writers["grid_manifest.txt"] = lambda p: write_grid_manifest(spec, name, p)
+    _commit("tile", cfg, force, out_dir, writers, "run_manifest.txt", [("volume", vol_path)])
     nz, ny, nx = spec.grid_dims
-    pids = [
-        PatchId(name, (iz, iy, ix))
-        for iz in range(nz)
-        for iy in range(ny)
-        for ix in range(nx)
-    ]
-    patch_files = [patch_filename(pid) for pid in pids]
-    targets = [out_dir / f for f in patch_files]
-    targets += [out_dir / "grid_manifest.txt", out_dir / "run_manifest.txt"]
-    _guard_outputs(targets, force)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    patches = tile(vol, spec, name)
-    for pid in pids:
-        write_volume(patches[pid], out_dir / patch_filename(pid))
-    write_grid_manifest(spec, name, out_dir / "grid_manifest.txt")
-    _write_run_manifest(
-        out_dir / "run_manifest.txt",
-        "tile",
-        cfg,
-        [("volume", vol_path)],
-        patch_files + ["grid_manifest.txt"],
-    )
     print(
         f"patches={spec.patch_count} grid={nz},{ny},{nx} "
         f"padded={spec.padded_shape[0]},{spec.padded_shape[1]},{spec.padded_shape[2]}"
@@ -336,12 +337,14 @@ def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
         grids.append(v.voxels[0])
     mask = stack_slices(grids)
     labeled = connected_components(mask, Connectivity(cfg.connectivity))
-    run_path = Path(f"{out}.run.txt")
-    _guard_outputs([out, run_path], force)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_volume(labeled, out)
-    _write_run_manifest(
-        run_path, "fuse", cfg, [("slice", f) for _, f in keyed], [out.name]
+    _commit(
+        "fuse",
+        cfg,
+        force,
+        out.parent,
+        {out.name: lambda p: write_volume(labeled, p)},
+        f"{out.name}.run.txt",
+        [("slice", f) for _, f in keyed],
     )
     z, y, x = labeled.header.shape
     print(f"components={component_count(labeled)} slices={len(keyed)} shape={z},{y},{x}")
@@ -353,11 +356,15 @@ def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
     out = Path(_require(cfg.out, "output path (--out / out)"))
     mask = read_volume(mask_path)
     labeled = connected_components(mask, Connectivity(cfg.connectivity))
-    run_path = Path(f"{out}.run.txt")
-    _guard_outputs([out, run_path], force)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_volume(labeled, out)
-    _write_run_manifest(run_path, "cc", cfg, [("mask", mask_path)], [out.name])
+    _commit(
+        "cc",
+        cfg,
+        force,
+        out.parent,
+        {out.name: lambda p: write_volume(labeled, p)},
+        f"{out.name}.run.txt",
+        [("mask", mask_path)],
+    )
     print(f"components={component_count(labeled)}")
     return EXIT_OK
 
@@ -368,36 +375,42 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
     E = read_embeddings(stem)
     En = normalize_rows(E)
     budgets = (cfg.budget,) if cfg.budget is not None else cfg.budgets
-    # Every budget is checked before the first write, so an infeasible one
-    # leaves no partial selection behind to block the corrected rerun.
+    # Every budget is checked before the first selection is computed, so an
+    # infeasible budget late in the list fails at once.
     k_init = cfg.k_init if cfg.method == "coreset" else None
     for b in budgets:
         if b > 0:
             check_budget(len(En.ids), b, k_init)
-    names = [f"selection_{cfg.method}_b{b}.txt" for b in budgets if b > 0]
-    # Manifest name carries the method so coreset and random runs can
-    # share a directory without colliding.
-    run_name = f"run_manifest_{cfg.method}.txt"
-    targets = [out_dir / n for n in names] + [out_dir / run_name]
-    _guard_outputs(targets, force)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for b in budgets:
-        if b <= 0:
-            print(f"budget={b} skipped (nothing to select)")
-            continue
+    radii: dict[int, str] = {}
+
+    # Each selection is computed by its writer, after _commit's checks, so a
+    # refused run computes none.
+    def write_selection(b: int, path: Path) -> None:
         if cfg.method == "coreset":
             manifest = kcenter_greedy(En, b, k_init=cfg.k_init, rng_seed=cfg.rng_seed)
         else:
             manifest = random_select(En.ids, b, rng_seed=cfg.rng_seed, embeddings=En)
-        write_selection_manifest(manifest, out_dir / f"selection_{cfg.method}_b{b}.txt")
-        radius = repr(manifest.radius_trace[-1]) if manifest.radius_trace else "na"
-        print(f"method={cfg.method} budget={b} radius={radius}")
+        write_selection_manifest(manifest, path)
+        radii[b] = repr(manifest.radius_trace[-1]) if manifest.radius_trace else "na"
+
+    writers = {
+        f"selection_{cfg.method}_b{b}.txt": lambda p, b=b: write_selection(b, p)
+        for b in budgets
+        if b > 0
+    }
     inputs = [
         ("embeddings", Path(f"{stem}.meta")),
         ("embeddings", Path(f"{stem}.f32")),
         ("embeddings", Path(f"{stem}.ids")),
     ]
-    _write_run_manifest(out_dir / run_name, "select", cfg, inputs, names)
+    # Manifest name carries the method so coreset and random runs can
+    # share a directory without colliding.
+    _commit("select", cfg, force, out_dir, writers, f"run_manifest_{cfg.method}.txt", inputs)
+    for b in budgets:
+        if b in radii:
+            print(f"method={cfg.method} budget={b} radius={radii[b]}")
+        else:
+            print(f"budget={b} skipped (nothing to select)")
     return EXIT_OK
 
 
@@ -414,27 +427,15 @@ def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
     pred = read_volume(pred_path)
     gt = read_volume(gt_path)
     record = evaluate(pred, gt, cfg.iou_threshold)
-    kv_name = f"metrics_b{cfg.budget}.txt"
-    csv_name = f"metrics_b{cfg.budget}.csv"
+    stem = f"metrics_b{cfg.budget}"
+    writers = {
+        f"{stem}.txt": _text(metrics_kv_text(record, cfg.budget, cfg.iou_threshold)),
+        f"{stem}.csv": _text(metrics_csv_text(record, cfg.budget, cfg.iou_threshold)),
+    }
     # Manifest name carries the budget so one metrics directory can
     # accumulate every budget of a learning curve.
-    run_name = f"metrics_b{cfg.budget}.run.txt"
-    targets = [out_dir / kv_name, out_dir / csv_name, out_dir / run_name]
-    _guard_outputs(targets, force)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / kv_name).write_text(
-        metrics_kv_text(record, cfg.budget, cfg.iou_threshold), encoding="ascii"
-    )
-    (out_dir / csv_name).write_text(
-        metrics_csv_text(record, cfg.budget, cfg.iou_threshold), encoding="ascii"
-    )
-    _write_run_manifest(
-        out_dir / run_name,
-        "evaluate",
-        cfg,
-        [("pred", pred_path), ("gt", gt_path)],
-        [kv_name, csv_name],
-    )
+    inputs = [("pred", pred_path), ("gt", gt_path)]
+    _commit("evaluate", cfg, force, out_dir, writers, f"{stem}.run.txt", inputs)
     print(
         f"budget={cfg.budget} tp={record.tp} fp={record.fp} fn={record.fn} "
         f"f1={record.f1!r} pq={record.pq!r}"
@@ -455,27 +456,14 @@ def cmd_report(cfg: PipelineConfig, force: bool) -> int:
             raise ReportError(f"{f.name}: duplicate budget {budget}")
         records[budget] = record
     curve = build_curve(records)
-    curve_csv = percent_csv(curve)
-    table_text = render_curve_table(curve)
     surpass_text = surpass_summary(curve, cfg.surpass_fraction)
-    targets = [
-        out_dir / "curve.csv",
-        out_dir / "curve_table.txt",
-        out_dir / "surpass.txt",
-        out_dir / "run_manifest.txt",
-    ]
-    _guard_outputs(targets, force)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "curve.csv").write_text(curve_csv, encoding="ascii")
-    (out_dir / "curve_table.txt").write_text(table_text, encoding="ascii")
-    (out_dir / "surpass.txt").write_text(surpass_text, encoding="ascii")
-    _write_run_manifest(
-        out_dir / "run_manifest.txt",
-        "report",
-        cfg,
-        [("metrics", f) for f in files],
-        ["curve.csv", "curve_table.txt", "surpass.txt"],
-    )
+    writers = {
+        "curve.csv": _text(percent_csv(curve)),
+        "curve_table.txt": _text(render_curve_table(curve)),
+        "surpass.txt": _text(surpass_text),
+    }
+    inputs = [("metrics", f) for f in files]
+    _commit("report", cfg, force, out_dir, writers, "run_manifest.txt", inputs)
     print(surpass_text, end="")
     return EXIT_OK
 

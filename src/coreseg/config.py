@@ -84,6 +84,13 @@ def _parse_int(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
+def _parse_budget(text: str) -> int:
+    budget = _parse_int(text)
+    if budget < 0:
+        raise ConfigError(f"budget must be non-negative, got {text!r}")
+    return budget
+
+
 def _parse_float(text: str) -> float:
     try:
         return float(text)
@@ -113,7 +120,7 @@ _PARSERS = {
     "rng_seed": _parse_int,
     "method": _parse_method,
     "surpass_fraction": _parse_float,
-    "budget": _parse_int,
+    "budget": _parse_budget,
     "volume": str,
     "volume_name": str,
     "slices_dir": str,

@@ -101,6 +101,11 @@ def plan_grid(
     )
 
 
+def patch_ids(spec: PatchSpec, volume_name: str) -> list[PatchId]:
+    """Return one PatchId per grid cell, in z-major grid order."""
+    return [PatchId(volume_name, idx) for idx in np.ndindex(*spec.grid_dims)]
+
+
 def _reflect_index_map(length: int, padded: int) -> np.ndarray:
     # Mirror about the last in-bounds plane without duplicating it; numpy's
     # "reflect" pad has exactly that convention and handles pads longer than
@@ -175,14 +180,7 @@ def tile(
     Returns:
         Mapping from PatchId to patch volume, one entry per grid cell.
     """
-    out: dict[PatchId, LabelVolume] = {}
-    nz, ny, nx = spec.grid_dims
-    for iz in range(nz):
-        for iy in range(ny):
-            for ix in range(nx):
-                pid = PatchId(volume_name=volume_name, grid_index=(iz, iy, ix))
-                out[pid] = extract_patch(vol, spec, pid)
-    return out
+    return {pid: extract_patch(vol, spec, pid) for pid in patch_ids(spec, volume_name)}
 
 
 def reassemble(patches: Mapping[PatchId, LabelVolume], spec: PatchSpec) -> LabelVolume:
@@ -208,13 +206,7 @@ def reassemble(patches: Mapping[PatchId, LabelVolume], spec: PatchSpec) -> Label
     kinds = {p.header.value_kind for p in patches.values()}
     if len(kinds) > 1:
         raise GridError(f"patches mix value kinds {sorted(kinds)}")
-    nz, ny, nx = spec.grid_dims
-    expected = {
-        PatchId(name, (iz, iy, ix))
-        for iz in range(nz)
-        for iy in range(ny)
-        for ix in range(nx)
-    }
+    expected = set(patch_ids(spec, name))
     extra = set(patches) - expected
     if extra:
         pid = sorted(extra, key=lambda q: q.grid_index)[0]
@@ -262,11 +254,7 @@ def write_grid_manifest(spec: PatchSpec, volume_name: str, path: str | Path) -> 
         "padded_shape=" + ",".join(str(c) for c in spec.padded_shape),
         "grid_dims=" + ",".join(str(c) for c in spec.grid_dims),
     ]
-    nz, ny, nx = spec.grid_dims
-    for iz in range(nz):
-        for iy in range(ny):
-            for ix in range(nx):
-                lines.append(f"patch={patch_filename(PatchId(volume_name, (iz, iy, ix)))}")
+    lines += [f"patch={patch_filename(pid)}" for pid in patch_ids(spec, volume_name)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

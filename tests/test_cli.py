@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coreseg import cli
 from coreseg.cli import main as cli_main
 from coreseg.coreset import (
     kcenter_greedy,
@@ -406,6 +407,15 @@ def test_select_outputs_are_rerun_stable(capsys, tmp_path, demo_embeddings):
     assert first == second
 
 
+def test_select_refusal_computes_nothing(capsys, tmp_path, demo_embeddings, monkeypatch):
+    stem, _ = demo_embeddings
+    args = ("select", "--embeddings", stem, "--budget", "4", "--out-dir", tmp_path / "sel")
+    assert run(capsys, *args)[0] == 0
+    # A call would now fail with an internal error; the refusal comes first.
+    monkeypatch.setattr(cli, "kcenter_greedy", None)
+    assert run(capsys, *args)[0] == 5
+
+
 # ---------------------------------------------------------------------------
 # evaluate / report
 # ---------------------------------------------------------------------------
@@ -543,6 +553,121 @@ def test_report_empty_directory(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# all-or-nothing outputs, for every command
+# ---------------------------------------------------------------------------
+
+COMMANDS = ["tile", "fuse", "cc", "select", "evaluate", "report"]
+
+
+def command_case(capsys, tmp_path, command):
+    """Write inputs for one run of command under tmp_path.
+
+    Returns (args, run manifest name); every output of the run lands in
+    tmp_path / "out", which does not exist yet.
+    """
+    out = tmp_path / "out"
+    if command == "tile":
+        vol = tmp_path / "v.vol3d"
+        write_instance(vol, np.arange(75, dtype=np.uint32).reshape(3, 5, 5) % 4)
+        args = ["tile", "--volume", vol, "--patch", "2,4,4", "--out-dir", out]
+        return args, "run_manifest.txt"
+    if command == "fuse":
+        slice_file(tmp_path / "slices", "s0.vol3d", [[1, 0], [0, 1]])
+        slice_file(tmp_path / "slices", "s1.vol3d", [[0, 0], [1, 1]])
+        args = ["fuse", "--slices-dir", tmp_path / "slices", "--out", out / "f.vol3d"]
+        return args, "f.vol3d.run.txt"
+    if command == "cc":
+        args = ["cc", "--mask", corner_mask(tmp_path), "--out", out / "c.vol3d"]
+        return args, "c.vol3d.run.txt"
+    if command == "select":
+        values = np.random.default_rng(7).normal(size=(12, 4))
+        write_embeddings(EmbeddingMatrix([f"p{i}" for i in range(12)], values), tmp_path / "e")
+        args = ["select", "--embeddings", tmp_path / "e", "--budgets", "0,3,5", "--out-dir", out]
+        return args, "run_manifest_coreset.txt"
+    gt, empty = labeled_pair(tmp_path)
+    if command == "evaluate":
+        args = ["evaluate", "--pred", empty, "--gt", gt, "--budget", "4", "--out-dir", out]
+        return args, "metrics_b4.run.txt"
+    metrics = tmp_path / "metrics"
+    for budget, pred in (("2", empty), ("4", gt)):
+        assert run(
+            capsys, "evaluate", "--pred", pred, "--gt", gt, "--budget", budget,
+            "--out-dir", metrics,
+        )[0] == 0
+    return ["report", "--metrics-dir", metrics, "--out-dir", out], "run_manifest.txt"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_run_manifest_lists_exactly_the_outputs(capsys, tmp_path, command):
+    args, run_name = command_case(capsys, tmp_path, command)
+    assert run(capsys, *args)[0] == 0
+    lines = (tmp_path / "out" / run_name).read_text().splitlines()
+    listed = {line.removeprefix("output=") for line in lines if line.startswith("output=")}
+    written = {p.name for p in (tmp_path / "out").iterdir()}
+    assert listed == written - {run_name}
+    assert len(listed) >= 1
+
+
+@pytest.mark.parametrize(
+    "command, writer, failing_call",
+    [
+        ("tile", "write_volume", 2),
+        ("fuse", "_write_run_manifest", 1),
+        ("cc", "write_volume", 1),
+        ("select", "write_selection_manifest", 2),
+        ("evaluate", "_write_run_manifest", 1),
+        ("report", "_write_run_manifest", 1),
+    ],
+)
+def test_failed_write_leaves_nothing_behind(
+    capsys, tmp_path, monkeypatch, command, writer, failing_call
+):
+    args, _ = command_case(capsys, tmp_path, command)
+    real = getattr(cli, writer)
+    calls = []
+
+    def write_then_fail(*a, **kw):
+        real(*a, **kw)
+        calls.append(a)
+        if len(calls) == failing_call:
+            raise OSError("injected write failure")
+
+    monkeypatch.setattr(cli, writer, write_then_fail)
+    code, out, err = run(capsys, *args)
+    assert code == 3
+    assert "injected write failure" in err
+    assert out == ""
+    assert list((tmp_path / "out").iterdir()) == []
+    assert list(tmp_path.rglob("*.part")) == []
+    # Nothing was left behind, so the corrected rerun needs no --force.
+    monkeypatch.undo()
+    assert run(capsys, *args)[0] == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_directory_taken_by_file_is_input_error(capsys, tmp_path, command):
+    args, _ = command_case(capsys, tmp_path, command)
+    (tmp_path / "out").write_bytes(b"not a directory")
+    code, _, err = run(capsys, *args)
+    assert code == 3
+    assert "internal error" not in err
+    assert (tmp_path / "out").read_bytes() == b"not a directory"
+
+
+def test_force_refuses_directory_in_place_of_output(capsys, tmp_path, demo_volume):
+    vol_path, _ = demo_volume
+    out_dir = tmp_path / "patches"
+    (out_dir / "run_manifest.txt").mkdir(parents=True)
+    args = ("tile", "--volume", vol_path, "--patch", "2,4,4", "--out-dir", out_dir)
+    code, _, err = run(capsys, *args, "--force")
+    assert code == 3
+    assert "not a regular file" in err
+    assert [p.name for p in out_dir.iterdir()] == ["run_manifest.txt"]
+    (out_dir / "run_manifest.txt").rmdir()
+    assert run(capsys, *args)[0] == 0
+
+
+# ---------------------------------------------------------------------------
 # configuration file handling
 # ---------------------------------------------------------------------------
 
@@ -562,6 +687,23 @@ def test_config_file_supplies_values_and_flags_win(capsys, tmp_path, demo_embedd
     assert files == ["selection_coreset_b4.txt"]  # flag overrode the file's 2
     manifest = read_selection_manifest(out_dir / "selection_coreset_b4.txt")
     assert manifest.rng_seed == 5  # file value survived where no flag was given
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_negative_budget_is_usage_error(capsys, tmp_path, spelling):
+    gt, _ = labeled_pair(tmp_path)
+    out_dir = tmp_path / "metrics"
+    args = ["evaluate", "--pred", gt, "--gt", gt, "--out-dir", out_dir]
+    if spelling == "flag":
+        args += ["--budget", "-1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("budget=-1\n", encoding="ascii")
+        args += ["--config", cfg]
+    code, _, err = run(capsys, *args)
+    assert code == 2
+    assert "budget must be non-negative" in err
+    assert not out_dir.exists()
 
 
 def test_config_unknown_key_is_usage_error(capsys, tmp_path):
