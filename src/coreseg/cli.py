@@ -22,10 +22,11 @@ Exit statuses:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -243,7 +244,10 @@ def _commit(
     only when all of them are written are they renamed onto their final
     names, the run manifest last, so a run manifest marks a complete
     output set. On any failure the temp files are deleted and the error
-    re-raised.
+    re-raised. After a forced rerun, the outputs that the replaced run
+    manifest of the same command listed and this run did not write are
+    deleted, so no output outlives the manifest that listed it. Only plain
+    names of regular files in out_dir are deleted.
     """
     steps = {
         **writers,
@@ -256,6 +260,13 @@ def _commit(
                 raise FileExistsError(f"output path is not a regular file: {target}")
             if not force:
                 raise OverwriteRefused(f"output exists: {target} (use --force to overwrite)")
+    # Outputs listed by the run manifest this run replaces. tile and report
+    # both name theirs run_manifest.txt, so the command must match too.
+    replaced: set[str] = set()
+    if (out_dir / run_name).is_file():
+        lines = (out_dir / run_name).read_text(encoding="utf-8", errors="replace").splitlines()
+        if f"command={command}" in lines:
+            replaced = {x.removeprefix("output=") for x in lines if x.startswith("output=")}
     out_dir.mkdir(parents=True, exist_ok=True)
     made: list[Path] = []
     try:
@@ -269,6 +280,10 @@ def _commit(
             if tmp.is_file():
                 tmp.unlink()
         raise
+    for name in replaced - steps.keys():
+        stale = out_dir / name
+        if "/" not in name and name not in (".", "..") and stale.is_file():
+            stale.unlink()
 
 
 def _text(content: str):
@@ -381,17 +396,24 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
     for b in budgets:
         if b > 0:
             check_budget(len(En.ids), b, k_init)
-    radii: dict[int, str] = {}
 
-    # Each selection is computed by its writer, after _commit's checks, so a
-    # refused run computes none.
-    def write_selection(b: int, path: Path) -> None:
+    # One run at the largest budget serves them all: each smaller budget is
+    # its prefix. The first writer computes it, after _commit's checks, so a
+    # refused run computes nothing.
+    @functools.cache
+    def largest():
         if cfg.method == "coreset":
-            manifest = kcenter_greedy(En, b, k_init=cfg.k_init, rng_seed=cfg.rng_seed)
-        else:
-            manifest = random_select(En.ids, b, rng_seed=cfg.rng_seed, embeddings=En)
-        write_selection_manifest(manifest, path)
-        radii[b] = repr(manifest.radius_trace[-1]) if manifest.radius_trace else "na"
+            return kcenter_greedy(En, max(budgets), k_init=cfg.k_init, rng_seed=cfg.rng_seed)
+        return random_select(En.ids, max(budgets), rng_seed=cfg.rng_seed, embeddings=En)
+
+    def write_selection(b: int, path: Path) -> None:
+        # k_init stays cfg.k_init (<= b) for coreset and becomes b for random.
+        m = largest()
+        prefix = replace(
+            m, budget=b, k_init=min(m.k_init, b), selected=m.selected[:b],
+            radius_trace=m.radius_trace[:b],
+        )
+        write_selection_manifest(prefix, path)
 
     writers = {
         f"selection_{cfg.method}_b{b}.txt": lambda p, b=b: write_selection(b, p)
@@ -407,8 +429,8 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
     # share a directory without colliding.
     _commit("select", cfg, force, out_dir, writers, f"run_manifest_{cfg.method}.txt", inputs)
     for b in budgets:
-        if b in radii:
-            print(f"method={cfg.method} budget={b} radius={radii[b]}")
+        if b > 0:
+            print(f"method={cfg.method} budget={b} radius={largest().radius_trace[b - 1]!r}")
         else:
             print(f"budget={b} skipped (nothing to select)")
     return EXIT_OK

@@ -4,10 +4,11 @@ Selection operates on row-normalized embeddings under the cosine distance
 d(i, j) = 1 - <e_i, e_j>, clamped to [0, 2]. k-center greedy starts from
 k_init uniformly drawn items and then repeatedly adds the item whose
 minimum distance to the selected set is largest (farthest-point
-sampling), recording the coverage radius after every pick. Distance rows
-are always produced by the same matrix-vector product, whether they come
-from a precomputed DistanceMatrix or are computed on the fly, so both
-routes yield bit-identical manifests.
+sampling), recording the coverage radius after every pick; random
+selection runs the same loop with every pick forced. Every distance row,
+in selection and in cosine_distance_matrix alike, comes from one
+matrix-vector product, so a recorded radius equals coverage_radius of
+the same picks exactly.
 
 Randomness is pinned to the SplitMix64 generator documented in
 coreseg.rng, so a manifest is reproducible from (method, rng_seed,
@@ -162,9 +163,9 @@ def normalize_rows(E: EmbeddingMatrix) -> EmbeddingMatrix:
 
 
 def _distance_row(values: np.ndarray, i: int) -> np.ndarray:
-    # The single definition of a cosine-distance row. Greedy selection and
-    # cosine_distance_matrix both call this, which is what makes the
-    # precomputed-matrix and on-the-fly routes bit-identical.
+    # The single definition of a cosine-distance row. Selection and
+    # cosine_distance_matrix both call this, so a radius_trace entry equals
+    # coverage_radius of the same picks exactly, not just within rounding.
     row = 1.0 - values @ values[i]
     np.clip(row, 0.0, 2.0, out=row)
     return row
@@ -208,12 +209,34 @@ def check_budget(n: int, budget: int, k_init: int | None = None) -> None:
         raise SelectionError(f"k_init {k_init} outside [1, budget={budget}]")
 
 
+def _farthest_first(
+    values: np.ndarray, forced: Sequence[int], budget: int
+) -> tuple[list[int], list[float]]:
+    """Pick the forced rows, then farthest-first rows up to budget; return
+    the pick order and the coverage radius after every pick."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = values.shape[0]
+    selected = np.zeros(n, dtype=np.bool_)
+    min_d = np.full(n, np.inf, dtype=np.float64)
+    order: list[int] = []
+    trace: list[float] = []
+    next_pick = -1
+    for step in range(budget):
+        pick = forced[step] if step < len(forced) else next_pick
+        if pick < 0:
+            raise InternalError("greedy ran out of candidates before the budget")
+        selected[pick] = True
+        order.append(pick)
+        next_pick = _kernels.min_update_argmax(min_d, _distance_row(values, pick), selected)
+        trace.append(float(min_d[next_pick]) if next_pick >= 0 else 0.0)
+    return order, trace
+
+
 def kcenter_greedy(
     E: EmbeddingMatrix,
     budget: int,
     k_init: int = 3,
     rng_seed: int = 0,
-    distances: DistanceMatrix | None = None,
 ) -> SelectionManifest:
     """Select a core-set by k-center greedy (farthest-point) sampling.
 
@@ -222,15 +245,14 @@ def kcenter_greedy(
     largest minimum distance to the selected set, lowest index on ties.
     The coverage radius (max over unselected of min distance to selected)
     is recorded after every pick, so radius_trace has budget entries and
-    is non-increasing.
+    is non-increasing. Picks do not depend on budget: a run is a prefix of
+    every run at a larger budget with the same k_init and rng_seed.
 
     Args:
         E: Embedding matrix; normalized internally when needed.
         budget: Total picks, including the k_init random ones.
         k_init: Random initial picks, 1 <= k_init <= budget.
         rng_seed: Seed for the documented SplitMix64 generator.
-        distances: Optional precomputed DistanceMatrix to read rows from;
-            the selection is identical either way.
 
     Returns:
         A validated SelectionManifest with method "coreset".
@@ -242,33 +264,8 @@ def kcenter_greedy(
     En = _as_normalized(E)
     n = len(En.ids)
     check_budget(n, budget, k_init)
-    if distances is not None:
-        distances.validate()
-        if distances.size != n:
-            raise SelectionError(
-                f"distance matrix size {distances.size} does not match {n} items"
-            )
-    values = np.ascontiguousarray(En.values, dtype=np.float64)
-
-    def row_of(i: int) -> np.ndarray:
-        if distances is not None:
-            return np.ascontiguousarray(distances.entries[i], dtype=np.float64)
-        return _distance_row(values, i)
-
     init = SplitMix64(rng_seed).sample(n, k_init)
-    selected_mask = np.zeros(n, dtype=np.bool_)
-    min_d = np.full(n, np.inf, dtype=np.float64)
-    order: list[int] = []
-    trace: list[float] = []
-    next_pick = -1
-    for step in range(budget):
-        pick = init[step] if step < k_init else next_pick
-        if pick < 0:
-            raise InternalError("greedy ran out of candidates before the budget")
-        selected_mask[pick] = True
-        order.append(pick)
-        next_pick = _kernels.min_update_argmax(min_d, row_of(pick), selected_mask)
-        trace.append(float(min_d[next_pick]) if next_pick >= 0 else 0.0)
+    order, trace = _farthest_first(En.values, init, budget)
     manifest = SelectionManifest(
         method=METHOD_CORESET,
         rng_seed=rng_seed,
@@ -313,13 +310,7 @@ def random_select(
         En = _as_normalized(embeddings)
         if list(En.ids) != list(ids):
             raise SelectionError("embeddings ids do not match the id list")
-        values = np.ascontiguousarray(En.values, dtype=np.float64)
-        selected_mask = np.zeros(n, dtype=np.bool_)
-        min_d = np.full(n, np.inf, dtype=np.float64)
-        for pick in order:
-            selected_mask[pick] = True
-            nxt = _kernels.min_update_argmax(min_d, _distance_row(values, pick), selected_mask)
-            trace.append(float(min_d[nxt]) if nxt >= 0 else 0.0)
+        order, trace = _farthest_first(En.values, order, budget)
     manifest = SelectionManifest(
         method=METHOD_RANDOM,
         rng_seed=rng_seed,

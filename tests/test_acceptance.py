@@ -100,12 +100,7 @@ def test_criterion_04_greedy_matches_bruteforce_oracle():
         E = EmbeddingMatrix(
             ids=[f"i{j}" for j in range(n)], values=rng.normal(size=(n, d))
         )
-        distances = None
-        if trial % 3 == 0:
-            distances = cosine_distance_matrix(normalize_rows(E))
-        manifest = kcenter_greedy(
-            E, budget, k_init=k_init, rng_seed=seed, distances=distances
-        )
+        manifest = kcenter_greedy(E, budget, k_init=k_init, rng_seed=seed)
         want_ids, want_trace = brute_greedy(E, budget, k_init=k_init, rng_seed=seed)
         if manifest.selected != want_ids or manifest.radius_trace != want_trace:
             mismatches.append(f"trial {trial} (n={n} d={d} b={budget} k={k_init})")

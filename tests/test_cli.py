@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from coreseg import cli
+from coreseg import cli, coreset
 from coreseg.cli import main as cli_main
 from coreseg.coreset import (
     kcenter_greedy,
     normalize_rows,
+    random_select,
     read_embeddings,
     read_selection_manifest,
     write_embeddings,
+    write_selection_manifest,
 )
 from coreseg.coreset import EmbeddingMatrix
 from coreseg.instance_metrics import parse_metrics_csv
@@ -109,6 +113,48 @@ def test_tile_refuses_then_forces_overwrite(capsys, tmp_path, demo_volume):
     code, _, _ = run(capsys, *args, "--force")
     assert code == 0
     assert (out_dir / "run_manifest.txt").read_bytes() == first
+
+
+def test_tile_force_rerun_removes_stale_patches(capsys, tmp_path, demo_volume):
+    vol_path, _ = demo_volume
+    out_dir = tmp_path / "patches"
+    args = ("tile", "--volume", vol_path, "--out-dir", out_dir)
+    assert run(capsys, *args, "--patch", "2,4,4")[0] == 0
+    assert len(list(out_dir.iterdir())) == 10
+    code, out, _ = run(capsys, *args, "--patch", "3,5,5", "--force")
+    assert code == 0
+    assert out.startswith("patches=1 ")
+    _, _, filenames = read_grid_manifest(out_dir / "grid_manifest.txt")
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        [*filenames, "grid_manifest.txt", "run_manifest.txt"]
+    )
+
+
+@pytest.mark.parametrize("edit", ["../victim", "absolute", "other command"])
+def test_force_rerun_deletes_only_this_commands_outputs(
+    capsys, tmp_path, demo_volume, edit
+):
+    vol_path, _ = demo_volume
+    out_dir = tmp_path / "patches"
+    args = ("tile", "--volume", vol_path, "--out-dir", out_dir)
+    assert run(capsys, *args, "--patch", "2,4,4")[0] == 0
+    victim = tmp_path / "victim"
+    victim.write_text("keep")
+    manifest = out_dir / "run_manifest.txt"
+    text = manifest.read_text()
+    if edit == "other command":
+        text = text.replace("command=tile", "command=report")
+    else:
+        text += f"output={'../victim' if edit == '../victim' else victim}\n"
+    manifest.write_text(text)
+    before = sorted(p.name for p in out_dir.iterdir())
+    assert run(capsys, *args, "--patch", "3,5,5", "--force")[0] == 0
+    assert victim.read_text() == "keep"
+    after = sorted(p.name for p in out_dir.iterdir())
+    if edit == "other command":
+        assert set(before) <= set(after)
+    else:
+        assert len(after) == 3
 
 
 def test_tile_missing_input_leaves_no_outputs(capsys, tmp_path):
@@ -407,13 +453,100 @@ def test_select_outputs_are_rerun_stable(capsys, tmp_path, demo_embeddings):
     assert first == second
 
 
-def test_select_refusal_computes_nothing(capsys, tmp_path, demo_embeddings, monkeypatch):
+@pytest.mark.parametrize("method", ["coreset", "random"])
+def test_select_refusal_computes_nothing(
+    capsys, tmp_path, demo_embeddings, monkeypatch, method
+):
     stem, _ = demo_embeddings
-    args = ("select", "--embeddings", stem, "--budget", "4", "--out-dir", tmp_path / "sel")
+    args = (
+        "select", "--embeddings", stem, "--method", method, "--budget", "4",
+        "--out-dir", tmp_path / "sel",
+    )
     assert run(capsys, *args)[0] == 0
     # A call would now fail with an internal error; the refusal comes first.
     monkeypatch.setattr(cli, "kcenter_greedy", None)
+    monkeypatch.setattr(cli, "random_select", None)
     assert run(capsys, *args)[0] == 5
+
+
+@pytest.mark.parametrize("method", ["coreset", "random"])
+def test_select_computes_rows_for_the_largest_budget_only(
+    capsys, tmp_path, demo_embeddings, monkeypatch, method
+):
+    stem, _ = demo_embeddings
+    real = coreset._distance_row
+    rows = []
+
+    def counted(values, i):
+        rows.append(i)
+        return real(values, i)
+
+    monkeypatch.setattr(coreset, "_distance_row", counted)
+    code, _, err = run(
+        capsys, "select", "--embeddings", stem, "--method", method,
+        "--budgets", "0,2,5,3", "--k-init", "2", "--out-dir", tmp_path / "sel",
+    )
+    assert code == 0, err
+    assert len(rows) == 5
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    method=st.sampled_from(["coreset", "random"]),
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_select_budgets_are_prefixes_of_one_run(
+    capsys, tmp_path_factory, method, n, seed, data
+):
+    # Every manifest and stdout line equals what a selection run at that
+    # budget alone gives.
+    budgets = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=5, unique=True))
+    k_init = data.draw(st.integers(1, min([b for b in budgets if b > 0], default=1)))
+    tmp = tmp_path_factory.mktemp("prefix")
+    values = np.random.default_rng(seed % 2**32).normal(size=(n, 3))
+    write_embeddings(EmbeddingMatrix([f"p{i}" for i in range(n)], values), tmp / "e")
+    En = normalize_rows(read_embeddings(tmp / "e"))
+    code, out, err = run(
+        capsys, "select", "--embeddings", tmp / "e", "--method", method,
+        "--budgets", ",".join(map(str, budgets)), "--seed", seed, "--k-init", k_init,
+        "--out-dir", tmp / "out",
+    )
+    assert code == 0, err
+    lines = []
+    for b in budgets:
+        if b == 0:
+            lines.append("budget=0 skipped (nothing to select)")
+            continue
+        if method == "coreset":
+            alone = kcenter_greedy(En, b, k_init=k_init, rng_seed=seed)
+        else:
+            alone = random_select(En.ids, b, rng_seed=seed, embeddings=En)
+        write_selection_manifest(alone, tmp / "alone.txt")
+        name = f"selection_{method}_b{b}.txt"
+        assert (tmp / "out" / name).read_bytes() == (tmp / "alone.txt").read_bytes()
+        lines.append(f"method={method} budget={b} radius={alone.radius_trace[-1]!r}")
+    assert out.splitlines() == lines
+
+
+def test_select_force_rerun_removes_stale_selections(capsys, tmp_path, demo_embeddings):
+    stem, _ = demo_embeddings
+    out_dir = tmp_path / "sel"
+    args = ("select", "--embeddings", stem, "--out-dir", out_dir)
+    assert run(capsys, *args, "--method", "random", "--budget", "8")[0] == 0
+    assert run(capsys, *args, "--budgets", "4,8,12")[0] == 0
+    assert run(capsys, *args, "--budgets", "4", "--force")[0] == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "run_manifest_coreset.txt",
+        "run_manifest_random.txt",
+        "selection_coreset_b4.txt",
+        "selection_random_b8.txt",
+    ]
 
 
 # ---------------------------------------------------------------------------

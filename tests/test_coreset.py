@@ -122,19 +122,6 @@ def test_greedy_matches_brute_force():
         assert m.radius_trace == ref_trace
 
 
-def test_precomputed_distances_identical_to_on_the_fly():
-    master = np.random.default_rng(17)
-    for _ in range(10):
-        n = int(master.integers(3, 30))
-        E = normalize_rows(gaussian_embeddings(master, n, 5))
-        D = cosine_distance_matrix(E)
-        budget = int(master.integers(1, n + 1))
-        a = kcenter_greedy(E, budget, k_init=1, rng_seed=9)
-        b = kcenter_greedy(E, budget, k_init=1, rng_seed=9, distances=D)
-        assert a.selected == b.selected
-        assert a.radius_trace == b.radius_trace
-
-
 def test_selection_is_scale_invariant():
     # Scaling by a power of two changes no mantissa, so the normalized
     # values and therefore the whole run are bit-identical.
@@ -173,9 +160,6 @@ def test_greedy_rejects_bad_parameters():
         kcenter_greedy(E, 3, k_init=0)
     with pytest.raises(SelectionError, match="k_init"):
         kcenter_greedy(E, 3, k_init=4)
-    D = cosine_distance_matrix(normalize_rows(gaussian_embeddings(rng, 4, 3)))
-    with pytest.raises(SelectionError, match="does not match"):
-        kcenter_greedy(E, 2, k_init=1, distances=D)
 
 
 def test_radius_trace_non_increasing_and_matches_coverage():
@@ -223,9 +207,13 @@ def test_random_select_is_seeded_sample_order():
 def test_random_select_with_embeddings_traces_radius():
     rng = np.random.default_rng(14)
     E = gaussian_embeddings(rng, 20, 4)
+    D = cosine_distance_matrix(normalize_rows(E))
     m = random_select(E.ids, 6, rng_seed=2, embeddings=E)
+    assert m.selected == random_select(E.ids, 6, rng_seed=2).selected
     assert len(m.radius_trace) == 6
-    assert all(r >= 0.0 for r in m.radius_trace)
+    # the trace entry after pick i is the radius of the first i+1 picks
+    for i in range(6):
+        assert m.radius_trace[i] == coverage_radius(D, m.selected[: i + 1])
 
 
 def test_random_select_rejects_mismatched_ids():
