@@ -1,9 +1,9 @@
-"""The three hot loops of the pipeline, in plain NumPy.
+"""The two volume hot loops of the pipeline, in plain NumPy.
 
-3D connected-component labeling, instance-overlap pair counting, and the
-per-pick min-distance update of k-center greedy selection dominate
-pipeline runtime. Each has exactly one implementation, and none depends on
-thread count, so canonical outputs are byte-identical on every machine.
+3D connected-component labeling and instance-overlap pair counting
+dominate the runtime of the volume commands. Each has exactly one
+implementation, and neither depends on thread count, so canonical outputs
+are byte-identical on every machine.
 """
 
 from __future__ import annotations
@@ -114,27 +114,3 @@ def overlap_pairs(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndar
     keys |= gt_flat[both].astype(np.uint64)
     uniq, counts = np.unique(keys, return_counts=True)
     return uniq.astype(np.uint64), counts.astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Greedy selection min-distance update
-# ---------------------------------------------------------------------------
-
-
-def min_update_argmax(min_d: np.ndarray, row: np.ndarray, selected: np.ndarray) -> int:
-    """Fold one distance row into the running minima and pick the next item.
-
-    Updates min_d in place to elementwise min(min_d, row), then returns the
-    index of the largest min_d among unselected items, lowest index on ties,
-    or -1 when everything is selected.
-
-    Args:
-        min_d: float64 running minimum distances, modified in place.
-        row: float64 distances from the newest selected item.
-        selected: bool mask of already-selected items.
-    """
-    np.minimum(min_d, row, out=min_d)
-    if selected.all():
-        return -1
-    masked = np.where(selected, -np.inf, min_d)
-    return int(np.argmax(masked))

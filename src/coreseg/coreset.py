@@ -6,9 +6,11 @@ k_init uniformly drawn items and then repeatedly adds the item whose
 minimum distance to the selected set is largest (farthest-point
 sampling), recording the coverage radius after every pick; random
 selection runs the same loop with every pick forced. Every distance row,
-in selection and in cosine_distance_matrix alike, comes from one
-matrix-vector product, so a recorded radius equals coverage_radius of
-the same picks exactly.
+in selection and in cosine_distance_matrix alike, comes from one einsum
+expression that does not call BLAS. Its value for a row does not depend
+on which other rows are computed with it, so the loop computes only the
+rows that the triangle inequality cannot rule out, and a recorded radius
+still equals coverage_radius of the same picks exactly.
 
 Randomness is pinned to the SplitMix64 generator documented in
 coreseg.rng, so a manifest is reproducible from (method, rng_seed,
@@ -23,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import InternalError, SelectionError
 from .rng import SplitMix64
 
@@ -162,11 +163,15 @@ def normalize_rows(E: EmbeddingMatrix) -> EmbeddingMatrix:
     )
 
 
-def _distance_row(values: np.ndarray, i: int) -> np.ndarray:
+def _distance_row(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     # The single definition of a cosine-distance row. Selection and
     # cosine_distance_matrix both call this, so a radius_trace entry equals
     # coverage_radius of the same picks exactly, not just within rounding.
-    row = 1.0 - values @ values[i]
+    # einsum without optimize sums each output over j in the same order
+    # whatever rows come with it, so rows[idx] gives the bits of the full
+    # row at idx (a BLAS gemv does not), and no BLAS build or thread count
+    # can change a result.
+    row = 1.0 - np.einsum("ij,j->i", rows, v)
     np.clip(row, 0.0, 2.0, out=row)
     return row
 
@@ -191,7 +196,7 @@ def cosine_distance_matrix(E: EmbeddingMatrix) -> DistanceMatrix:
     n = values.shape[0]
     entries = np.empty((n, n), dtype=np.float64)
     for i in range(n):
-        entries[i] = _distance_row(values, i)
+        entries[i] = _distance_row(values, values[i])
     np.fill_diagonal(entries, 0.0)
     return DistanceMatrix(size=n, entries=entries, ids=list(E.ids))
 
@@ -209,15 +214,38 @@ def check_budget(n: int, budget: int, k_init: int | None = None) -> None:
         raise SelectionError(f"k_init {k_init} outside [1, budget={budget}]")
 
 
+# Rounding margin of the pruning test in _farthest_first. A row entry is a
+# dot product of two unit vectors of dimension D, so it is off by at most
+# about D * 2**-53 (1.4e-14 at D = 128); rows miss unit norm by a few ulps,
+# which adds less. An item is left out only when
+# d(a, c) >= 4 * min_d + _PRUNE_MARGIN, and the chord triangle inequality
+# then puts its exact d(i, c) above its exact min_d by at least
+# _PRUNE_MARGIN**2 / 8 = 1.25e-11. While that gap exceeds the rounding of
+# both values (D up to about 5 * 10**4), the computed distance of a
+# left-out item could not have lowered its computed minimum, so pruning
+# changes no bit of the output.
+_PRUNE_MARGIN = 1e-5
+
+
 def _farthest_first(
     values: np.ndarray, forced: Sequence[int], budget: int
 ) -> tuple[list[int], list[float]]:
     """Pick the forced rows, then farthest-first rows up to budget; return
-    the pick order and the coverage radius after every pick."""
+    the pick order and the coverage radius after every pick.
+
+    Each item keeps its minimum distance min_d to the picks so far and the
+    pick a that set it. The chord length sqrt(2 d) is a metric, so a new
+    pick c can only bring item i closer than a when chord(a, c) <
+    2 chord(i, a), i.e. d(a, c) < 4 min_d; only those rows are computed.
+    """
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
-    selected = np.zeros(n, dtype=np.bool_)
     min_d = np.full(n, np.inf, dtype=np.float64)
+    # reach = 4 min_d + margin: a pick farther than this from an item's
+    # nearest pick cannot change that item. Picked items hold -inf in both.
+    reach = np.full(n, np.inf, dtype=np.float64)
+    assign = np.zeros(n, dtype=np.intp)
+    centers = np.empty((budget, values.shape[1]), dtype=np.float64)
     order: list[int] = []
     trace: list[float] = []
     next_pick = -1
@@ -225,10 +253,32 @@ def _farthest_first(
         pick = forced[step] if step < len(forced) else next_pick
         if pick < 0:
             raise InternalError("greedy ran out of candidates before the budget")
-        selected[pick] = True
         order.append(pick)
-        next_pick = _kernels.min_update_argmax(min_d, _distance_row(values, pick), selected)
-        trace.append(float(min_d[next_pick]) if next_pick >= 0 else 0.0)
+        min_d[pick] = reach[pick] = -np.inf
+        v = centers[step] = values[pick]
+        # Before the first pick every item's reach is +inf, so all qualify.
+        near = _distance_row(centers[: step + 1], v)[assign] < reach
+        # Past about a quarter of the items, copying the rows out and
+        # computing over the copy costs more than one full row.
+        if 4 * np.count_nonzero(near) > n:
+            row = _distance_row(values, v)
+            closer = np.flatnonzero(row < min_d)
+            row = row[closer]
+        else:
+            idx = np.flatnonzero(near)
+            row = _distance_row(values[idx], v)
+            keep = row < min_d[idx]
+            closer = idx[keep]
+            row = row[keep]
+        min_d[closer] = row
+        reach[closer] = 4.0 * row + _PRUNE_MARGIN
+        assign[closer] = step
+        if step + 1 < n:
+            next_pick = int(np.argmax(min_d))
+            trace.append(float(min_d[next_pick]))
+        else:
+            next_pick = -1
+            trace.append(0.0)
     return order, trace
 
 
@@ -397,18 +447,34 @@ def read_embeddings(stem: str | Path) -> EmbeddingMatrix:
     for p in (meta_path, payload_path, ids_path):
         if not p.is_file():
             raise FileNotFoundError(f"embedding file not found: {p}")
-    fields: dict[str, str] = {}
-    for line in meta_path.read_text(encoding="ascii").splitlines():
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        fields[key] = value
     try:
-        count = int(fields["count"])
-        dim = int(fields["dim"])
-        dtype = fields["dtype"]
-    except (KeyError, ValueError) as exc:
-        raise SelectionError(f"{meta_path}: malformed embedding metadata") from exc
+        text = meta_path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise SelectionError(f"{meta_path}: malformed embedding metadata: not ASCII") from exc
+    fields: dict[str, str] = {}
+    for line in text.splitlines():
+        if "=" not in line:
+            raise SelectionError(f"{meta_path}: malformed embedding metadata line {line!r}")
+        key, _, value = line.partition("=")
+        if key in fields:
+            raise SelectionError(
+                f"{meta_path}: malformed embedding metadata: duplicate key {key!r}"
+            )
+        fields[key] = value
+    expected = {"count", "dim", "dtype"}
+    if set(fields) != expected:
+        raise SelectionError(
+            f"{meta_path}: malformed embedding metadata: keys {sorted(fields)} "
+            f"!= {sorted(expected)}"
+        )
+    for key in ("count", "dim"):
+        if not fields[key].isdigit():
+            raise SelectionError(
+                f"{meta_path}: malformed embedding metadata {key} {fields[key]!r}"
+            )
+    count = int(fields["count"])
+    dim = int(fields["dim"])
+    dtype = fields["dtype"]
     if dtype != "f32le":
         raise SelectionError(f"{meta_path}: unsupported dtype {dtype!r}")
     raw = payload_path.read_bytes()

@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from coreseg.coreset import EmbeddingMatrix, normalize_rows
+from coreseg.coreset import EmbeddingMatrix, _distance_row, normalize_rows
 from coreseg.instance_metrics import MetricsRecord
 from coreseg.report import LearningCurve, build_curve
 from coreseg.rng import SplitMix64
@@ -169,7 +169,7 @@ def brute_greedy(
     n = V.shape[0]
     D = np.empty((n, n))
     for i in range(n):
-        D[i] = np.clip(1.0 - V @ V[i], 0.0, 2.0)
+        D[i] = np.clip(1.0 - np.einsum("ij,j->i", V, V[i]), 0.0, 2.0)
     init = SplitMix64(rng_seed).sample(n, k_init)
     sel: list[int] = []
     trace: list[float] = []
@@ -185,6 +185,29 @@ def brute_greedy(
         unselected = np.setdiff1d(np.arange(n), sel)
         trace.append(float(mind[unselected].max()) if unselected.size else 0.0)
     return [En.ids[i] for i in sel], trace
+
+
+def full_row_farthest_first(
+    values: np.ndarray, forced: list[int], budget: int
+) -> tuple[list[int], list[float]]:
+    """Reference farthest-first loop without pruning: one full distance row
+    per pick, folded into the running minima of every item."""
+    n = values.shape[0]
+    selected = np.zeros(n, dtype=np.bool_)
+    min_d = np.full(n, np.inf)
+    order: list[int] = []
+    trace: list[float] = []
+    for step in range(budget):
+        if step < len(forced):
+            pick = forced[step]
+        else:
+            pick = int(np.argmax(np.where(selected, -np.inf, min_d)))
+        selected[pick] = True
+        order.append(pick)
+        np.minimum(min_d, _distance_row(values, values[pick]), out=min_d)
+        unselected = min_d[~selected]
+        trace.append(float(unselected.max()) if unselected.size else 0.0)
+    return order, trace
 
 
 def optimal_radius(entries: np.ndarray, k: int) -> float:

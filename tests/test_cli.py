@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -409,6 +411,30 @@ def test_select_k_init_beyond_budget_fails(capsys, tmp_path, demo_embeddings):
     assert "k_init" in err
 
 
+@pytest.mark.parametrize(
+    "meta",
+    [
+        "count=-1\ndim=4\ndtype=f32le\n",
+        "count=12\ndim=-4\ndtype=f32le\n",
+        "count=2\ndim=4\ndtype=f32le\ncount=12\n",
+        "count=12\ndim=4\nf32le\ndtype=f32le\n",
+    ],
+    ids=["negative-count", "negative-dim", "repeated-key", "no-equals"],
+)
+def test_select_malformed_embedding_metadata_is_input_error(
+    capsys, tmp_path, demo_embeddings, meta
+):
+    stem, _ = demo_embeddings
+    Path(f"{stem}.meta").write_text(meta)
+    out_dir = tmp_path / "sel"
+    code, _, err = run(
+        capsys, "select", "--embeddings", stem, "--budget", "2", "--out-dir", out_dir,
+    )
+    assert code == 3, err
+    assert "malformed embedding metadata" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("method", ["coreset", "random"])
 def test_select_infeasible_budget_in_list_writes_nothing(
     capsys, tmp_path, demo_embeddings, method
@@ -475,11 +501,11 @@ def test_select_computes_rows_for_the_largest_budget_only(
 ):
     stem, _ = demo_embeddings
     real = coreset._distance_row
-    rows = []
+    sizes = []
 
-    def counted(values, i):
-        rows.append(i)
-        return real(values, i)
+    def counted(rows, v):
+        sizes.append(len(rows))
+        return real(rows, v)
 
     monkeypatch.setattr(coreset, "_distance_row", counted)
     code, _, err = run(
@@ -487,7 +513,10 @@ def test_select_computes_rows_for_the_largest_budget_only(
         "--budgets", "0,2,5,3", "--k-init", "2", "--out-dir", tmp_path / "sel",
     )
     assert code == 0, err
-    assert len(rows) == 5
+    # Each pick makes one call against the picks so far (pruning bounds),
+    # then exactly one item row, even when pruning leaves it empty.
+    assert sizes[0::2] == [1, 2, 3, 4, 5]
+    assert len(sizes[1::2]) == 5
 
 
 @settings(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coreseg import coreset
 from coreseg.coreset import (
     DistanceMatrix,
     EmbeddingMatrix,
@@ -24,7 +25,7 @@ from coreseg.coreset import (
 from coreseg.errors import SelectionError
 from coreseg.rng import SplitMix64
 
-from helpers import brute_greedy, optimal_radius
+from helpers import brute_greedy, full_row_farthest_first, optimal_radius
 
 
 def gaussian_embeddings(rng, n, dim):
@@ -296,6 +297,28 @@ def test_read_embeddings_rejects_bad_metadata(tmp_path):
         read_embeddings(stem)
 
 
+@pytest.mark.parametrize(
+    "meta, match",
+    [
+        ("count=-1\ndim=2\ndtype=f32le\n", "count '-1'"),
+        ("count=3\ndim=-4\ndtype=f32le\n", "dim '-4'"),
+        ("count=2\ndim=2\ndtype=f32le\ncount=3\n", "duplicate key 'count'"),
+        ("count=3\ndim=2\nf32le\ndtype=f32le\n", "line 'f32le'"),
+        ("count=3\ndim=2\n", "keys"),
+        ("count=3\ndim=2\ndtype=f32le\nshape=3\n", "keys"),
+        ("count=3\ndim=2\ndtype=f32l\u00e9\n", "not ASCII"),
+    ],
+    ids=["negative-count", "negative-dim", "repeated-key", "no-equals", "missing-key",
+         "unknown-key", "non-ascii"],
+)
+def test_read_embeddings_rejects_malformed_metadata(tmp_path, meta, match):
+    stem = tmp_path / "emb"
+    write_embeddings(gaussian_embeddings(np.random.default_rng(26), 3, 2), stem)
+    (tmp_path / "emb.meta").write_text(meta, encoding="utf-8")
+    with pytest.raises(SelectionError, match=match):
+        read_embeddings(stem)
+
+
 def test_manifest_round_trip(tmp_path):
     rng = np.random.default_rng(25)
     E = gaussian_embeddings(rng, 30, 4)
@@ -363,3 +386,111 @@ def test_selection_invariants_property(n, dim, seed, data):
     assert len(m.radius_trace) == budget
     assert all(a >= b for a, b in zip(m.radius_trace, m.radius_trace[1:]))
     assert all(0.0 <= r <= 2.0 for r in m.radius_trace)
+
+
+# ---------------------------------------------------------------------------
+# The pruned farthest-first loop against the full-row reference
+# ---------------------------------------------------------------------------
+
+
+def test_farthest_first_tie_breaks_to_lowest_index():
+    # Duplicate rows tie at distance 0, so every free pick is the lowest
+    # unselected index.
+    values = np.tile([1.0, 0.0], (4, 1))
+    order, trace = coreset._farthest_first(values, [2], 4)
+    assert order == [2, 0, 1, 3]
+    assert trace == [0.0, 0.0, 0.0, 0.0]
+    # Equal distances of 1.0 (orthogonal rows) also go to the lowest index.
+    square = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert coreset._farthest_first(square, [0], 2) == ([0, 1], [1.0, 1.0])
+
+
+def test_farthest_first_trace_is_zero_once_all_selected():
+    values = normalize_rows(gaussian_embeddings(np.random.default_rng(27), 3, 2)).values
+    for forced in ([0], [1, 2], [2, 0, 1]):
+        order, trace = coreset._farthest_first(values, forced, 3)
+        assert sorted(order) == [0, 1, 2]
+        assert trace[-1] == 0.0
+        assert trace[:-1] and all(r > 0.0 for r in trace[:-1])
+
+
+def _rows_of_kind(kind: str, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "isotropic":
+        values = rng.normal(size=(n, dim))
+    elif kind == "clustered":
+        centers = rng.normal(size=(max(1, n // 8), dim))
+        values = centers[rng.integers(0, len(centers), n)] + 0.05 * rng.normal(size=(n, dim))
+    elif kind == "duplicates":
+        values = rng.normal(size=(max(1, n // 4), dim))[rng.integers(0, max(1, n // 4), n)]
+    elif kind == "antipodal":
+        half = rng.normal(size=((n + 1) // 2, dim))
+        values = np.concatenate([half, -half])[:n]
+    else:  # a regular polygon in the first two coordinates: exact ties
+        angle = 2.0 * np.pi * np.arange(n) / n
+        values = np.zeros((n, dim))
+        values[:, 0] = np.cos(angle)
+        if dim > 1:
+            values[:, 1] = np.sin(angle)
+    values[np.linalg.norm(values, axis=1) < 1e-9, 0] = 1.0
+    return normalize_rows(EmbeddingMatrix([f"i{j}" for j in range(n)], values)).values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["isotropic", "clustered", "duplicates", "antipodal", "polygon"]),
+    n=st.integers(1, 48),
+    dim=st.one_of(st.integers(1, 16), st.integers(127, 130)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pruned_loop_is_bit_identical_to_full_rows(kind, n, dim, seed, data):
+    rng = np.random.default_rng(seed)
+    values = _rows_of_kind(kind, n, dim, rng)
+    budget = data.draw(st.integers(0, n))
+    # Every length from one forced pick (k-center greedy) to all of them
+    # (random selection); a free first pick has no defined choice.
+    forced_count = data.draw(st.integers(min(1, budget), budget))
+    forced = [int(i) for i in rng.permutation(n)[:forced_count]]
+    order, trace = coreset._farthest_first(values, forced, budget)
+    want_order, want_trace = full_row_farthest_first(values, forced, budget)
+    assert order == want_order
+    assert [r.hex() for r in trace] == [r.hex() for r in want_trace]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    dim=st.one_of(st.integers(1, 16), st.integers(127, 130)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distance_row_is_stable_under_row_subsets(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    values = _rows_of_kind("isotropic", n, dim, rng)
+    v = values[int(rng.integers(n))]
+    full = coreset._distance_row(values, v)
+    for _ in range(5):
+        idx = np.flatnonzero(rng.random(n) < rng.random())
+        rng.shuffle(idx)
+        sub = coreset._distance_row(values[idx], v)
+        assert sub.view(np.uint64).tolist() == full[idx].view(np.uint64).tolist()
+
+
+def test_pruning_skips_most_rows_on_clustered_data(monkeypatch):
+    rng = np.random.default_rng(28)
+    centers = rng.normal(size=(32, 16))
+    values = centers[rng.integers(0, 32, 2000)] + 0.2 * rng.normal(size=(2000, 16))
+    values = normalize_rows(EmbeddingMatrix([f"i{j}" for j in range(2000)], values)).values
+    real = coreset._distance_row
+    sizes = []
+
+    def counted(rows, v):
+        sizes.append(len(rows))
+        return real(rows, v)
+
+    monkeypatch.setattr(coreset, "_distance_row", counted)
+    budget = 200
+    order, _ = coreset._farthest_first(values, [0], budget)
+    assert len(order) == budget
+    # Each pick makes one call against the picks so far, then one item row.
+    assert sizes[0::2] == list(range(1, budget + 1))
+    assert sum(sizes[1::2]) < 0.25 * len(values) * budget

@@ -1,4 +1,4 @@
-"""Tests for the overlap-counting and greedy-update kernels."""
+"""Tests for the overlap-counting kernel."""
 
 import numpy as np
 
@@ -20,17 +20,3 @@ def test_overlap_empty_foreground():
     keys, counts = _kernels.overlap_pairs(zero, zero)
     assert keys.size == 0 and counts.size == 0
 
-
-def test_min_update_all_selected_returns_sentinel():
-    min_d = np.array([0.5, 0.25])
-    row = np.array([0.4, 0.9])
-    out = _kernels.min_update_argmax(min_d, row, np.array([True, True]))
-    assert out == -1
-    np.testing.assert_array_equal(min_d, [0.4, 0.25])
-
-
-def test_min_update_tie_breaks_to_lowest_index():
-    min_d = np.array([np.inf, np.inf, np.inf])
-    row = np.array([0.7, 0.7, 0.7])
-    out = _kernels.min_update_argmax(min_d, row, np.zeros(3, dtype=bool))
-    assert out == 0
