@@ -8,7 +8,9 @@ entropy, so identical configurations produce byte-identical outputs.
 
 A ``run_manifest`` capturing the tool version, the hash of the resolved
 configuration, and the digest of every input is written alongside every
-output set. A command writes all of its outputs or none (see _commit).
+output set. Each input is read once, by the reader that parses it, and
+its digest is of the bytes that reader parsed. A command writes all of
+its outputs or none (see _commit).
 
 Exit statuses:
     0  success
@@ -59,6 +61,7 @@ from .label_fusion import (
     stack_slices,
 )
 from .patch_grid import extract_patch, patch_filename, patch_ids, plan_grid, write_grid_manifest
+from .provenance import InputDigest, read_digested
 from .report import build_curve, percent_csv, render_curve_table, surpass_summary
 from .volume_io import read_volume, write_volume
 
@@ -205,7 +208,7 @@ def _write_run_manifest(
     path: Path,
     command: str,
     cfg: PipelineConfig,
-    inputs: list[tuple[str, Path]],
+    inputs: list[tuple[str, InputDigest]],
     outputs: list[str],
 ) -> None:
     config_text = resolved_lines(cfg)
@@ -215,10 +218,7 @@ def _write_run_manifest(
         f"command={command}",
         f"config_sha256={hashlib.sha256(config_text.encode('ascii')).hexdigest()}",
     ]
-    digested = [
-        (role, p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for role, p in inputs
-    ]
-    for role, name, digest in sorted(digested):
+    for role, name, digest in sorted((role, d.name, d.sha256) for role, d in inputs):
         lines.append(f"input={role}:{name}:{digest}")
     for name in sorted(outputs):
         lines.append(f"output={name}")
@@ -232,12 +232,13 @@ def _commit(
     out_dir: Path,
     writers: dict,
     run_name: str,
-    inputs: list[tuple[str, Path]],
+    inputs: list[tuple[str, InputDigest]],
 ) -> None:
     """Write a command's outputs and its run manifest, all of them or none.
 
     writers maps each output file name to a function that writes that
-    output to the path it is given. Every target is checked before
+    output to the path it is given; inputs pairs each input's role with
+    the digest its reader recorded. Every target is checked before
     anything is written: one that exists is refused unless force is set,
     and one that is not a regular file is refused even then. Each output,
     and then the run manifest, is written to a sibling ``<name>.part``;
@@ -293,7 +294,8 @@ def _text(content: str):
 def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
     vol_path = _input_file(cfg.volume, "input volume (--volume / volume)")
     out_dir = Path(_require(cfg.out_dir, "output directory (--out-dir / out_dir)"))
-    vol = read_volume(vol_path)
+    read: list[InputDigest] = []
+    vol = read_volume(vol_path, digests=read)
     name = cfg.volume_name or vol_path.stem
     spec = plan_grid(vol.header.shape, cfg.patch_shape, cfg.pad_mode)
     # Each writer extracts its own patch, so only one patch is held at a time.
@@ -302,7 +304,8 @@ def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
         for pid in patch_ids(spec, name)
     }
     writers["grid_manifest.txt"] = lambda p: write_grid_manifest(spec, name, p)
-    _commit("tile", cfg, force, out_dir, writers, "run_manifest.txt", [("volume", vol_path)])
+    inputs = [("volume", d) for d in read]
+    _commit("tile", cfg, force, out_dir, writers, "run_manifest.txt", inputs)
     nz, ny, nx = spec.grid_dims
     print(
         f"patches={spec.patch_count} grid={nz},{ny},{nx} "
@@ -337,9 +340,10 @@ def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
     out = Path(_require(cfg.out, "output path (--out / out)"))
     keyed = _ordered_slices(slices_dir)
     grids = []
+    read: list[InputDigest] = []
     first_shape: tuple[int, int] | None = None
     for _, f in keyed:
-        v = read_volume(f)
+        v = read_volume(f, digests=read)
         z, y, x = v.header.shape
         if z != 1:
             raise FusionError(f"{f.name}: slice has z-size {z}, expected 1")
@@ -359,7 +363,7 @@ def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
         out.parent,
         {out.name: lambda p: write_volume(labeled, p)},
         f"{out.name}.run.txt",
-        [("slice", f) for _, f in keyed],
+        [("slice", d) for d in read],
     )
     z, y, x = labeled.header.shape
     print(f"components={component_count(labeled)} slices={len(keyed)} shape={z},{y},{x}")
@@ -369,7 +373,8 @@ def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
 def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
     mask_path = _input_file(cfg.mask, "input mask (--mask / mask)")
     out = Path(_require(cfg.out, "output path (--out / out)"))
-    mask = read_volume(mask_path)
+    read: list[InputDigest] = []
+    mask = read_volume(mask_path, digests=read)
     labeled = connected_components(mask, Connectivity(cfg.connectivity))
     _commit(
         "cc",
@@ -378,7 +383,7 @@ def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
         out.parent,
         {out.name: lambda p: write_volume(labeled, p)},
         f"{out.name}.run.txt",
-        [("mask", mask_path)],
+        [("mask", d) for d in read],
     )
     print(f"components={component_count(labeled)}")
     return EXIT_OK
@@ -387,7 +392,8 @@ def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
 def cmd_select(cfg: PipelineConfig, force: bool) -> int:
     stem = _require(cfg.embeddings, "embedding stem (--embeddings / embeddings)")
     out_dir = Path(_require(cfg.out_dir, "output directory (--out-dir / out_dir)"))
-    E = read_embeddings(stem)
+    read: list[InputDigest] = []
+    E = read_embeddings(stem, digests=read)
     En = normalize_rows(E)
     budgets = (cfg.budget,) if cfg.budget is not None else cfg.budgets
     # Every budget is checked before the first selection is computed, so an
@@ -420,11 +426,7 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
         for b in budgets
         if b > 0
     }
-    inputs = [
-        ("embeddings", Path(f"{stem}.meta")),
-        ("embeddings", Path(f"{stem}.f32")),
-        ("embeddings", Path(f"{stem}.ids")),
-    ]
+    inputs = [("embeddings", d) for d in read]
     # Manifest name carries the method so coreset and random runs can
     # share a directory without colliding.
     _commit("select", cfg, force, out_dir, writers, f"run_manifest_{cfg.method}.txt", inputs)
@@ -446,8 +448,9 @@ def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
         raise ConfigError(
             f"iou_threshold must lie in [0.5, 1), got {cfg.iou_threshold}"
         )
-    pred = read_volume(pred_path)
-    gt = read_volume(gt_path)
+    read: list[InputDigest] = []
+    pred = read_volume(pred_path, digests=read)
+    gt = read_volume(gt_path, digests=read)
     record = evaluate(pred, gt, cfg.iou_threshold)
     stem = f"metrics_b{cfg.budget}"
     writers = {
@@ -456,7 +459,7 @@ def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
     }
     # Manifest name carries the budget so one metrics directory can
     # accumulate every budget of a learning curve.
-    inputs = [("pred", pred_path), ("gt", gt_path)]
+    inputs = list(zip(("pred", "gt"), read))
     _commit("evaluate", cfg, force, out_dir, writers, f"{stem}.run.txt", inputs)
     print(
         f"budget={cfg.budget} tp={record.tp} fp={record.fp} fn={record.fn} "
@@ -472,8 +475,13 @@ def cmd_report(cfg: PipelineConfig, force: bool) -> int:
     if not files:
         raise ReportError(f"no metrics_b*.csv files in {metrics_dir}")
     records = {}
+    read: list[InputDigest] = []
     for f in files:
-        budget, record, _ = parse_metrics_csv(f.read_text(encoding="ascii"), source=f.name)
+        try:
+            text = read_digested(f, read).decode("ascii")
+        except UnicodeDecodeError:
+            raise ReportError(f"{f.name}: malformed metrics file: not ASCII") from None
+        budget, record, _ = parse_metrics_csv(text, source=f.name)
         if budget in records:
             raise ReportError(f"{f.name}: duplicate budget {budget}")
         records[budget] = record
@@ -484,7 +492,7 @@ def cmd_report(cfg: PipelineConfig, force: bool) -> int:
         "curve_table.txt": _text(render_curve_table(curve)),
         "surpass.txt": _text(surpass_text),
     }
-    inputs = [("metrics", f) for f in files]
+    inputs = [("metrics", d) for d in read]
     _commit("report", cfg, force, out_dir, writers, "run_manifest.txt", inputs)
     print(surpass_text, end="")
     return EXIT_OK

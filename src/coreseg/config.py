@@ -139,13 +139,18 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     Raises:
         FileNotFoundError: If the file does not exist.
-        ConfigError: On an unknown key or unparsable value.
+        ConfigError: On text that is not UTF-8, an unknown key or an
+            unparsable value.
     """
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"config file not found: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: config file is not UTF-8 text") from exc
     cfg = PipelineConfig()
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

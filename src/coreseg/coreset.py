@@ -19,6 +19,7 @@ k_init, budget) on any platform.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -26,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalError, SelectionError
+from .provenance import InputDigest, read_digested, record_digest
 from .rng import SplitMix64
 
 SELECTION_MANIFEST_VERSION = 1
@@ -431,15 +433,20 @@ def write_embeddings(E: EmbeddingMatrix, stem: str | Path) -> None:
     )
 
 
-def read_embeddings(stem: str | Path) -> EmbeddingMatrix:
+def read_embeddings(
+    stem: str | Path, *, digests: list[InputDigest] | None = None
+) -> EmbeddingMatrix:
     """Read an embedding set written by write_embeddings.
+
+    Each of the three files is read once. If digests is given, the SHA-256
+    of the bytes parsed from each is appended to it (.meta, .f32, .ids).
 
     Returns:
         An EmbeddingMatrix with float64 values and normalized = False.
 
     Raises:
         FileNotFoundError: If any of the three files is missing.
-        SelectionError: On malformed metadata or count mismatches.
+        SelectionError: On malformed metadata or ids, or count mismatches.
     """
     meta_path = Path(f"{stem}.meta")
     payload_path = Path(f"{stem}.f32")
@@ -448,7 +455,7 @@ def read_embeddings(stem: str | Path) -> EmbeddingMatrix:
         if not p.is_file():
             raise FileNotFoundError(f"embedding file not found: {p}")
     try:
-        text = meta_path.read_text(encoding="ascii")
+        text = read_digested(meta_path, digests).decode("ascii")
     except UnicodeDecodeError as exc:
         raise SelectionError(f"{meta_path}: malformed embedding metadata: not ASCII") from exc
     fields: dict[str, str] = {}
@@ -477,13 +484,22 @@ def read_embeddings(stem: str | Path) -> EmbeddingMatrix:
     dtype = fields["dtype"]
     if dtype != "f32le":
         raise SelectionError(f"{meta_path}: unsupported dtype {dtype!r}")
-    raw = payload_path.read_bytes()
-    if len(raw) != count * dim * 4:
+    with payload_path.open("rb") as f:
+        found = os.fstat(f.fileno()).st_size
+        if found == count * dim * 4:
+            raw = np.fromfile(f, dtype="<f4", count=count * dim)
+            # Shorter only if the file shrank since fstat.
+            found = raw.nbytes
+    if found != count * dim * 4:
         raise SelectionError(
-            f"{payload_path}: payload holds {len(raw)} bytes, expected {count * dim * 4}"
+            f"{payload_path}: payload holds {found} bytes, expected {count * dim * 4}"
         )
-    values = np.frombuffer(raw, dtype="<f4").reshape(count, dim).astype(np.float64)
-    ids = ids_path.read_text(encoding="utf-8").splitlines()
+    record_digest(digests, payload_path, raw)
+    values = raw.reshape(count, dim).astype(np.float64)
+    try:
+        ids = read_digested(ids_path, digests).decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SelectionError(f"{ids_path}: malformed ids: not UTF-8") from exc
     if len(ids) != count:
         raise SelectionError(
             f"{ids_path}: {len(ids)} ids for {count} embedding rows"

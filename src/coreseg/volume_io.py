@@ -17,18 +17,22 @@ trips are byte-identical.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import VolumeFormatError
+from .provenance import InputDigest, record_digest
 
 KIND_INSTANCE = "instance_labels"
 KIND_MASK = "binary_mask"
 _KINDS = (KIND_INSTANCE, KIND_MASK)
 _ELEMENT_WIDTH = 4
 _STORAGE_ORDER = "zyx"
+# Bytes read for the header at first; a valid header is about 60 bytes.
+_HEADER_PREFIX = 256
 
 
 @dataclass(frozen=True)
@@ -194,11 +198,18 @@ def _parse_header(raw: bytes, path: Path) -> VolumeHeader:
     return header
 
 
-def read_volume(path: str | Path) -> LabelVolume:
+def read_volume(
+    path: str | Path, *, digests: list[InputDigest] | None = None
+) -> LabelVolume:
     """Read a .vol3d file into a validated LabelVolume.
+
+    The file is read once: the header from a small prefix, the payload
+    straight into the voxel array, so memory peaks at one payload.
 
     Args:
         path: File to read.
+        digests: If given, the SHA-256 of the bytes parsed (header, blank
+            line and payload, i.e. the whole file) is appended to it.
 
     Raises:
         FileNotFoundError: If path does not exist.
@@ -208,23 +219,33 @@ def read_volume(path: str | Path) -> LabelVolume:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"volume file not found: {p}")
-    blob = p.read_bytes()
-    sep = blob.find(b"\n\n")
-    if sep < 0:
-        raise VolumeFormatError(f"{p}: malformed header: missing blank-line terminator")
-    header = _parse_header(blob[:sep], p)
-    payload = blob[sep + 2 :]
-    if len(payload) != header.payload_bytes:
-        raise VolumeFormatError(
-            f"{p}: payload length mismatch: expected {header.payload_bytes} bytes, "
-            f"found {len(payload)}"
-        )
-    voxels = (
-        np.frombuffer(payload, dtype="<u4")
-        .reshape(header.shape)
-        .astype(np.uint32, copy=True)
-    )
-    vol = LabelVolume(header, voxels)
+    # Unbuffered: a read buffer would be a second copy of a small volume.
+    with p.open("rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_HEADER_PREFIX)
+        # A header longer than the prefix is read on in growing steps.
+        while (sep := head.find(b"\n\n")) < 0 and len(head) < size:
+            more = f.read(len(head) + _HEADER_PREFIX)
+            if not more:
+                break
+            head += more
+        if sep < 0:
+            raise VolumeFormatError(f"{p}: malformed header: missing blank-line terminator")
+        header = _parse_header(head[:sep], p)
+        start = sep + 2
+        found = size - start
+        if found == header.payload_bytes:
+            f.seek(start)
+            voxels = np.fromfile(f, dtype="<u4", count=header.voxel_count)
+            # Shorter only if the file shrank since fstat.
+            found = voxels.nbytes
+        if found != header.payload_bytes:
+            raise VolumeFormatError(
+                f"{p}: payload length mismatch: expected {header.payload_bytes} bytes, "
+                f"found {found}"
+            )
+    record_digest(digests, p, head[:start], voxels)
+    vol = LabelVolume(header, voxels.reshape(header.shape).astype(np.uint32, copy=False))
     vol.validate()
     return vol
 
@@ -234,7 +255,8 @@ def write_volume(vol: LabelVolume, path: str | Path) -> None:
 
     Output bytes are a pure function of the volume, so identical volumes
     produce identical files. The volume is validated before any write, so
-    an invalid volume leaves no partial file behind.
+    an invalid volume leaves no partial file behind. The payload is
+    written straight from the voxel array, without a copy.
 
     Args:
         vol: Volume to store.
@@ -245,6 +267,7 @@ def write_volume(vol: LabelVolume, path: str | Path) -> None:
         OSError: If the destination is unwritable.
     """
     vol.validate()
-    p = Path(path)
-    payload = np.ascontiguousarray(vol.voxels, dtype="<u4").tobytes()
-    p.write_bytes(_header_bytes(vol.header) + payload)
+    payload = np.ascontiguousarray(vol.voxels, dtype="<u4")
+    with Path(path).open("wb") as f:
+        f.write(_header_bytes(vol.header))
+        payload.tofile(f)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,19 @@ def test_select_malformed_embedding_metadata_is_input_error(
     assert not out_dir.exists()
 
 
+def test_select_non_utf8_ids_is_input_error(capsys, tmp_path, demo_embeddings):
+    stem, _ = demo_embeddings
+    ids = Path(f"{stem}.ids")
+    ids.write_bytes(ids.read_bytes().replace(b"p3", b"p\xff3"))
+    out_dir = tmp_path / "sel"
+    code, _, err = run(
+        capsys, "select", "--embeddings", stem, "--budget", "2", "--out-dir", out_dir,
+    )
+    assert code == 3, err
+    assert f"{ids}: malformed ids: not UTF-8" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("method", ["coreset", "random"])
 def test_select_infeasible_budget_in_list_writes_nothing(
     capsys, tmp_path, demo_embeddings, method
@@ -704,6 +718,24 @@ def test_report_rejects_duplicate_budgets(capsys, tmp_path):
     assert "duplicate budget 2" in err
 
 
+def test_report_non_ascii_metrics_is_input_error(capsys, tmp_path):
+    gt, _ = labeled_pair(tmp_path)
+    metrics_dir = tmp_path / "metrics"
+    assert run(
+        capsys, "evaluate", "--pred", gt, "--gt", gt, "--budget", "8",
+        "--out-dir", metrics_dir,
+    )[0] == 0
+    csv = metrics_dir / "metrics_b8.csv"
+    csv.write_bytes(csv.read_bytes().replace(b"budget", b"b\xe9dget"))
+    code, _, err = run(
+        capsys, "report", "--metrics-dir", metrics_dir, "--out-dir", tmp_path / "r"
+    )
+    assert code == 3, err
+    assert "metrics_b8.csv: malformed metrics file: not ASCII" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_report_empty_directory(capsys, tmp_path):
     metrics_dir = tmp_path / "metrics"
     metrics_dir.mkdir()
@@ -768,6 +800,63 @@ def test_run_manifest_lists_exactly_the_outputs(capsys, tmp_path, command):
     written = {p.name for p in (tmp_path / "out").iterdir()}
     assert listed == written - {run_name}
     assert len(listed) >= 1
+
+
+def manifest_inputs(run_manifest):
+    """Return (role, name, digest) for every input= line of a run manifest."""
+    lines = run_manifest.read_text().splitlines()
+    return [tuple(x.removeprefix("input=").split(":")) for x in lines if x.startswith("input=")]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_run_manifest_digests_are_of_the_input_bytes(capsys, tmp_path, command):
+    args, run_name = command_case(capsys, tmp_path, command)
+    assert run(capsys, *args)[0] == 0
+    inputs = manifest_inputs(tmp_path / "out" / run_name)
+    assert inputs
+    for _, name, digest in inputs:
+        [path] = [p for p in tmp_path.rglob(name) if "out" not in p.relative_to(tmp_path).parts]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_input_is_opened_once(capsys, tmp_path, monkeypatch, command):
+    args, run_name = command_case(capsys, tmp_path, command)
+    opened = []
+    real_open = Path.open
+
+    def recording_open(self, *a, **kw):
+        opened.append(self.name)
+        return real_open(self, *a, **kw)
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    assert run(capsys, *args)[0] == 0
+    names = [name for _, name, _ in manifest_inputs(tmp_path / "out" / run_name)]
+    assert sorted(n for n in opened if n in names) == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "command, step, role",
+    [("cc", "connected_components", "mask"), ("evaluate", "evaluate", "gt")],
+)
+def test_run_manifest_hashes_the_bytes_read_not_a_swapped_file(
+    capsys, tmp_path, monkeypatch, command, step, role
+):
+    # The input is replaced while the command computes; the manifest must
+    # still describe the bytes the command read and used.
+    args, run_name = command_case(capsys, tmp_path, command)
+    path = Path(args[args.index(f"--{role}") + 1])
+    original = hashlib.sha256(path.read_bytes()).hexdigest()
+    real = getattr(cli, step)
+
+    def swap_then_compute(*a, **kw):
+        path.write_bytes(b"replaced while the run was computing")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(cli, step, swap_then_compute)
+    assert run(capsys, *args)[0] == 0
+    [digest] = [d for r, _, d in manifest_inputs(tmp_path / "out" / run_name) if r == role]
+    assert digest == original
 
 
 @pytest.mark.parametrize(
@@ -874,6 +963,15 @@ def test_config_unknown_key_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "select", "--config", cfg, "--out-dir", tmp_path / "s")
     assert code == 2
     assert "no_such_key" in err
+
+
+def test_config_not_utf8_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"budget=2\n# r\xe9sum\xe9\n")
+    code, _, err = run(capsys, "select", "--config", cfg, "--out-dir", tmp_path / "s")
+    assert code == 2, err
+    assert f"{cfg}: config file is not UTF-8 text" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_config_missing_file_is_input_error(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for embedding handling and k-center greedy selection."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -282,6 +283,26 @@ def test_read_embeddings_rejects_bad_payload(tmp_path):
     write_embeddings(gaussian_embeddings(rng, 3, 2), stem)
     (tmp_path / "emb.f32").write_bytes(b"\x00" * 7)
     with pytest.raises(SelectionError, match="payload"):
+        read_embeddings(stem)
+
+
+def test_read_embeddings_records_digest_of_each_file(tmp_path):
+    stem = tmp_path / "emb"
+    write_embeddings(gaussian_embeddings(np.random.default_rng(27), 5, 3), stem)
+    digests = []
+    read_embeddings(stem, digests=digests)
+    files = [tmp_path / f"emb.{ext}" for ext in ("meta", "f32", "ids")]
+    assert [d.path for d in digests] == files
+    assert [d.sha256 for d in digests] == [
+        hashlib.sha256(f.read_bytes()).hexdigest() for f in files
+    ]
+
+
+def test_read_embeddings_rejects_ids_that_are_not_utf8(tmp_path):
+    stem = tmp_path / "emb"
+    write_embeddings(gaussian_embeddings(np.random.default_rng(28), 3, 2), stem)
+    (tmp_path / "emb.ids").write_bytes(b"p0\np\xff1\np2\n")
+    with pytest.raises(SelectionError, match=r"emb\.ids: malformed ids: not UTF-8"):
         read_embeddings(stem)
 
 

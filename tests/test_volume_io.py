@@ -1,11 +1,15 @@
 """Tests for .vol3d volume reading, writing, and validation."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from coreseg import volume_io
 from coreseg.errors import VolumeFormatError
 from coreseg.volume_io import (
     KIND_INSTANCE,
@@ -82,6 +86,82 @@ def test_read_rejects_oversized_payload(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
     with pytest.raises(VolumeFormatError, match="payload length"):
         read_volume(path)
+
+
+MASK_HEADER = b"shape=2,3,4\nkind=binary_mask\nwidth=4\norder=zyx\n\n"
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"", "malformed header: missing blank-line terminator"),
+        (MASK_HEADER, "payload length mismatch: expected 96 bytes, found 0"),
+        (MASK_HEADER + b"\x00" * 92, "payload length mismatch: expected 96 bytes, found 92"),
+        (MASK_HEADER + b"\x00" * 100, "payload length mismatch: expected 96 bytes, found 100"),
+    ],
+    ids=["empty", "header-only", "truncated", "oversized"],
+)
+def test_read_rejects_bad_length_with_exact_message(tmp_path, blob, message):
+    path = tmp_path / "v.vol3d"
+    path.write_bytes(blob)
+    with pytest.raises(VolumeFormatError) as info:
+        read_volume(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("shift", [-3, -2, -1, 0, 1, 2, 3])
+def test_header_crossing_the_prefix_read_parses(tmp_path, shift):
+    # Zero-padding the shape is valid and moves the end of the blank line
+    # to just before, onto, or just past the end of the first prefix read.
+    vol = small_volume()
+    plain = b"shape=2,3,4\nkind=instance_labels\nwidth=4\norder=zyx\n\n"
+    pad = volume_io._HEADER_PREFIX + shift - len(plain)
+    header = b"shape=" + b"0" * pad + plain[len(b"shape="):]
+    assert header.index(b"\n\n") + 2 == volume_io._HEADER_PREFIX + shift
+    path = tmp_path / "v.vol3d"
+    path.write_bytes(header + vol.voxels.astype("<u4").tobytes())
+    digests = []
+    assert read_volume(path, digests=digests) == vol
+    assert [d.sha256 for d in digests] == [hashlib.sha256(path.read_bytes()).hexdigest()]
+
+
+def test_header_parses_at_every_prefix_size(tmp_path, monkeypatch):
+    # A prefix shorter than the header takes several doubling reads.
+    path = tmp_path / "v.vol3d"
+    write_volume(small_volume(), path)
+    for prefix in range(1, len(MASK_HEADER) + 2):
+        monkeypatch.setattr(volume_io, "_HEADER_PREFIX", prefix)
+        assert read_volume(path) == small_volume()
+
+
+def test_read_records_digest_of_the_file_bytes(tmp_path):
+    path = tmp_path / "v.vol3d"
+    write_volume(small_volume(), path)
+    digests = []
+    read_volume(path, digests=digests)
+    read_volume(path)  # no list, nothing recorded
+    assert len(digests) == 1
+    assert digests[0].path == path
+    assert digests[0].name == "v.vol3d"
+    assert digests[0].sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_and_write_peak_at_one_payload(tmp_path):
+    vol = new_volume(np.arange(16 * 256 * 256, dtype=np.uint32).reshape(16, 256, 256))
+    payload = vol.header.payload_bytes
+    path = tmp_path / "big.vol3d"
+    assert traced_peak(write_volume, vol, path) <= 1.1 * payload
+    # The voxel array itself is one payload, so a read cannot be below it.
+    assert payload <= traced_peak(read_volume, path, digests=[]) <= 1.1 * payload
 
 
 def test_read_rejects_missing_blank_line(tmp_path):
