@@ -1,0 +1,92 @@
+"""The one grammar of coreseg's key=value text formats.
+
+The .vol3d header, the embedding .meta file, the grid and selection
+manifests share it: text lines of the form key=value, each expected key
+exactly once, and integers as comma-separated runs of ASCII digits, at
+most 20 after any leading zeros. A versioned format is checked for its
+version before its key set, since another version may have other keys.
+Every failure raises the calling reader's own error class, with a
+message that starts with the reader's context (the file and what it
+holds).
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Collection
+
+from .errors import CoresegError
+
+# Sign, leading zeros, and at most 20 digits that int() reads.
+_INT = re.compile(r"(-?)0*([0-9]{1,20})")
+
+
+def decode_lines(
+    raw: bytes, error: type[CoresegError], context: str, encoding: str = "ascii"
+) -> list[str]:
+    """Decode raw and split it into lines, refusing undecodable bytes."""
+    try:
+        return raw.decode(encoding).splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{context}: not {encoding.upper()}") from exc
+
+
+def split_fields(
+    lines: list[str],
+    keys: Collection[str],
+    error: type[CoresegError],
+    context: str,
+    *,
+    version: int | None = None,
+    repeated: str | None = None,
+) -> dict:
+    """Split key=value lines into one value per key of keys.
+
+    A line without "=", a repeated key, a missing key and an unknown key
+    are each refused. With version, a format_version other than it is
+    refused before the key set is checked. With repeated, that key may
+    appear any number of times and maps to the list of its values in
+    order.
+    """
+    fields: dict = {} if repeated is None else {repeated: []}
+    for line in lines:
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise error(f"{context} line {line!r}")
+        if key == repeated:
+            fields[key].append(value)
+        elif key in fields:
+            raise error(f"{context}: duplicate key {key!r}")
+        else:
+            fields[key] = value
+    found = fields.get("format_version")
+    if version is not None and found is not None and found != str(version):
+        raise error(f"{context}: unsupported format_version {found!r}")
+    missing = set(keys) - set(fields)
+    if missing:
+        raise error(f"{context}: missing keys {sorted(missing)}")
+    unknown = set(fields) - set(keys) - {repeated}
+    if unknown:
+        raise error(f"{context}: unknown keys {sorted(unknown)}")
+    return fields
+
+
+def parse_ints(
+    text: str,
+    error: type[CoresegError],
+    context: str,
+    count: int | None = None,
+    *,
+    signed: bool = False,
+) -> tuple[int, ...]:
+    """Parse comma-separated integers, exactly count of them if given.
+
+    Each is ASCII digits, at most 20 after any leading zeros, after a "-"
+    if signed. So int() is never handed text it could refuse.
+    """
+    matches = [_INT.fullmatch(p) for p in text.split(",")]
+    if (count is not None and len(matches) != count) or not all(
+        m and (signed or not m[1]) for m in matches
+    ):
+        raise error(f"{context} {text!r}")
+    return tuple(int(m[1] + m[2]) for m in matches)

@@ -45,13 +45,9 @@ from .errors import (
     ConfigError,
     CoresegError,
     FusionError,
-    GridError,
     InternalError,
-    MetricsError,
     OverwriteRefused,
     ReportError,
-    SelectionError,
-    VolumeFormatError,
 )
 from .instance_metrics import evaluate, metrics_csv_text, metrics_kv_text, parse_metrics_csv
 from .label_fusion import (
@@ -72,17 +68,6 @@ EXIT_INTERNAL = 4
 EXIT_EXISTS = 5
 
 RUN_MANIFEST_VERSION = 1
-
-_INPUT_ERRORS = (
-    OSError,
-    VolumeFormatError,
-    GridError,
-    FusionError,
-    SelectionError,
-    MetricsError,
-    ReportError,
-)
-
 
 def _flag(key: str):
     # Parse a flag with its config key's parser, so a flag accepts exactly
@@ -119,7 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--patch", dest="patch_shape", type=_flag("patch_shape"), help="patch shape Z,Y,X"
     )
-    p.add_argument("--pad-mode", dest="pad_mode", choices=("zero", "reflect"))
+    p.add_argument(
+        "--pad-mode",
+        dest="pad_mode",
+        type=_flag("pad_mode"),
+        help="zero or reflect (default reflect)",
+    )
     p.add_argument("--out-dir", dest="out_dir", help="directory for patches")
 
     p = sub.add_parser("fuse", help="stack 2D slice masks and label 3D instances")
@@ -141,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="select items by core-set or random strategy")
     common(p)
     p.add_argument("--embeddings", help="embedding file stem (<stem>.meta/.f32/.ids)")
-    p.add_argument("--method", choices=("coreset", "random"))
+    p.add_argument("--method", type=_flag("method"), help="coreset or random (default coreset)")
     p.add_argument(
         "--budget", type=_flag("budget"), help="single budget overriding the config list"
     )
@@ -321,7 +311,7 @@ def _ordered_slices(slices_dir: Path) -> list[tuple[int, Path]]:
     keyed: list[tuple[int, Path]] = []
     seen: dict[int, Path] = {}
     for f in files:
-        m = re.search(r"(\d+)$", f.stem)
+        m = re.search(r"([0-9]+)$", f.stem)
         if not m:
             raise FusionError(f"slice filename lacks a numeric suffix: {f.name}")
         num = int(m.group(1))
@@ -522,13 +512,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"coreseg {command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _INPUT_ERRORS as exc:
-        print(f"coreseg {command}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InternalError as exc:
         print(f"coreseg {command}: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except CoresegError as exc:
+    except (OSError, CoresegError) as exc:
         print(f"coreseg {command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - safety net for bugs

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ._fields import parse_ints
 from .errors import ConfigError
 
 DEFAULT_BUDGETS = (0, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -50,10 +51,8 @@ class PipelineConfig:
 
 def parse_shape(text: str) -> tuple[int, int, int]:
     """Parse "Z,Y,X" into a positive integer triple."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3 or not all(p.isdigit() for p in parts):
-        raise ConfigError(f"expected Z,Y,X positive integers, got {text!r}")
-    shape = tuple(int(p) for p in parts)
+    parts = ",".join(p.strip() for p in text.split(","))
+    shape = parse_ints(parts, ConfigError, "expected Z,Y,X positive integers, got", 3)
     if any(c < 1 for c in shape):
         raise ConfigError(f"shape components must be positive, got {text!r}")
     return shape
@@ -61,10 +60,8 @@ def parse_shape(text: str) -> tuple[int, int, int]:
 
 def parse_budgets(text: str) -> tuple[int, ...]:
     """Parse a comma-separated budget list of non-negative integers."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts or not all(p.isdigit() for p in parts):
-        raise ConfigError(f"expected comma-separated budgets, got {text!r}")
-    budgets = tuple(int(p) for p in parts)
+    parts = ",".join(p.strip() for p in text.split(",") if p.strip())
+    budgets = parse_ints(parts, ConfigError, "expected comma-separated budgets, got")
     if len(set(budgets)) != len(budgets):
         raise ConfigError(f"duplicate budgets in {text!r}")
     return budgets
@@ -78,10 +75,7 @@ def parse_connectivity(text: str) -> str:
 
 
 def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}") from None
+    return parse_ints(text, ConfigError, "expected an integer, got", 1, signed=True)[0]
 
 
 def _parse_budget(text: str) -> int:

@@ -26,11 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fields import decode_lines, parse_ints, split_fields
 from .errors import InternalError, SelectionError
 from .provenance import InputDigest, read_digested, record_digest
 from .rng import SplitMix64
 
 SELECTION_MANIFEST_VERSION = 1
+_SELECTION_KEYS = ("format_version", "method", "rng_seed", "k_init", "budget", "radius_trace")
 
 METHOD_CORESET = "coreset"
 METHOD_RANDOM = "random"
@@ -454,33 +456,11 @@ def read_embeddings(
     for p in (meta_path, payload_path, ids_path):
         if not p.is_file():
             raise FileNotFoundError(f"embedding file not found: {p}")
-    try:
-        text = read_digested(meta_path, digests).decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise SelectionError(f"{meta_path}: malformed embedding metadata: not ASCII") from exc
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if "=" not in line:
-            raise SelectionError(f"{meta_path}: malformed embedding metadata line {line!r}")
-        key, _, value = line.partition("=")
-        if key in fields:
-            raise SelectionError(
-                f"{meta_path}: malformed embedding metadata: duplicate key {key!r}"
-            )
-        fields[key] = value
-    expected = {"count", "dim", "dtype"}
-    if set(fields) != expected:
-        raise SelectionError(
-            f"{meta_path}: malformed embedding metadata: keys {sorted(fields)} "
-            f"!= {sorted(expected)}"
-        )
-    for key in ("count", "dim"):
-        if not fields[key].isdigit():
-            raise SelectionError(
-                f"{meta_path}: malformed embedding metadata {key} {fields[key]!r}"
-            )
-    count = int(fields["count"])
-    dim = int(fields["dim"])
+    context = f"{meta_path}: malformed embedding metadata"
+    lines = decode_lines(read_digested(meta_path, digests), SelectionError, context)
+    fields = split_fields(lines, ("count", "dim", "dtype"), SelectionError, context)
+    (count,) = parse_ints(fields["count"], SelectionError, f"{context} count", 1)
+    (dim,) = parse_ints(fields["dim"], SelectionError, f"{context} dim", 1)
     dtype = fields["dtype"]
     if dtype != "f32le":
         raise SelectionError(f"{meta_path}: unsupported dtype {dtype!r}")
@@ -496,10 +476,9 @@ def read_embeddings(
         )
     record_digest(digests, payload_path, raw)
     values = raw.reshape(count, dim).astype(np.float64)
-    try:
-        ids = read_digested(ids_path, digests).decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise SelectionError(f"{ids_path}: malformed ids: not UTF-8") from exc
+    ids = decode_lines(
+        read_digested(ids_path, digests), SelectionError, f"{ids_path}: malformed ids", "utf-8"
+    )
     if len(ids) != count:
         raise SelectionError(
             f"{ids_path}: {len(ids)} ids for {count} embedding rows"
@@ -531,38 +510,24 @@ def read_selection_manifest(path: str | Path) -> SelectionManifest:
     Raises:
         SelectionError: On malformed or version-mismatched manifests.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    fields: dict[str, str] = {}
-    selected: list[str] = []
-    in_ids = False
-    for line in lines:
-        if in_ids:
-            if line:
-                selected.append(line)
-            continue
-        if line == "selected:":
-            in_ids = True
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise SelectionError(f"{path}: malformed manifest line {line!r}")
-        fields[key] = value
+    context = f"{path}: malformed selection manifest"
+    lines = decode_lines(Path(path).read_bytes(), SelectionError, context, "utf-8")
+    n = lines.index("selected:") if "selected:" in lines else len(lines)
+    fields = split_fields(
+        lines[:n], _SELECTION_KEYS, SelectionError, context, version=SELECTION_MANIFEST_VERSION
+    )
+    # rng_seed may be negative, as write_selection_manifest can write it.
+    (rng_seed,) = parse_ints(
+        fields["rng_seed"], SelectionError, f"{context} rng_seed", 1, signed=True
+    )
+    (k_init,) = parse_ints(fields["k_init"], SelectionError, f"{context} k_init", 1)
+    (budget,) = parse_ints(fields["budget"], SelectionError, f"{context} budget", 1)
+    trace_text = fields["radius_trace"]
     try:
-        if fields["format_version"] != str(SELECTION_MANIFEST_VERSION):
-            raise SelectionError(
-                f"{path}: unsupported manifest version {fields['format_version']!r}"
-            )
-        trace_text = fields["radius_trace"]
-        manifest = SelectionManifest(
-            method=fields["method"],
-            rng_seed=int(fields["rng_seed"]),
-            k_init=int(fields["k_init"]),
-            budget=int(fields["budget"]),
-            selected=selected,
-            radius_trace=[float(v) for v in trace_text.split(",")] if trace_text else [],
-        )
-    except (KeyError, ValueError) as exc:
-        raise SelectionError(f"{path}: malformed selection manifest") from exc
+        trace = [float(v) for v in trace_text.split(",")] if trace_text else []
+    except ValueError:
+        raise SelectionError(f"{context} radius_trace {trace_text!r}") from None
+    selected = [line for line in lines[n + 1 :] if line]
+    manifest = SelectionManifest(fields["method"], rng_seed, k_init, budget, selected, trace)
     manifest.validate()
     return manifest

@@ -15,13 +15,13 @@ Padding modes:
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from ._fields import decode_lines, parse_ints, split_fields
 from .errors import GridError
 from .volume_io import LabelVolume, VolumeHeader
 
@@ -30,6 +30,15 @@ PAD_REFLECT = "reflect"
 _PAD_MODES = (PAD_ZERO, PAD_REFLECT)
 
 GRID_MANIFEST_VERSION = 1
+_GRID_KEYS = (
+    "format_version",
+    "volume_name",
+    "original_shape",
+    "patch_shape",
+    "pad_mode",
+    "padded_shape",
+    "grid_dims",
+)
 
 
 @dataclass(frozen=True)
@@ -264,40 +273,16 @@ def read_grid_manifest(path: str | Path) -> tuple[PatchSpec, str, list[str]]:
     Raises:
         GridError: On malformed or version-mismatched manifests.
     """
-    text = Path(path).read_text(encoding="ascii")
-    fields: dict[str, str] = {}
-    filenames: list[str] = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        if key == "patch":
-            filenames.append(value)
-        elif key in fields:
-            raise GridError(f"{path}: duplicate manifest key {key!r}")
-        else:
-            fields[key] = value
-    required = {
-        "format_version",
-        "volume_name",
-        "original_shape",
-        "patch_shape",
-        "pad_mode",
-        "padded_shape",
-        "grid_dims",
-    }
-    if not required.issubset(fields):
-        raise GridError(f"{path}: manifest missing keys {sorted(required - set(fields))}")
-    if fields["format_version"] != str(GRID_MANIFEST_VERSION):
-        raise GridError(f"{path}: unsupported manifest version {fields['format_version']!r}")
-
-    def _triple(key: str) -> tuple[int, int, int]:
-        parts = fields[key].split(",")
-        if len(parts) != 3 or not all(re.fullmatch(r"\d+", p) for p in parts):
-            raise GridError(f"{path}: malformed {key} {fields[key]!r}")
-        return tuple(int(p) for p in parts)
-
-    spec = plan_grid(_triple("original_shape"), _triple("patch_shape"), fields["pad_mode"])
-    if spec.padded_shape != _triple("padded_shape") or spec.grid_dims != _triple("grid_dims"):
+    context = f"{path}: malformed grid manifest"
+    lines = decode_lines(Path(path).read_bytes(), GridError, context)
+    fields = split_fields(
+        lines, _GRID_KEYS, GridError, context, version=GRID_MANIFEST_VERSION, repeated="patch"
+    )
+    original, patch, padded, grid = (
+        parse_ints(fields[key], GridError, f"{context} {key}", 3)
+        for key in ("original_shape", "patch_shape", "padded_shape", "grid_dims")
+    )
+    spec = plan_grid(original, patch, fields["pad_mode"])
+    if (spec.padded_shape, spec.grid_dims) != (padded, grid):
         raise GridError(f"{path}: manifest geometry is internally inconsistent")
-    return spec, fields["volume_name"], filenames
+    return spec, fields["volume_name"], fields["patch"]

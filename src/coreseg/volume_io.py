@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import decode_lines, parse_ints, split_fields
 from .errors import VolumeFormatError
 from .provenance import InputDigest, record_digest
 
@@ -39,17 +40,16 @@ _HEADER_PREFIX = 256
 class VolumeHeader:
     """Shape and value-kind metadata for one stored volume.
 
+    Every volume stores 4-byte unsigned little-endian voxels in "zyx"
+    (z-major) order, so neither is a field.
+
     Attributes:
         shape: (z, y, x) voxel counts, all positive.
         value_kind: "instance_labels" or "binary_mask".
-        element_width: Bytes per voxel, fixed at 4 (unsigned little-endian).
-        storage_order: Fixed "zyx" (z-major linearization).
     """
 
     shape: tuple[int, int, int]
     value_kind: str
-    element_width: int = _ELEMENT_WIDTH
-    storage_order: str = _STORAGE_ORDER
 
     def validate(self) -> None:
         """Raise VolumeFormatError when any header invariant fails."""
@@ -61,14 +61,6 @@ class VolumeHeader:
             )
         if self.value_kind not in _KINDS:
             raise VolumeFormatError(f"unknown value kind {self.value_kind!r}")
-        if self.element_width != _ELEMENT_WIDTH:
-            raise VolumeFormatError(
-                f"element width must be {_ELEMENT_WIDTH}, got {self.element_width}"
-            )
-        if self.storage_order != _STORAGE_ORDER:
-            raise VolumeFormatError(
-                f"storage order must be {_STORAGE_ORDER!r}, got {self.storage_order!r}"
-            )
 
     @property
     def voxel_count(self) -> int:
@@ -77,7 +69,7 @@ class VolumeHeader:
 
     @property
     def payload_bytes(self) -> int:
-        return self.voxel_count * self.element_width
+        return self.voxel_count * _ELEMENT_WIDTH
 
 
 class LabelVolume:
@@ -154,47 +146,26 @@ def _header_bytes(header: VolumeHeader) -> bytes:
     lines = (
         f"shape={header.shape[0]},{header.shape[1]},{header.shape[2]}\n"
         f"kind={header.value_kind}\n"
-        f"width={header.element_width}\n"
-        f"order={header.storage_order}\n"
+        f"width={_ELEMENT_WIDTH}\n"
+        f"order={_STORAGE_ORDER}\n"
         "\n"
     )
     return lines.encode("ascii")
 
 
 def _parse_header(raw: bytes, path: Path) -> VolumeHeader:
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise VolumeFormatError(f"{path}: malformed header: not ASCII") from exc
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if "=" not in line:
-            raise VolumeFormatError(f"{path}: malformed header line {line!r}")
-        key, _, value = line.partition("=")
-        if key in fields:
-            raise VolumeFormatError(f"{path}: malformed header: duplicate key {key!r}")
-        fields[key] = value
-    expected = {"shape", "kind", "width", "order"}
-    if set(fields) != expected:
-        raise VolumeFormatError(
-            f"{path}: malformed header: keys {sorted(fields)} != {sorted(expected)}"
-        )
-    parts = fields["shape"].split(",")
-    if len(parts) != 3 or not all(p.isdigit() and p for p in parts):
-        raise VolumeFormatError(f"{path}: malformed header shape {fields['shape']!r}")
-    shape = tuple(int(p) for p in parts)
-    if not fields["width"].isdigit():
-        raise VolumeFormatError(f"{path}: malformed header width {fields['width']!r}")
-    header = VolumeHeader(
-        shape=shape,
-        value_kind=fields["kind"],
-        element_width=int(fields["width"]),
-        storage_order=fields["order"],
-    )
+    context = f"{path}: malformed header"
+    lines = decode_lines(raw, VolumeFormatError, context)
+    fields = split_fields(lines, ("shape", "kind", "width", "order"), VolumeFormatError, context)
+    for key, fixed in (("width", str(_ELEMENT_WIDTH)), ("order", _STORAGE_ORDER)):
+        if fields[key] != fixed:
+            raise VolumeFormatError(f"{context}: {key} must be {fixed!r}, got {fields[key]!r}")
+    shape = parse_ints(fields["shape"], VolumeFormatError, f"{context} shape", 3)
+    header = VolumeHeader(shape=shape, value_kind=fields["kind"])
     try:
         header.validate()
     except VolumeFormatError as exc:
-        raise VolumeFormatError(f"{path}: malformed header: {exc}") from None
+        raise VolumeFormatError(f"{context}: {exc}") from None
     return header
 
 

@@ -310,6 +310,16 @@ def test_cc_rejects_instance_input(capsys, tmp_path):
     assert "binary_mask" in err
 
 
+def test_cc_header_shape_of_5000_digits_is_input_error(capsys, tmp_path):
+    path = tmp_path / "m.vol3d"
+    header = f"shape={'1' * 5000},1,1\nkind=binary_mask\nwidth=4\norder=zyx\n\n"
+    path.write_bytes(header.encode("ascii") + b"\x00" * 4)
+    code, _, err = run(capsys, "cc", "--mask", path, "--out", tmp_path / "o" / "l.vol3d")
+    assert code == 3, err
+    assert f"{path}: malformed header shape '111" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cc_rejects_unknown_connectivity_flag(capsys, tmp_path):
     mask = corner_mask(tmp_path)
     code, _, _ = run(
@@ -419,8 +429,9 @@ def test_select_k_init_beyond_budget_fails(capsys, tmp_path, demo_embeddings):
         "count=12\ndim=-4\ndtype=f32le\n",
         "count=2\ndim=4\ndtype=f32le\ncount=12\n",
         "count=12\ndim=4\nf32le\ndtype=f32le\n",
+        f"count={'1' * 5000}\ndim=4\ndtype=f32le\n",
     ],
-    ids=["negative-count", "negative-dim", "repeated-key", "no-equals"],
+    ids=["negative-count", "negative-dim", "repeated-key", "no-equals", "5000-digit-count"],
 )
 def test_select_malformed_embedding_metadata_is_input_error(
     capsys, tmp_path, demo_embeddings, meta
@@ -972,6 +983,52 @@ def test_config_not_utf8_is_usage_error(capsys, tmp_path):
     assert code == 2, err
     assert f"{cfg}: config file is not UTF-8 text" in err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("spelling", ["config", "flag"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("tile", "patch_shape", "\u00b2,1,1"),
+        ("tile", "patch_shape", f"{'1' * 5000},1,1"),
+        ("tile", "pad_mode", "mirror"),
+        ("select", "budgets", "1,\u00b2"),
+        ("select", "method", "best"),
+        ("select", "rng_seed", "\u0663"),
+    ],
+    ids=["superscript-shape", "5000-digit-shape", "pad-mode", "superscript-budget",
+         "method", "arabic-indic-seed"],
+)
+def test_malformed_value_is_usage_error(
+    capsys, tmp_path, demo_volume, demo_embeddings, spelling, command, key, value
+):
+    # A flag and a config line accept the same text, through one parser.
+    flags = {"patch_shape": "--patch", "pad_mode": "--pad-mode", "budgets": "--budgets",
+             "method": "--method", "rng_seed": "--seed"}
+    out_dir = tmp_path / "out"
+    if command == "tile":
+        args = [command, "--volume", demo_volume[0], "--out-dir", out_dir]
+    else:
+        args = [command, "--embeddings", demo_embeddings[0], "--out-dir", out_dir]
+    if spelling == "flag":
+        args += [flags[key], value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+        args += ["--config", cfg]
+    code, _, err = run(capsys, *args)
+    assert code == 2, err
+    assert value[:20] in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, allowed", [("tile", "zero or reflect"), ("select", "coreset or random")]
+)
+def test_help_states_allowed_values(capsys, command, allowed):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert allowed in " ".join(out.split())
 
 
 def test_config_missing_file_is_input_error(capsys, tmp_path):

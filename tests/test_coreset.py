@@ -328,9 +328,11 @@ def test_read_embeddings_rejects_bad_metadata(tmp_path):
         ("count=3\ndim=2\n", "keys"),
         ("count=3\ndim=2\ndtype=f32le\nshape=3\n", "keys"),
         ("count=3\ndim=2\ndtype=f32l\u00e9\n", "not ASCII"),
+        (f"count={'1' * 21}\ndim=2\ndtype=f32le\n", f"count '{'1' * 21}'"),
+        ("count=3\ndim=\u00b2\ndtype=f32le\n", "not ASCII"),
     ],
     ids=["negative-count", "negative-dim", "repeated-key", "no-equals", "missing-key",
-         "unknown-key", "non-ascii"],
+         "unknown-key", "non-ascii", "21-digit-count", "superscript-dim"],
 )
 def test_read_embeddings_rejects_malformed_metadata(tmp_path, meta, match):
     stem = tmp_path / "emb"
@@ -387,6 +389,43 @@ def test_read_manifest_rejects_malformed(tmp_path):
     path.write_text("format_version=1\nnot a line\n")
     with pytest.raises(SelectionError, match="malformed"):
         read_selection_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda t: t.replace("k_init=", "k_init=1\nk_init="), "duplicate key 'k_init'"),
+        (lambda t: t.replace("budget=", "extra=1\nbudget="), r"unknown keys \['extra'\]"),
+        (lambda t: t.replace("method=coreset\n", ""), r"missing keys \['method'\]"),
+        (lambda t: t.replace("k_init=2", "k_init=\u00b2"), "k_init '\u00b2'"),
+        (lambda t: t.replace("budget=3", f"budget={'3' * 21}"), "budget '333"),
+        (lambda t: t.replace("format_version=1", "format_version=2\nother=1"), "version '2'"),
+        (lambda t: t.replace("rng_seed=-7", "rng_seed=--7"), "rng_seed '--7'"),
+    ],
+    ids=["repeated-key", "unknown-key", "missing-key", "superscript", "21-digits",
+         "version-first", "double-minus"],
+)
+def test_read_manifest_refuses_malformed_fields(tmp_path, edit, match):
+    path = tmp_path / "sel.txt"
+    write_selection_manifest(SelectionManifest("coreset", -7, 2, 3, ["a", "b", "c"]), path)
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(SelectionError, match=match):
+        read_selection_manifest(path)
+
+
+def test_read_manifest_refuses_undecodable_bytes(tmp_path):
+    path = tmp_path / "sel.txt"
+    write_selection_manifest(SelectionManifest("coreset", 0, 1, 1, ["a"]), path)
+    path.write_bytes(path.read_bytes().replace(b"\na\n", b"\n\xffa\n"))
+    with pytest.raises(SelectionError, match="malformed selection manifest: not UTF-8"):
+        read_selection_manifest(path)
+
+
+def test_read_manifest_keeps_negative_seed_and_utf8_ids(tmp_path):
+    path = tmp_path / "sel.txt"
+    m = SelectionManifest("random", -(2**63), 2, 2, ["\u00e9t\u00e9", "b"])
+    write_selection_manifest(m, path)
+    assert read_selection_manifest(path) == m
 
 
 @settings(max_examples=30, deadline=None)

@@ -202,6 +202,34 @@ def test_grid_manifest_rejects_missing_key(tmp_path):
         read_grid_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda t: t.replace("pad_mode=", "pad_mode=zero\npad_mode="), "duplicate key 'pad_mode'"),
+        (lambda t: t.replace("grid_dims=", "extra=1\ngrid_dims="), r"unknown keys \['extra'\]"),
+        (lambda t: t.replace("patch_shape=2,3,4", "patch_shape=2,\u00b3,4"), "not ASCII"),
+        (lambda t: t.replace("original_shape=5", f"original_shape={'5' * 21}"), "original_shape"),
+        (lambda t: t.replace("format_version=1", "format_version=2\nother=1"), "version '2'"),
+        (lambda t: t + "\n", "line ''"),
+    ],
+    ids=["repeated-key", "unknown-key", "non-ascii", "21-digits", "version-first", "blank-line"],
+)
+def test_grid_manifest_refuses_malformed_fields(tmp_path, edit, match):
+    path = tmp_path / "m.txt"
+    write_grid_manifest(plan_grid((5, 5, 5), (2, 3, 4), PAD_ZERO), "v", path)
+    path.write_bytes(edit(path.read_text(encoding="ascii")).encode("utf-8"))
+    with pytest.raises(GridError, match=match):
+        read_grid_manifest(path)
+
+
+def test_grid_manifest_refuses_undecodable_bytes(tmp_path):
+    path = tmp_path / "m.txt"
+    write_grid_manifest(plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO), "v", path)
+    path.write_bytes(path.read_bytes() + b"patch=\xff.vol3d\n")
+    with pytest.raises(GridError, match="malformed grid manifest: not ASCII"):
+        read_grid_manifest(path)
+
+
 def test_grid_manifest_rejects_inconsistent_geometry(tmp_path):
     spec = plan_grid((5, 5, 5), (2, 3, 4), PAD_ZERO)
     path = tmp_path / "m.txt"

@@ -125,6 +125,14 @@ def test_header_crossing_the_prefix_read_parses(tmp_path, shift):
     assert [d.sha256 for d in digests] == [hashlib.sha256(path.read_bytes()).hexdigest()]
 
 
+def test_header_shape_may_carry_leading_zeros_past_twenty_digits(tmp_path):
+    # Twenty digits bound the value, not the text: int() never sees the zeros.
+    path = tmp_path / "v.vol3d"
+    header = f"shape={'0' * 4999}1,1,1\nkind=binary_mask\nwidth=4\norder=zyx\n\n"
+    path.write_bytes(header.encode("ascii") + b"\x00" * 4)
+    assert read_volume(path).header == VolumeHeader((1, 1, 1), KIND_MASK)
+
+
 def test_header_parses_at_every_prefix_size(tmp_path, monkeypatch):
     # A prefix shorter than the header takes several doubling reads.
     path = tmp_path / "v.vol3d"
@@ -182,6 +190,21 @@ def test_read_rejects_missing_blank_line(tmp_path):
         ("shape=1,1,1\nkind=binary_mask\nwidth=4", "keys"),
         ("shape=1,1,1\nshape=1,1,1\nkind=binary_mask\nwidth=4\norder=zyx", "duplicate"),
         ("shape=1,1,1\nbogus\nwidth=4\norder=zyx", "header line"),
+        pytest.param(
+            "shape=1,1,1\nkind=binary_mask\nwidth=04\norder=zyx", "width", id="width-04"
+        ),
+        pytest.param(
+            f"shape={'1' * 21},1,1\nkind=binary_mask\nwidth=4\norder=zyx", "shape",
+            id="21-digit-shape",
+        ),
+        pytest.param(
+            f"shape={'1' * 5000},1,1\nkind=binary_mask\nwidth=4\norder=zyx", "shape",
+            id="5000-digit-shape",
+        ),
+        pytest.param(
+            "shape=1,\u00b2,1\nkind=binary_mask\nwidth=4\norder=zyx", "not ASCII",
+            id="superscript-shape",
+        ),
     ],
 )
 def test_read_rejects_malformed_headers(tmp_path, header_text, fragment):
