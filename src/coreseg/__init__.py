@@ -8,8 +8,8 @@ matching metrics (F1, precision, recall, accuracy, panoptic quality),
 and learning-curve reporting. Neural models are treated as external
 producers and consumers of files and are never invoked here.
 
-Hot kernels (component labeling, overlap counting, greedy selection
-updates) are plain NumPy, with one implementation each.
+The two volume hot loops (component labeling and overlap counting) are
+plain NumPy, with one implementation each.
 """
 
 __version__ = "0.1.0"

@@ -34,6 +34,7 @@ from pathlib import Path
 from . import __version__
 from .config import _PARSERS, PipelineConfig, apply_overrides, load_config, resolved_lines
 from .coreset import (
+    METHOD_CORESET,
     check_budget,
     kcenter_greedy,
     normalize_rows,
@@ -147,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", help="predicted instance .vol3d volume")
     p.add_argument("--gt", help="ground-truth instance .vol3d volume")
     p.add_argument(
-        "--iou-threshold", dest="iou_threshold", type=_flag("iou_threshold"), help="default 0.5"
+        "--iou-threshold", dest="iou_threshold", type=_flag("iou_threshold"),
+        help="strict IoU match threshold in [0.5, 1) (default 0.5)",
     )
     p.add_argument("--budget", type=_flag("budget"), help="budget stamped into the record")
     p.add_argument("--out-dir", dest="out_dir", help="directory for metrics files")
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fraction",
         dest="surpass_fraction",
         type=_flag("surpass_fraction"),
-        help="surpass fraction (default 0.9)",
+        help="surpass fraction in (0, 1] (default 0.9)",
     )
     p.add_argument("--out-dir", dest="out_dir", help="directory for report files")
 
@@ -388,7 +390,7 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
     budgets = (cfg.budget,) if cfg.budget is not None else cfg.budgets
     # Every budget is checked before the first selection is computed, so an
     # infeasible budget late in the list fails at once.
-    k_init = cfg.k_init if cfg.method == "coreset" else None
+    k_init = cfg.k_init if cfg.method == METHOD_CORESET else None
     for b in budgets:
         if b > 0:
             check_budget(len(En.ids), b, k_init)
@@ -398,7 +400,7 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
     # refused run computes nothing.
     @functools.cache
     def largest():
-        if cfg.method == "coreset":
+        if cfg.method == METHOD_CORESET:
             return kcenter_greedy(En, max(budgets), k_init=cfg.k_init, rng_seed=cfg.rng_seed)
         return random_select(En.ids, max(budgets), rng_seed=cfg.rng_seed, embeddings=En)
 
@@ -434,10 +436,6 @@ def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
     out_dir = Path(_require(cfg.out_dir, "output directory (--out-dir / out_dir)"))
     if cfg.budget is None:
         raise ConfigError("evaluate requires a budget (--budget / budget)")
-    if not 0.5 <= cfg.iou_threshold < 1.0:
-        raise ConfigError(
-            f"iou_threshold must lie in [0.5, 1), got {cfg.iou_threshold}"
-        )
     read: list[InputDigest] = []
     pred = read_volume(pred_path, digests=read)
     gt = read_volume(gt_path, digests=read)
@@ -465,16 +463,20 @@ def cmd_report(cfg: PipelineConfig, force: bool) -> int:
     if not files:
         raise ReportError(f"no metrics_b*.csv files in {metrics_dir}")
     records = {}
+    thresholds = set()
     read: list[InputDigest] = []
     for f in files:
         try:
             text = read_digested(f, read).decode("ascii")
         except UnicodeDecodeError:
             raise ReportError(f"{f.name}: malformed metrics file: not ASCII") from None
-        budget, record, _ = parse_metrics_csv(text, source=f.name)
+        budget, record, threshold = parse_metrics_csv(text, source=f.name)
         if budget in records:
             raise ReportError(f"{f.name}: duplicate budget {budget}")
         records[budget] = record
+        thresholds.add(threshold)
+    if len(thresholds) > 1:
+        raise ReportError(f"cannot report across iou thresholds {sorted(thresholds)}")
     curve = build_curve(records)
     surpass_text = surpass_summary(curve, cfg.surpass_fraction)
     writers = {

@@ -2,7 +2,8 @@
 
 A config file is diff-friendly text: one `key = value` per line, lists
 comma-separated, `#` comments and blank lines ignored. Every key can be
-overridden by a command-line flag, and the command line wins. Defaults
+overridden by a command-line flag, and the command line wins; both pass
+the consuming module's value check before any input is opened. Defaults
 mirror the reference experiment setup: patch shape (32, 512, 512), three
 random initial picks, budgets 0, 8, 16, 32, 64, 128, 256, 512, 1024.
 """
@@ -13,7 +14,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ._fields import parse_ints
+from .coreset import METHOD_CORESET, check_method
 from .errors import ConfigError
+from .instance_metrics import check_iou_threshold
+from .label_fusion import CONN_FULL26, connectivity_kind
+from .patch_grid import PAD_REFLECT, check_pad_mode
+from .report import check_surpass_fraction
 
 DEFAULT_BUDGETS = (0, 8, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -28,13 +34,13 @@ class PipelineConfig:
     """
 
     patch_shape: tuple[int, int, int] = (32, 512, 512)
-    pad_mode: str = "reflect"
-    connectivity: str = "full26"
+    pad_mode: str = PAD_REFLECT
+    connectivity: str = CONN_FULL26.kind
     iou_threshold: float = 0.5
     k_init: int = 3
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
     rng_seed: int = 0
-    method: str = "coreset"
+    method: str = METHOD_CORESET
     surpass_fraction: float = 0.9
     budget: int | None = None
     volume: str | None = None
@@ -67,13 +73,6 @@ def parse_budgets(text: str) -> tuple[int, ...]:
     return budgets
 
 
-def parse_connectivity(text: str) -> str:
-    mapping = {"6": "face6", "26": "full26", "face6": "face6", "full26": "full26"}
-    if text not in mapping:
-        raise ConfigError(f"connectivity must be 6 or 26, got {text!r}")
-    return mapping[text]
-
-
 def _parse_int(text: str) -> int:
     return parse_ints(text, ConfigError, "expected an integer, got", 1, signed=True)[0]
 
@@ -92,28 +91,16 @@ def _parse_float(text: str) -> float:
         raise ConfigError(f"expected a number, got {text!r}") from None
 
 
-def _parse_pad_mode(text: str) -> str:
-    if text not in ("zero", "reflect"):
-        raise ConfigError(f"pad_mode must be zero or reflect, got {text!r}")
-    return text
-
-
-def _parse_method(text: str) -> str:
-    if text not in ("coreset", "random"):
-        raise ConfigError(f"method must be coreset or random, got {text!r}")
-    return text
-
-
 _PARSERS = {
     "patch_shape": parse_shape,
-    "pad_mode": _parse_pad_mode,
-    "connectivity": parse_connectivity,
-    "iou_threshold": _parse_float,
+    "pad_mode": lambda text: check_pad_mode(text, ConfigError),
+    "connectivity": lambda text: connectivity_kind(text, ConfigError),
+    "iou_threshold": lambda text: check_iou_threshold(_parse_float(text), ConfigError),
     "k_init": _parse_int,
     "budgets": parse_budgets,
     "rng_seed": _parse_int,
-    "method": _parse_method,
-    "surpass_fraction": _parse_float,
+    "method": lambda text: check_method(text, ConfigError),
+    "surpass_fraction": lambda text: check_surpass_fraction(_parse_float(text), ConfigError),
     "budget": _parse_budget,
     "volume": str,
     "volume_name": str,

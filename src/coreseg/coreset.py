@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._fields import decode_lines, parse_ints, split_fields
-from .errors import InternalError, SelectionError
+from .errors import CoresegError, InternalError, SelectionError
 from .provenance import InputDigest, read_digested, record_digest
 from .rng import SplitMix64
 
@@ -36,6 +36,14 @@ _SELECTION_KEYS = ("format_version", "method", "rng_seed", "k_init", "budget", "
 
 METHOD_CORESET = "coreset"
 METHOD_RANDOM = "random"
+METHODS = (METHOD_CORESET, METHOD_RANDOM)
+
+
+def check_method(method: str, error: type[CoresegError]) -> str:
+    """Return method if it is coreset or random, else raise error."""
+    if method not in METHODS:
+        raise error(f"unknown selection method {method!r}, expected coreset or random")
+    return method
 
 
 @dataclass
@@ -122,8 +130,7 @@ class SelectionManifest:
         Args:
             source_ids: When given, every selected id must appear in it.
         """
-        if self.method not in (METHOD_CORESET, METHOD_RANDOM):
-            raise SelectionError(f"unknown selection method {self.method!r}")
+        check_method(self.method, SelectionError)
         if len(self.selected) != self.budget:
             raise SelectionError(
                 f"{len(self.selected)} selected ids for budget {self.budget}"

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InternalError, MetricsError
+from ._fields import parse_ints
+from .errors import CoresegError, InternalError, MetricsError
 from .volume_io import LabelVolume
 
 CSV_COLUMNS = (
@@ -105,6 +106,13 @@ class MetricsRecord:
         )
 
 
+def check_iou_threshold(value: float, error: type[CoresegError]) -> float:
+    """Return value if it lies in [0.5, 1), where matching is unique, else raise error."""
+    if not 0.5 <= value < 1.0:
+        raise error(f"iou_threshold must lie in [0.5, 1), got {value}")
+    return value
+
+
 def overlap_histogram(
     pred: LabelVolume, gt: LabelVolume
 ) -> tuple[dict[tuple[int, int], int], dict[int, int], dict[int, int]]:
@@ -164,10 +172,7 @@ def match_instances(
     Raises:
         MetricsError: On shape mismatch or a threshold outside [0.5, 1).
     """
-    if not 0.5 <= iou_threshold < 1.0:
-        raise MetricsError(
-            f"iou threshold must lie in [0.5, 1), got {iou_threshold}"
-        )
+    check_iou_threshold(iou_threshold, MetricsError)
     pairs, pred_totals, gt_totals = overlap_histogram(pred, gt)
     matches: list[tuple[int, int, float]] = []
     matched_pred: set[int] = set()
@@ -281,20 +286,10 @@ def parse_metrics_csv(text: str, source: str = "<metrics>") -> tuple[int, Metric
     if len(cells) != len(CSV_COLUMNS):
         raise MetricsError(f"{source}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
     try:
-        budget = int(cells[0])
-        record = MetricsRecord(
-            tp=int(cells[1]),
-            fp=int(cells[2]),
-            fn=int(cells[3]),
-            precision=float(cells[4]),
-            recall=float(cells[5]),
-            f1=float(cells[6]),
-            accuracy=float(cells[7]),
-            sq=float(cells[8]),
-            rq=float(cells[9]),
-            pq=float(cells[10]),
-        )
-        threshold = float(cells[11])
-    except ValueError as exc:
-        raise MetricsError(f"{source}: malformed metrics row") from exc
-    return budget, record, threshold
+        budget, tp, fp, fn = parse_ints(",".join(cells[:4]), MetricsError, "budget and counts")
+        *scores, threshold = (float(c) for c in cells[4:])
+        check_iou_threshold(threshold, MetricsError)
+    except (ValueError, MetricsError) as exc:
+        raise MetricsError(f"{source}: malformed metrics row: {exc}") from exc
+    # The score columns follow the counts in MetricsRecord's field order.
+    return budget, MetricsRecord(tp, fp, fn, *scores), threshold

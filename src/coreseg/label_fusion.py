@@ -17,8 +17,17 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import FusionError, VolumeFormatError
+from .errors import CoresegError, FusionError, VolumeFormatError
 from .volume_io import KIND_INSTANCE, KIND_MASK, LabelVolume, VolumeHeader
+
+_CONNECTIVITY_FLAGS = {"6": "face6", "26": "full26", "face6": "face6", "full26": "full26"}
+
+
+def connectivity_kind(flag: str, error: type[CoresegError]) -> str:
+    """Return the kind that flag names ("6", "26", "face6", "full26"), else raise error."""
+    if flag not in _CONNECTIVITY_FLAGS:
+        raise error(f"connectivity must be 6 or 26, got {flag!r}")
+    return _CONNECTIVITY_FLAGS[flag]
 
 
 def _prev_offsets(kind: str) -> np.ndarray:
@@ -48,17 +57,14 @@ class Connectivity:
     prev_offsets: np.ndarray = field(compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("face6", "full26"):
+        if self.kind not in _CONNECTIVITY_FLAGS.values():
             raise FusionError(f"unknown connectivity {self.kind!r}")
         object.__setattr__(self, "prev_offsets", _prev_offsets(self.kind))
 
     @staticmethod
     def from_flag(flag: str) -> "Connectivity":
         """Map a CLI flag ("6", "26", "face6", "full26") to a Connectivity."""
-        mapping = {"6": "face6", "26": "full26", "face6": "face6", "full26": "full26"}
-        if flag not in mapping:
-            raise FusionError(f"unknown connectivity flag {flag!r}")
-        return Connectivity(mapping[flag])
+        return Connectivity(connectivity_kind(flag, FusionError))
 
 
 CONN_FACE6 = Connectivity("face6")

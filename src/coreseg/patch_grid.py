@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from ._fields import decode_lines, parse_ints, split_fields
-from .errors import GridError
+from .errors import CoresegError, GridError
 from .volume_io import LabelVolume, VolumeHeader
 
 PAD_ZERO = "zero"
@@ -39,6 +39,13 @@ _GRID_KEYS = (
     "padded_shape",
     "grid_dims",
 )
+
+
+def check_pad_mode(pad_mode: str, error: type[CoresegError]) -> str:
+    """Return pad_mode if it is zero or reflect, else raise error."""
+    if pad_mode not in _PAD_MODES:
+        raise error(f"pad_mode must be zero or reflect, got {pad_mode!r}")
+    return pad_mode
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,7 @@ def plan_grid(
     Raises:
         GridError: On a zero- or negative-sized axis or unknown pad mode.
     """
-    if pad_mode not in _PAD_MODES:
-        raise GridError(f"unknown pad mode {pad_mode!r}, expected one of {_PAD_MODES}")
+    check_pad_mode(pad_mode, GridError)
     for name, shape in (("original", original_shape), ("patch", patch_shape)):
         if len(shape) != 3 or any(int(c) < 1 for c in shape):
             raise GridError(f"{name} shape must be three positive integers, got {shape}")

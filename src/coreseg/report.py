@@ -17,18 +17,13 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, NamedTuple, Sequence
 
-from .coreset import EmbeddingMatrix, SelectionManifest
-from .errors import InternalError, ReportError
+from .coreset import METHODS, EmbeddingMatrix, SelectionManifest
+from .errors import CoresegError, InternalError, ReportError
 from .instance_metrics import MetricsRecord
 
 METRIC_NAMES = ("f1", "accuracy", "pq", "precision", "recall")
 
-_STRATEGY_ROWS = (
-    ("coreset", True),
-    ("coreset", False),
-    ("random", True),
-    ("random", False),
-)
+_STRATEGY_ROWS = tuple((method, pretrained) for method in METHODS for pretrained in (True, False))
 
 
 class CurveRow(NamedTuple):
@@ -152,6 +147,13 @@ def percent_of_full(curve: LearningCurve, metric: str) -> list[PercentEntry]:
     return out
 
 
+def check_surpass_fraction(value: float, error: type[CoresegError]) -> float:
+    """Return value if it lies in (0, 1], else raise error."""
+    if not 0.0 < value <= 1.0:
+        raise error(f"surpass_fraction must lie in (0, 1], got {value}")
+    return value
+
+
 def first_surpass(curve: LearningCurve, metric: str, fraction: float) -> int:
     """Return the smallest budget whose score reaches fraction * full score.
 
@@ -166,8 +168,7 @@ def first_surpass(curve: LearningCurve, metric: str, fraction: float) -> int:
     Raises:
         ReportError: On an unknown metric or fraction outside (0, 1].
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ReportError(f"fraction must lie in (0, 1], got {fraction}")
+    check_surpass_fraction(fraction, ReportError)
     full_score = _metric_value(curve.full_record(), metric)
     target = fraction * full_score
     for row in curve.rows:
@@ -202,7 +203,7 @@ def comparison_table(records: Mapping[tuple[str, bool], MetricsRecord]) -> str:
     if not records:
         raise ReportError("comparison_table requires at least one record")
     for strategy, _ in records:
-        if strategy not in ("coreset", "random"):
+        if strategy not in METHODS:
             raise ReportError(f"unknown strategy {strategy!r}")
     header = ["selection", "pretrained", "f1", "accuracy", "pq", "precision"]
     rows = []

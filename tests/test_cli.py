@@ -747,6 +747,39 @@ def test_report_non_ascii_metrics_is_input_error(capsys, tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "budget_cell, threshold_cell, message",
+    [
+        ("2", "0.9", "cannot report across iou thresholds [0.5, 0.9]"),
+        ("2", "0.1", "iou_threshold must lie in [0.5, 1), got 0.1"),
+        ("+2", "0.5", "'+2,0,0,2'"),
+        ("0_2", "0.5", "'0_2,0,0,2'"),
+    ],
+    ids=["mixed-thresholds", "threshold-below-half", "plus-sign-budget", "underscore-budget"],
+)
+def test_report_rejects_bad_metrics_cells(
+    capsys, tmp_path, budget_cell, threshold_cell, message
+):
+    gt, empty = labeled_pair(tmp_path)
+    metrics_dir = tmp_path / "metrics"
+    for budget, pred in (("2", empty), ("4", gt)):
+        assert run(
+            capsys, "evaluate", "--pred", pred, "--gt", gt, "--budget", budget,
+            "--out-dir", metrics_dir,
+        )[0] == 0
+    csv = metrics_dir / "metrics_b2.csv"
+    header, row = csv.read_text().splitlines()
+    cells = row.split(",")
+    cells[0], cells[-1] = budget_cell, threshold_cell
+    csv.write_text(f"{header}\n{','.join(cells)}\n")
+    code, _, err = run(
+        capsys, "report", "--metrics-dir", metrics_dir, "--out-dir", tmp_path / "r"
+    )
+    assert code == 3, err
+    assert message in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_report_empty_directory(capsys, tmp_path):
     metrics_dir = tmp_path / "metrics"
     metrics_dir.mkdir()
@@ -811,6 +844,25 @@ def test_run_manifest_lists_exactly_the_outputs(capsys, tmp_path, command):
     written = {p.name for p in (tmp_path / "out").iterdir()}
     assert listed == written - {run_name}
     assert len(listed) >= 1
+
+
+@pytest.mark.parametrize("line", ["iou_threshold=0.3", "surpass_fraction=nan", "connectivity=18"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bad_config_value_exits_2_from_every_command(
+    capsys, tmp_path, monkeypatch, command, line
+):
+    # Every config line is checked as it is parsed, one the command does not
+    # use included, so the run stops before its first read.
+    args, _ = command_case(capsys, tmp_path, command)
+    for reader in ("read_volume", "read_embeddings", "read_digested"):
+        monkeypatch.setattr(cli, reader, None)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n", encoding="ascii")
+    code, _, err = run(capsys, *args, "--config", cfg)
+    assert code == 2, err
+    key, _, value = line.partition("=")
+    assert key in err and value in err
+    assert not (tmp_path / "out").exists()
 
 
 def manifest_inputs(run_manifest):
@@ -995,21 +1047,35 @@ def test_config_not_utf8_is_usage_error(capsys, tmp_path):
         ("select", "budgets", "1,\u00b2"),
         ("select", "method", "best"),
         ("select", "rng_seed", "\u0663"),
+        ("cc", "connectivity", "18"),
+        ("evaluate", "iou_threshold", "0.4"),
+        ("evaluate", "iou_threshold", "1.0"),
+        ("report", "surpass_fraction", "nan"),
+        ("report", "surpass_fraction", "2"),
     ],
     ids=["superscript-shape", "5000-digit-shape", "pad-mode", "superscript-budget",
-         "method", "arabic-indic-seed"],
+         "method", "arabic-indic-seed", "connectivity", "iou-threshold-low",
+         "iou-threshold-one", "fraction-nan", "fraction-two"],
 )
 def test_malformed_value_is_usage_error(
     capsys, tmp_path, demo_volume, demo_embeddings, spelling, command, key, value
 ):
     # A flag and a config line accept the same text, through one parser.
     flags = {"patch_shape": "--patch", "pad_mode": "--pad-mode", "budgets": "--budgets",
-             "method": "--method", "rng_seed": "--seed"}
+             "method": "--method", "rng_seed": "--seed", "connectivity": "--connectivity",
+             "iou_threshold": "--iou-threshold", "surpass_fraction": "--fraction"}
     out_dir = tmp_path / "out"
-    if command == "tile":
-        args = [command, "--volume", demo_volume[0], "--out-dir", out_dir]
-    else:
-        args = [command, "--embeddings", demo_embeddings[0], "--out-dir", out_dir]
+    # cc, evaluate and report name inputs that do not exist, so only a value
+    # refused before any input is opened gives exit 2.
+    gone = tmp_path / "gone.vol3d"
+    args = {
+        "tile": [command, "--volume", demo_volume[0], "--out-dir", out_dir],
+        "select": [command, "--embeddings", demo_embeddings[0], "--out-dir", out_dir],
+        "cc": [command, "--mask", gone, "--out", out_dir / "cc.vol3d"],
+        "evaluate": [command, "--pred", gone, "--gt", gone, "--budget", "4",
+                     "--out-dir", out_dir],
+        "report": [command, "--metrics-dir", gone, "--out-dir", out_dir],
+    }[command]
     if spelling == "flag":
         args += [flags[key], value]
     else:
@@ -1023,7 +1089,13 @@ def test_malformed_value_is_usage_error(
 
 
 @pytest.mark.parametrize(
-    "command, allowed", [("tile", "zero or reflect"), ("select", "coreset or random")]
+    "command, allowed",
+    [
+        ("tile", "zero or reflect"),
+        ("select", "coreset or random"),
+        ("evaluate", "[0.5, 1)"),
+        ("report", "(0, 1]"),
+    ],
 )
 def test_help_states_allowed_values(capsys, command, allowed):
     code, out, _ = run(capsys, command, "--help")

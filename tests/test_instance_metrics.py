@@ -22,6 +22,9 @@ from coreseg.instance_metrics import (
 
 from helpers import instance_volume
 
+# Every cell of a valid metrics row after its budget cell, threshold last.
+VALID_ROW_AFTER_BUDGET = ",1,0,0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,0.5\n"
+
 
 def naive_histogram(pred, gt):
     pairs = {}
@@ -256,11 +259,21 @@ def test_csv_and_kv_layout():
         ",".join(CSV_COLUMNS) + "\n1,2,3\n",
         ",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n",
         ",".join(CSV_COLUMNS) + "\n" + "1," * (len(CSV_COLUMNS) - 1) + "1\n" + "2," * (len(CSV_COLUMNS) - 1) + "2\n",
+        ",".join(CSV_COLUMNS) + "\n+4" + VALID_ROW_AFTER_BUDGET,
+        ",".join(CSV_COLUMNS) + "\n4_0" + VALID_ROW_AFTER_BUDGET,
+        ",".join(CSV_COLUMNS) + "\n\u0664" + VALID_ROW_AFTER_BUDGET,
+        ",".join(CSV_COLUMNS) + "\n" + "1" * 21 + VALID_ROW_AFTER_BUDGET,
+        ",".join(CSV_COLUMNS) + "\n4" + VALID_ROW_AFTER_BUDGET.replace("0.5\n", "0.1\n"),
     ],
 )
 def test_parse_metrics_csv_rejects_malformed(text):
     with pytest.raises(MetricsError):
         parse_metrics_csv(text)
+
+
+def test_parse_metrics_csv_reads_valid_row():
+    text = ",".join(CSV_COLUMNS) + "\n4" + VALID_ROW_AFTER_BUDGET
+    assert parse_metrics_csv(text) == (4, MetricsRecord.from_counts(1, 0, 0, 1.0), 0.5)
 
 
 def test_compute_metrics_equals_evaluate():
