@@ -10,118 +10,80 @@ producers and consumers of files and are never invoked here.
 
 The two volume hot loops (component labeling and overlap counting) are
 plain NumPy, with one implementation each.
+
+Importing the package loads no submodule: each name in ``__all__`` is
+imported from its submodule on first use (PEP 562), so ``coreseg.cli``
+can configure the process before numpy loads.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .coreset import (
-    DistanceMatrix,
-    EmbeddingMatrix,
-    SelectionManifest,
-    cosine_distance_matrix,
-    coverage_radius,
-    kcenter_greedy,
-    normalize_rows,
-    random_select,
-)
-from .errors import (
-    ConfigError,
-    CoresegError,
-    FusionError,
-    GridError,
-    InternalError,
-    MetricsError,
-    OverwriteRefused,
-    ReportError,
-    SelectionError,
-    VolumeFormatError,
-)
-from .instance_metrics import (
-    MatchResult,
-    MetricsRecord,
-    compute_metrics,
-    evaluate,
-    match_instances,
-    overlap_histogram,
-    pool_matches,
-)
-from .label_fusion import (
-    CONN_FACE6,
-    CONN_FULL26,
-    Connectivity,
-    binarize,
-    component_count,
-    connected_components,
-    stack_slices,
-)
-from .patch_grid import PatchId, PatchSpec, extract_patch, plan_grid, reassemble, tile
-from .report import (
-    LearningCurve,
-    build_curve,
-    comparison_table,
-    first_surpass,
-    percent_of_full,
-)
-from .volume_io import (
-    KIND_INSTANCE,
-    KIND_MASK,
-    LabelVolume,
-    VolumeHeader,
-    new_volume,
-    read_volume,
-    write_volume,
-)
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DistanceMatrix": "coreset",
+    "EmbeddingMatrix": "coreset",
+    "SelectionManifest": "coreset",
+    "cosine_distance_matrix": "coreset",
+    "coverage_radius": "coreset",
+    "kcenter_greedy": "coreset",
+    "normalize_rows": "coreset",
+    "random_select": "coreset",
+    "ConfigError": "errors",
+    "CoresegError": "errors",
+    "FusionError": "errors",
+    "GridError": "errors",
+    "InternalError": "errors",
+    "MetricsError": "errors",
+    "OverwriteRefused": "errors",
+    "ReportError": "errors",
+    "SelectionError": "errors",
+    "VolumeFormatError": "errors",
+    "MatchResult": "instance_metrics",
+    "MetricsRecord": "instance_metrics",
+    "compute_metrics": "instance_metrics",
+    "evaluate": "instance_metrics",
+    "match_instances": "instance_metrics",
+    "overlap_histogram": "instance_metrics",
+    "pool_matches": "instance_metrics",
+    "CONN_FACE6": "label_fusion",
+    "CONN_FULL26": "label_fusion",
+    "Connectivity": "label_fusion",
+    "binarize": "label_fusion",
+    "component_count": "label_fusion",
+    "connected_components": "label_fusion",
+    "stack_slices": "label_fusion",
+    "PatchId": "patch_grid",
+    "PatchSpec": "patch_grid",
+    "extract_patch": "patch_grid",
+    "plan_grid": "patch_grid",
+    "reassemble": "patch_grid",
+    "tile": "patch_grid",
+    "LearningCurve": "report",
+    "build_curve": "report",
+    "comparison_table": "report",
+    "first_surpass": "report",
+    "percent_of_full": "report",
+    "KIND_INSTANCE": "volume_io",
+    "KIND_MASK": "volume_io",
+    "LabelVolume": "volume_io",
+    "VolumeHeader": "volume_io",
+    "new_volume": "volume_io",
+    "read_volume": "volume_io",
+    "write_volume": "volume_io",
+}
 
-__all__ = [
-    "__version__",
-    "CONN_FACE6",
-    "CONN_FULL26",
-    "ConfigError",
-    "Connectivity",
-    "CoresegError",
-    "DistanceMatrix",
-    "EmbeddingMatrix",
-    "FusionError",
-    "GridError",
-    "InternalError",
-    "KIND_INSTANCE",
-    "KIND_MASK",
-    "LabelVolume",
-    "LearningCurve",
-    "MatchResult",
-    "MetricsError",
-    "MetricsRecord",
-    "OverwriteRefused",
-    "PatchId",
-    "PatchSpec",
-    "ReportError",
-    "SelectionError",
-    "SelectionManifest",
-    "VolumeFormatError",
-    "VolumeHeader",
-    "binarize",
-    "build_curve",
-    "comparison_table",
-    "component_count",
-    "compute_metrics",
-    "connected_components",
-    "cosine_distance_matrix",
-    "coverage_radius",
-    "evaluate",
-    "extract_patch",
-    "first_surpass",
-    "kcenter_greedy",
-    "match_instances",
-    "new_volume",
-    "normalize_rows",
-    "overlap_histogram",
-    "percent_of_full",
-    "plan_grid",
-    "pool_matches",
-    "random_select",
-    "read_volume",
-    "reassemble",
-    "stack_slices",
-    "tile",
-    "write_volume",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

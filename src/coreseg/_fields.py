@@ -2,9 +2,10 @@
 
 The .vol3d header, the embedding .meta file, the grid and selection
 manifests share it: text lines of the form key=value, each expected key
-exactly once, and integers as comma-separated runs of ASCII digits, at
-most 20 after any leading zeros. A versioned format is checked for its
-version before its key set, since another version may have other keys.
+exactly once, integers as comma-separated runs of ASCII digits, at
+most 20 after any leading zeros, and floats as ASCII decimals. A
+versioned format is checked for its version before its key set, since
+another version may have other keys.
 Every failure raises the calling reader's own error class, with a
 message that starts with the reader's context (the file and what it
 holds).
@@ -19,6 +20,13 @@ from .errors import CoresegError
 
 # Sign, leading zeros, and at most 20 digits that int() reads.
 _INT = re.compile(r"(-?)0*([0-9]{1,20})")
+# float()'s own grammar without "_", surrounding whitespace or non-ASCII
+# digits: an optional sign, then a decimal with an optional exponent, or
+# inf, infinity or nan in any case.
+_FLOAT = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.ASCII | re.IGNORECASE,
+)
 
 
 def decode_lines(
@@ -90,3 +98,14 @@ def parse_ints(
     ):
         raise error(f"{context} {text!r}")
     return tuple(int(m[1] + m[2]) for m in matches)
+
+
+def parse_float(text: str, error: type[CoresegError], context: str) -> float:
+    """Parse one ASCII decimal number; every repr(float) reads back.
+
+    float() alone would also read "_" separators, surrounding whitespace
+    and non-ASCII digits; those are refused with error(context text).
+    """
+    if not _FLOAT.fullmatch(text):
+        raise error(f"{context} {text!r}")
+    return float(text)

@@ -26,10 +26,14 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+
+# No coreseg path calls BLAS, so OpenBLAS need start no thread pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .config import _PARSERS, PipelineConfig, apply_overrides, load_config, resolved_lines

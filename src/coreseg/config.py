@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from ._fields import parse_ints
+from ._fields import parse_float, parse_ints
 from .coreset import METHOD_CORESET, check_method
 from .errors import ConfigError
 from .instance_metrics import check_iou_threshold
@@ -85,10 +85,7 @@ def _parse_budget(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
+    return parse_float(text, ConfigError, "expected a number, got")
 
 
 _PARSERS = {
@@ -142,7 +139,10 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"{p}:{lineno}: expected key = value, got {raw!r}")
         if key not in _PARSERS:
             raise ConfigError(f"{p}:{lineno}: unknown config key {key!r}")
-        setattr(cfg, key, _PARSERS[key](value))
+        try:
+            setattr(cfg, key, _PARSERS[key](value))
+        except ConfigError as exc:
+            raise ConfigError(f"{p}:{lineno}: {key}: {exc}") from None
     return cfg
 
 

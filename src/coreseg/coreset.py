@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import decode_lines, parse_ints, split_fields
+from ._fields import decode_lines, parse_float, parse_ints, split_fields
 from .errors import CoresegError, InternalError, SelectionError
 from .provenance import InputDigest, read_digested, record_digest
 from .rng import SplitMix64
@@ -530,10 +530,8 @@ def read_selection_manifest(path: str | Path) -> SelectionManifest:
     (k_init,) = parse_ints(fields["k_init"], SelectionError, f"{context} k_init", 1)
     (budget,) = parse_ints(fields["budget"], SelectionError, f"{context} budget", 1)
     trace_text = fields["radius_trace"]
-    try:
-        trace = [float(v) for v in trace_text.split(",")] if trace_text else []
-    except ValueError:
-        raise SelectionError(f"{context} radius_trace {trace_text!r}") from None
+    trace_cells = trace_text.split(",") if trace_text else []
+    trace = [parse_float(v, SelectionError, f"{context} radius_trace") for v in trace_cells]
     selected = [line for line in lines[n + 1 :] if line]
     manifest = SelectionManifest(fields["method"], rng_seed, k_init, budget, selected, trace)
     manifest.validate()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._fields import parse_ints
+from ._fields import parse_float, parse_ints
 from .errors import CoresegError, InternalError, MetricsError
 from .volume_io import LabelVolume
 
@@ -287,9 +287,11 @@ def parse_metrics_csv(text: str, source: str = "<metrics>") -> tuple[int, Metric
         raise MetricsError(f"{source}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
     try:
         budget, tp, fp, fn = parse_ints(",".join(cells[:4]), MetricsError, "budget and counts")
-        *scores, threshold = (float(c) for c in cells[4:])
+        *scores, threshold = (
+            parse_float(c, MetricsError, "score or threshold") for c in cells[4:]
+        )
         check_iou_threshold(threshold, MetricsError)
-    except (ValueError, MetricsError) as exc:
+    except MetricsError as exc:
         raise MetricsError(f"{source}: malformed metrics row: {exc}") from exc
     # The score columns follow the counts in MetricsRecord's field order.
     return budget, MetricsRecord(tp, fp, fn, *scores), threshold

@@ -754,8 +754,11 @@ def test_report_non_ascii_metrics_is_input_error(capsys, tmp_path):
         ("2", "0.1", "iou_threshold must lie in [0.5, 1), got 0.1"),
         ("+2", "0.5", "'+2,0,0,2'"),
         ("0_2", "0.5", "'0_2,0,0,2'"),
+        ("2", "0.5_0", "score or threshold '0.5_0'"),
+        ("2", " 0.5", "score or threshold ' 0.5'"),
     ],
-    ids=["mixed-thresholds", "threshold-below-half", "plus-sign-budget", "underscore-budget"],
+    ids=["mixed-thresholds", "threshold-below-half", "plus-sign-budget", "underscore-budget",
+         "underscore-threshold", "space-threshold"],
 )
 def test_report_rejects_bad_metrics_cells(
     capsys, tmp_path, budget_cell, threshold_cell, message
@@ -846,22 +849,33 @@ def test_run_manifest_lists_exactly_the_outputs(capsys, tmp_path, command):
     assert len(listed) >= 1
 
 
-@pytest.mark.parametrize("line", ["iou_threshold=0.3", "surpass_fraction=nan", "connectivity=18"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "iou_threshold=0.3",
+        "surpass_fraction=nan",
+        "connectivity=18",
+        "iou_threshold=abc",
+        "patch_shape=0,1,1",
+        "budget=-1",
+    ],
+)
 @pytest.mark.parametrize("command", COMMANDS)
 def test_bad_config_value_exits_2_from_every_command(
     capsys, tmp_path, monkeypatch, command, line
 ):
     # Every config line is checked as it is parsed, one the command does not
-    # use included, so the run stops before its first read.
+    # use included, so the run stops before its first read. The message says
+    # where the bad value is: file, line and key.
     args, _ = command_case(capsys, tmp_path, command)
     for reader in ("read_volume", "read_embeddings", "read_digested"):
         monkeypatch.setattr(cli, reader, None)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{line}\n", encoding="ascii")
+    cfg.write_text(f"# bad value on line 2\n{line}\n", encoding="ascii")
     code, _, err = run(capsys, *args, "--config", cfg)
     assert code == 2, err
     key, _, value = line.partition("=")
-    assert key in err and value in err
+    assert f"{cfg}:2: {key}: " in err and value in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1052,10 +1066,13 @@ def test_config_not_utf8_is_usage_error(capsys, tmp_path):
         ("evaluate", "iou_threshold", "1.0"),
         ("report", "surpass_fraction", "nan"),
         ("report", "surpass_fraction", "2"),
+        ("report", "surpass_fraction", "\u0660.\u0665"),
+        ("evaluate", "iou_threshold", "0.7_5"),
     ],
     ids=["superscript-shape", "5000-digit-shape", "pad-mode", "superscript-budget",
          "method", "arabic-indic-seed", "connectivity", "iou-threshold-low",
-         "iou-threshold-one", "fraction-nan", "fraction-two"],
+         "iou-threshold-one", "fraction-nan", "fraction-two", "arabic-indic-fraction",
+         "underscore-threshold"],
 )
 def test_malformed_value_is_usage_error(
     capsys, tmp_path, demo_volume, demo_embeddings, spelling, command, key, value

@@ -357,6 +357,21 @@ def test_manifest_round_trip(tmp_path):
     assert back.radius_trace == m.radius_trace  # repr round-trips floats exactly
 
 
+@pytest.mark.parametrize(
+    "trace",
+    [
+        [float("inf"), 2.0, 1.5e-07, 1e-05, 5e-324, 0.0],
+        [0.25, float("-inf"), 1.7976931348623157e308, -0.0, 1e16, 0.1],
+    ],
+)
+def test_manifest_trace_round_trips_every_float(tmp_path, trace):
+    # A random selection's trace is unconstrained; its repr text reads back.
+    m = SelectionManifest("random", 0, 6, 6, list("abcdef"), radius_trace=trace)
+    write_selection_manifest(m, tmp_path / "sel.txt")
+    back = read_selection_manifest(tmp_path / "sel.txt")
+    assert [repr(v) for v in back.radius_trace] == [repr(v) for v in trace]
+
+
 def test_manifest_rewrite_is_byte_identical(tmp_path):
     rng = np.random.default_rng(26)
     E = gaussian_embeddings(rng, 10, 3)
@@ -401,9 +416,13 @@ def test_read_manifest_rejects_malformed(tmp_path):
         (lambda t: t.replace("budget=3", f"budget={'3' * 21}"), "budget '333"),
         (lambda t: t.replace("format_version=1", "format_version=2\nother=1"), "version '2'"),
         (lambda t: t.replace("rng_seed=-7", "rng_seed=--7"), "rng_seed '--7'"),
+        (lambda t: t.replace("radius_trace=", "radius_trace=0.5,0_2"), "radius_trace '0_2'"),
+        (lambda t: t.replace("radius_trace=", "radius_trace=\u0660.5"), "radius_trace '\u0660.5'"),
+        (lambda t: t.replace("radius_trace=", "radius_trace=0.5, 0.2"), "radius_trace ' 0.2'"),
     ],
     ids=["repeated-key", "unknown-key", "missing-key", "superscript", "21-digits",
-         "version-first", "double-minus"],
+         "version-first", "double-minus", "underscore-trace", "arabic-indic-trace",
+         "space-trace"],
 )
 def test_read_manifest_refuses_malformed_fields(tmp_path, edit, match):
     path = tmp_path / "sel.txt"

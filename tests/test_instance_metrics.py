@@ -264,6 +264,9 @@ def test_csv_and_kv_layout():
         ",".join(CSV_COLUMNS) + "\n\u0664" + VALID_ROW_AFTER_BUDGET,
         ",".join(CSV_COLUMNS) + "\n" + "1" * 21 + VALID_ROW_AFTER_BUDGET,
         ",".join(CSV_COLUMNS) + "\n4" + VALID_ROW_AFTER_BUDGET.replace("0.5\n", "0.1\n"),
+        ",".join(CSV_COLUMNS) + "\n4" + VALID_ROW_AFTER_BUDGET.replace("0.5\n", "0.5_0\n"),
+        ",".join(CSV_COLUMNS) + "\n4" + VALID_ROW_AFTER_BUDGET.replace("0.5\n", " 0.5\n"),
+        ",".join(CSV_COLUMNS) + "\n4" + VALID_ROW_AFTER_BUDGET.replace(",1.0,", ",\u0661.0,", 1),
     ],
 )
 def test_parse_metrics_csv_rejects_malformed(text):
@@ -274,6 +277,21 @@ def test_parse_metrics_csv_rejects_malformed(text):
 def test_parse_metrics_csv_reads_valid_row():
     text = ",".join(CSV_COLUMNS) + "\n4" + VALID_ROW_AFTER_BUDGET
     assert parse_metrics_csv(text) == (4, MetricsRecord.from_counts(1, 0, 0, 1.0), 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.tuples(*[st.integers(0, 10**9)] * 3),
+    iou_share=st.floats(0, 1),
+    threshold=st.floats(0.5, 1, exclude_max=True),
+    budget=st.integers(0, 10**9),
+)
+def test_metrics_csv_round_trips(counts, iou_share, threshold, budget):
+    # Every score and threshold the writer can emit reads back exactly.
+    tp, fp, fn = counts
+    record = MetricsRecord.from_counts(tp, fp, fn, iou_share * tp)
+    text = metrics_csv_text(record, budget, threshold)
+    assert parse_metrics_csv(text) == (budget, record, threshold)
 
 
 def test_compute_metrics_equals_evaluate():
