@@ -50,6 +50,7 @@ from .errors import (
     ConfigError,
     CoresegError,
     FusionError,
+    GridError,
     InternalError,
     OverwriteRefused,
     ReportError,
@@ -61,7 +62,14 @@ from .label_fusion import (
     connected_components,
     stack_slices,
 )
-from .patch_grid import extract_patch, patch_filename, patch_ids, plan_grid, write_grid_manifest
+from .patch_grid import (
+    check_volume_name,
+    extract_patch,
+    patch_filename,
+    patch_ids,
+    plan_grid,
+    write_grid_manifest,
+)
 from .provenance import InputDigest, read_digested
 from .report import build_curve, percent_csv, render_curve_table, surpass_summary
 from .volume_io import read_volume, write_volume
@@ -105,7 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="pad a volume and cut it into patches")
     common(p)
     p.add_argument("--volume", help="input .vol3d volume")
-    p.add_argument("--name", dest="volume_name", help="volume name for patch files")
+    p.add_argument(
+        "--name",
+        dest="volume_name",
+        type=_flag("volume_name"),
+        help="volume name for patch files",
+    )
     p.add_argument(
         "--patch", dest="patch_shape", type=_flag("patch_shape"), help="patch shape Z,Y,X"
     )
@@ -290,9 +303,9 @@ def _text(content: str):
 def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
     vol_path = _input_file(cfg.volume, "input volume (--volume / volume)")
     out_dir = Path(_require(cfg.out_dir, "output directory (--out-dir / out_dir)"))
+    name = cfg.volume_name or check_volume_name(vol_path.stem, GridError)
     read: list[InputDigest] = []
     vol = read_volume(vol_path, digests=read)
-    name = cfg.volume_name or vol_path.stem
     spec = plan_grid(vol.header.shape, cfg.patch_shape, cfg.pad_mode)
     # Each writer extracts its own patch, so only one patch is held at a time.
     writers = {

@@ -18,7 +18,7 @@ from .coreset import METHOD_CORESET, check_method
 from .errors import ConfigError
 from .instance_metrics import check_iou_threshold
 from .label_fusion import CONN_FULL26, connectivity_kind
-from .patch_grid import PAD_REFLECT, check_pad_mode
+from .patch_grid import PAD_REFLECT, check_pad_mode, check_volume_name
 from .report import check_surpass_fraction
 
 DEFAULT_BUDGETS = (0, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -100,7 +100,7 @@ _PARSERS = {
     "surpass_fraction": lambda text: check_surpass_fraction(_parse_float(text), ConfigError),
     "budget": _parse_budget,
     "volume": str,
-    "volume_name": str,
+    "volume_name": lambda text: check_volume_name(text, ConfigError),
     "slices_dir": str,
     "mask": str,
     "embeddings": str,

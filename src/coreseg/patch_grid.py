@@ -9,11 +9,19 @@ reassemble(tile(v)) == v voxel for voxel.
 Padding modes:
     zero: padded margin voxels are 0.
     reflect: mirror about the last in-bounds plane, without duplicating
-        the edge plane, e.g. [a, b, c] padded to length 5 -> [a, b, c, b, a].
+        the edge plane, e.g. [a, b, c] padded to length 5 -> [a, b, c, b, a];
+        a pad longer than the axis bounces back and forth (numpy's "reflect").
+
+A reflect patch is built without gathering voxel by voxel. On each axis the
+mirrored index map over the patch window splits into a few maximal runs
+that step +1 or -1 through the source, so the patch is the product of
+those runs: one basic-slice copy per (z, y, x) run triple, a mirrored run
+read through a negative-step view. Extraction holds no more than the patch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +36,7 @@ from .volume_io import LabelVolume, VolumeHeader
 PAD_ZERO = "zero"
 PAD_REFLECT = "reflect"
 _PAD_MODES = (PAD_ZERO, PAD_REFLECT)
+_NAME_FORBIDDEN = ("/", "\\", "\0", "\r", "\n")
 
 GRID_MANIFEST_VERSION = 1
 _GRID_KEYS = (
@@ -46,6 +55,21 @@ def check_pad_mode(pad_mode: str, error: type[CoresegError]) -> str:
     if pad_mode not in _PAD_MODES:
         raise error(f"pad_mode must be zero or reflect, got {pad_mode!r}")
     return pad_mode
+
+
+def check_volume_name(name: str, error: type[CoresegError]) -> str:
+    """Return name if it is a plain file-name prefix, else raise error.
+
+    Patch files are named `<name>_z.._y.._x...vol3d` inside the output
+    directory and the name is one grid manifest line, so it may hold no
+    path separator, NUL, CR or LF and may not be `.` or `..`.
+    """
+    if name in (".", "..") or any(c in name for c in _NAME_FORBIDDEN):
+        raise error(
+            "volume_name must be a plain name without /, \\, NUL, CR or LF "
+            f"and not . or .., got {name!r}"
+        )
+    return name
 
 
 @dataclass(frozen=True)
@@ -122,10 +146,32 @@ def patch_ids(spec: PatchSpec, volume_name: str) -> list[PatchId]:
 
 
 def _reflect_index_map(length: int, padded: int) -> np.ndarray:
-    # Mirror about the last in-bounds plane without duplicating it; numpy's
-    # "reflect" pad has exactly that convention and handles pads longer than
-    # the axis by bouncing repeatedly.
+    # Source index of every padded position on one axis. numpy's "reflect"
+    # pad mirrors about the last in-bounds plane without duplicating it and
+    # bounces repeatedly when the pad is longer than the axis, so the map is
+    # the convention itself; _reflect_runs cuts it into slice copies.
     return np.pad(np.arange(length, dtype=np.int64), (0, padded - length), mode="reflect")
+
+
+def _reflect_runs(length: int, padded: int, start: int, stop: int) -> list[tuple[slice, slice]]:
+    """Split the reflect map over [start, stop) into maximal +1/-1 runs.
+
+    Returns (patch slice, source slice) pairs covering the window in
+    order. A length-1 axis maps every position to 0 and so gives
+    single-element runs.
+    """
+    m = _reflect_index_map(length, padded)[start:stop].tolist()
+    runs = []
+    i = 0
+    while i < len(m):
+        step = -1 if i + 1 < len(m) and m[i + 1] < m[i] else 1
+        j = i + 1
+        while j < len(m) and m[j] - m[j - 1] == step:
+            j += 1
+        end = m[j - 1] + step
+        runs.append((slice(i, j), slice(m[i], end if end >= 0 else None, step)))
+        i = j
+    return runs
 
 
 def _check_id(spec: PatchSpec, pid: PatchId) -> None:
@@ -161,15 +207,13 @@ def extract_patch(vol: LabelVolume, spec: PatchSpec, pid: PatchId) -> LabelVolum
     starts = [int(i) * p for i, p in zip(pid.grid_index, spec.patch_shape)]
     stops = [s + p for s, p in zip(starts, spec.patch_shape)]
     if spec.pad_mode == PAD_REFLECT:
-        maps = [
-            _reflect_index_map(n, pn)[sl]
-            for n, pn, sl in zip(
-                spec.original_shape,
-                spec.padded_shape,
-                (slice(a, b) for a, b in zip(starts, stops)),
-            )
+        block = np.empty(spec.patch_shape, dtype=np.uint32)
+        runs = [
+            _reflect_runs(n, pn, a, b)
+            for n, pn, a, b in zip(spec.original_shape, spec.padded_shape, starts, stops)
         ]
-        block = vol.voxels[np.ix_(*maps)]
+        for (dz, sz), (dy, sy), (dx, sx) in itertools.product(*runs):
+            block[dz, dy, dx] = vol.voxels[sz, sy, sx]
     else:
         block = np.zeros(spec.patch_shape, dtype=np.uint32)
         ins = [slice(s, min(e, n)) for s, e, n in zip(starts, stops, spec.original_shape)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, NamedTuple, Sequence
 
-from .coreset import METHODS, EmbeddingMatrix, SelectionManifest
+from .coreset import METHODS
 from .errors import CoresegError, InternalError, ReportError
 from .instance_metrics import MetricsRecord
 
@@ -260,24 +260,3 @@ def surpass_summary(
     ]
     return "\n".join(lines) + "\n"
 
-
-def selection_export_csv(E: EmbeddingMatrix, manifest: SelectionManifest) -> str:
-    """Render embedding rows with selection flags for external plotting.
-
-    Columns: id, selected (1 when the id is in the manifest), dim_0 ..
-    dim_{D-1} with unrounded repr values.
-
-    Raises:
-        ReportError: If the manifest selects ids absent from E.
-    """
-    chosen = set(manifest.selected)
-    unknown = chosen - set(E.ids)
-    if unknown:
-        raise ReportError(f"manifest selects unknown id {sorted(unknown)[0]!r}")
-    dim = E.values.shape[1]
-    lines = ["id,selected," + ",".join(f"dim_{i}" for i in range(dim))]
-    for i, item in enumerate(E.ids):
-        flag = "1" if item in chosen else "0"
-        coords = ",".join(repr(float(v)) for v in E.values[i])
-        lines.append(f"{item},{flag},{coords}")
-    return "\n".join(lines) + "\n"

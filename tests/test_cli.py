@@ -186,6 +186,50 @@ def test_tile_rejects_malformed_patch_flag(capsys, tmp_path, demo_volume):
     assert code == 2
 
 
+def tree(root):
+    """Every path under root, relative to it."""
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "spelling, name",
+    [("flag", n) for n in ("../x", "a/b", "a\\b", ".", "..", "a\nb", "a\rb", "a\0b")]
+    + [("config", n) for n in ("../x", "a/b", "a\\b", ".", "..")],
+)
+def test_tile_refuses_name_that_leaves_out_dir(capsys, tmp_path, demo_volume, spelling, name):
+    # A patch name is a plain file-name prefix and one grid manifest line:
+    # a bad one exits 2 before the volume is read, and nothing is written
+    # inside or outside --out-dir.
+    vol_path, _ = demo_volume
+    args = ["tile", "--volume", vol_path, "--patch", "2,4,4", "--out-dir", tmp_path / "out"]
+    if spelling == "flag":
+        args += ["--name", name]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"volume_name = {name}\n", encoding="utf-8")
+        args += ["--config", cfg]
+    before = tree(tmp_path)
+    code, _, err = run(capsys, *args)
+    assert code == 2, err
+    assert repr(name) in err
+    if spelling == "config":
+        assert f"{cfg}:1: volume_name: " in err
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("file_name", ["..vol3d", "...vol3d", "a\nb.vol3d", "a\\b.vol3d"])
+def test_tile_refuses_volume_stem_that_leaves_out_dir(capsys, tmp_path, file_name):
+    # Without --name the stem is the patch name, under the same rule; a bad
+    # one is an input error and nothing is written.
+    vol_path = tmp_path / file_name
+    write_instance(vol_path, np.ones((2, 2, 2)))
+    before = tree(tmp_path)
+    code, _, err = run(capsys, "tile", "--volume", vol_path, "--out-dir", tmp_path / "out")
+    assert code == 3, err
+    assert "volume_name" in err
+    assert tree(tmp_path) == before
+
+
 # ---------------------------------------------------------------------------
 # fuse
 # ---------------------------------------------------------------------------
@@ -858,6 +902,7 @@ def test_run_manifest_lists_exactly_the_outputs(capsys, tmp_path, command):
         "iou_threshold=abc",
         "patch_shape=0,1,1",
         "budget=-1",
+        "volume_name=../x",
     ],
 )
 @pytest.mark.parametrize("command", COMMANDS)

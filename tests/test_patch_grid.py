@@ -1,17 +1,21 @@
 """Tests for grid planning, patch extraction, padding, and reassembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coreseg.errors import GridError
+from coreseg.errors import ConfigError, GridError
 from coreseg.patch_grid import (
     PAD_REFLECT,
     PAD_ZERO,
     PatchId,
+    check_volume_name,
     extract_patch,
     patch_filename,
+    patch_ids,
     plan_grid,
     read_grid_manifest,
     reassemble,
@@ -252,3 +256,58 @@ def test_round_trip_property(shape, patch, mode, seed):
     vol = instance_volume(rng.integers(0, 5, size=shape, dtype=np.uint32))
     spec = plan_grid(shape, patch, mode)
     assert reassemble(tile(vol, spec, "v"), spec) == vol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 9)] * 3),
+    patch=st.tuples(*[st.integers(1, 12)] * 3),
+    seed=st.integers(0, 2**16),
+)
+def test_every_cell_matches_numpy_pad(shape, patch, seed):
+    # Patch axes up to 12 over axes down to 1 give pads longer than the
+    # axis, so reflect margins bounce; every cell's margins are compared.
+    rng = np.random.default_rng(seed)
+    vol = instance_volume(rng.integers(0, 2**32, size=shape, dtype=np.uint32))
+    for mode, np_mode in ((PAD_REFLECT, "reflect"), (PAD_ZERO, "constant")):
+        spec = plan_grid(shape, patch, mode)
+        pad = [(0, p - n) for n, p in zip(shape, spec.padded_shape)]
+        padded = np.pad(vol.voxels, pad, mode=np_mode)
+        for pid in patch_ids(spec, "v"):
+            window = tuple(slice(i * p, (i + 1) * p) for i, p in zip(pid.grid_index, patch))
+            got = extract_patch(vol, spec, pid).voxels
+            np.testing.assert_array_equal(got, padded[window], err_msg=f"{mode} {pid}")
+            assert got.dtype == np.uint32 and got.shape == spec.patch_shape
+            assert got.flags.c_contiguous
+            assert not np.shares_memory(got, vol.voxels)
+
+
+def test_reflect_extraction_holds_no_more_than_the_patch():
+    # Each reflect patch is filled in place: the allocation peak of one
+    # extraction stays within 10 % of the patch's own bytes, for every cell
+    # (interior, mirrored and corner).
+    rng = np.random.default_rng(3)
+    shape, patch = (20, 70, 90), (16, 64, 64)
+    vol = instance_volume(rng.integers(0, 9, size=shape, dtype=np.uint32))
+    spec = plan_grid(shape, patch, PAD_REFLECT)
+    patch_bytes = 4 * int(np.prod(patch))
+    for pid in patch_ids(spec, "v"):
+        tracemalloc.start()
+        try:
+            extract_patch(vol, spec, pid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * patch_bytes, (pid.grid_index, peak / patch_bytes)
+
+
+@pytest.mark.parametrize("name", ["train", "vol-1.b", "a b", "..x", "x..", "\u00e9"])
+def test_check_volume_name_accepts_plain_names(name):
+    assert check_volume_name(name, GridError) == name
+
+
+@pytest.mark.parametrize("name", ["../x", "a/b", "/abs", "a\\b", "a\0b", "a\rb", "a\nb", ".", ".."])
+@pytest.mark.parametrize("error", [GridError, ConfigError])
+def test_check_volume_name_refuses_paths_and_line_breaks(name, error):
+    with pytest.raises(error, match="volume_name"):
+        check_volume_name(name, error)

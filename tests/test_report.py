@@ -1,9 +1,7 @@
 """Tests for rounding, learning curves, percent columns, and tables."""
 
-import numpy as np
 import pytest
 
-from coreseg.coreset import EmbeddingMatrix, SelectionManifest
 from coreseg.errors import ReportError
 from coreseg.instance_metrics import MetricsRecord
 from coreseg.report import (
@@ -17,7 +15,6 @@ from coreseg.report import (
     percent_of_full,
     render_curve_table,
     round_half_up,
-    selection_export_csv,
     surpass_summary,
 )
 
@@ -257,45 +254,3 @@ def test_renderings_are_deterministic():
     b = render_curve_table(fixture_curve())
     assert a == b
     assert percent_csv(fixture_curve()) == percent_csv(fixture_curve())
-
-
-# ---------------------------------------------------------------------------
-# Selection export
-# ---------------------------------------------------------------------------
-
-
-def export_fixture():
-    values = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    E = EmbeddingMatrix(ids=["a", "b", "c"], values=values, normalized=True)
-    manifest = SelectionManifest(
-        method="coreset",
-        rng_seed=0,
-        k_init=1,
-        budget=2,
-        selected=["c", "a"],
-        radius_trace=[2.0, 1.0],
-    )
-    return E, manifest
-
-
-def test_selection_export_csv_flags_and_coords():
-    E, manifest = export_fixture()
-    lines = selection_export_csv(E, manifest).splitlines()
-    assert lines[0] == "id,selected,dim_0,dim_1"
-    assert lines[1] == "a,1,1.0,0.0"
-    assert lines[2] == "b,0,0.0,1.0"
-    assert lines[3] == "c,1,-1.0,0.0"
-
-
-def test_selection_export_rejects_unknown_id():
-    E, manifest = export_fixture()
-    bad = SelectionManifest(
-        method="coreset",
-        rng_seed=0,
-        k_init=1,
-        budget=1,
-        selected=["zz"],
-        radius_trace=[0.5],
-    )
-    with pytest.raises(ReportError, match="unknown id"):
-        selection_export_csv(E, bad)
