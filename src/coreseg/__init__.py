@@ -8,8 +8,9 @@ matching metrics (F1, precision, recall, accuracy, panoptic quality),
 and learning-curve reporting. Neural models are treated as external
 producers and consumers of files and are never invoked here.
 
-The two volume hot loops (component labeling and overlap counting) are
-plain NumPy, with one implementation each.
+The two volume hot loops, component labeling (label_fusion) and overlap
+counting (instance_metrics), are plain NumPy, with one implementation
+each.
 
 Importing the package loads no submodule: each name in ``__all__`` is
 imported from its submodule on first use (PEP 562), so ``coreseg.cli``
@@ -42,15 +43,12 @@ _EXPORTS = {
     "VolumeFormatError": "errors",
     "MatchResult": "instance_metrics",
     "MetricsRecord": "instance_metrics",
-    "compute_metrics": "instance_metrics",
     "evaluate": "instance_metrics",
     "match_instances": "instance_metrics",
     "overlap_histogram": "instance_metrics",
-    "pool_matches": "instance_metrics",
     "CONN_FACE6": "label_fusion",
     "CONN_FULL26": "label_fusion",
     "Connectivity": "label_fusion",
-    "binarize": "label_fusion",
     "component_count": "label_fusion",
     "connected_components": "label_fusion",
     "stack_slices": "label_fusion",
@@ -62,7 +60,6 @@ _EXPORTS = {
     "tile": "patch_grid",
     "LearningCurve": "report",
     "build_curve": "report",
-    "comparison_table": "report",
     "first_surpass": "report",
     "percent_of_full": "report",
     "KIND_INSTANCE": "volume_io",

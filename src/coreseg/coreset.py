@@ -455,7 +455,8 @@ def read_embeddings(
 
     Raises:
         FileNotFoundError: If any of the three files is missing.
-        SelectionError: On malformed metadata or ids, or count mismatches.
+        SelectionError: On malformed metadata or ids, an empty id, or count
+            mismatches.
     """
     meta_path = Path(f"{stem}.meta")
     payload_path = Path(f"{stem}.f32")
@@ -486,6 +487,8 @@ def read_embeddings(
     ids = decode_lines(
         read_digested(ids_path, digests), SelectionError, f"{ids_path}: malformed ids", "utf-8"
     )
+    if "" in ids:
+        raise SelectionError(f"{ids_path}: line {ids.index('') + 1} is an empty id")
     if len(ids) != count:
         raise SelectionError(
             f"{ids_path}: {len(ids)} ids for {count} embedding rows"

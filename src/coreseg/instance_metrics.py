@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._fields import parse_float, parse_ints
 from .errors import CoresegError, InternalError, MetricsError
 from .volume_io import LabelVolume
@@ -118,13 +117,18 @@ def overlap_histogram(
 ) -> tuple[dict[tuple[int, int], int], dict[int, int], dict[int, int]]:
     """Count overlap voxels per (pred_id, gt_id) pair plus per-id totals.
 
+    This is one of the two volume hot loops of the pipeline (component
+    labeling in label_fusion is the other); it has one plain NumPy
+    implementation.
+
     Args:
         pred: Predicted instance volume.
         gt: Ground-truth instance volume of the same shape.
 
     Returns:
         (pairs, pred_totals, gt_totals): pairs maps (pred_id, gt_id) to the
-        count of voxels carrying both labels; the totals map every
+        count of voxels carrying both labels, in ascending (pred_id, gt_id)
+        order; background (0) never participates. The totals map every
         foreground id of each volume to its voxel count. IoU(p, g) is
         derivable as pairs[p, g] / (pred_totals[p] + gt_totals[g] -
         pairs[p, g]).
@@ -137,11 +141,17 @@ def overlap_histogram(
             f"pred shape {tuple(pred.voxels.shape)} does not match "
             f"gt shape {tuple(gt.voxels.shape)}"
         )
-    keys, counts = _kernels.overlap_pairs(pred.voxels, gt.voxels)
-    pairs = {
-        (int(k >> np.uint64(32)), int(k & np.uint64(0xFFFFFFFF))): int(c)
-        for k, c in zip(keys, counts)
-    }
+    # Pack each foreground-in-both voxel's ids into one (pred << 32) | gt
+    # key, so one sort counts every pair and leaves them in (pred, gt) order.
+    pred_flat = pred.voxels.ravel()
+    gt_flat = gt.voxels.ravel()
+    both = (pred_flat > 0) & (gt_flat > 0)
+    keys = pred_flat[both].astype(np.uint64) << np.uint64(32)
+    keys |= gt_flat[both].astype(np.uint64)
+    keys, counts = np.unique(keys, return_counts=True)
+    pred_ids = (keys >> np.uint64(32)).tolist()
+    gt_ids = (keys & np.uint64(0xFFFFFFFF)).tolist()
+    pairs = dict(zip(zip(pred_ids, gt_ids), counts.tolist()))
     pred_totals = _foreground_totals(pred)
     gt_totals = _foreground_totals(gt)
     return pairs, pred_totals, gt_totals
@@ -177,7 +187,8 @@ def match_instances(
     matches: list[tuple[int, int, float]] = []
     matched_pred: set[int] = set()
     matched_gt: set[int] = set()
-    for (p, g), inter in sorted(pairs.items()):
+    # pairs iterates in ascending (pred, gt) order, so sum_iou adds in that order.
+    for (p, g), inter in pairs.items():
         union = pred_totals[p] + gt_totals[g] - inter
         iou = inter / union
         if iou > iou_threshold:
@@ -196,51 +207,18 @@ def match_instances(
     )
 
 
-def compute_metrics(m: MatchResult) -> MetricsRecord:
-    """Derive the metric suite from a MatchResult."""
-    return MetricsRecord.from_counts(
-        tp=len(m.matches),
-        fp=len(m.unmatched_pred),
-        fn=len(m.unmatched_gt),
-        sum_iou=m.sum_iou,
-    )
-
-
 def evaluate(
     pred: LabelVolume,
     gt: LabelVolume,
     iou_threshold: float = 0.5,
 ) -> MetricsRecord:
-    """Match and score in one step.
-
-    Equivalent to compute_metrics(match_instances(pred, gt, iou_threshold)).
-    """
-    return compute_metrics(match_instances(pred, gt, iou_threshold))
-
-
-def pool_matches(results: list[MatchResult]) -> MetricsRecord:
-    """Pool matching counts across volumes into one record.
-
-    Instance ids are volume-local, so pooling sums tp/fp/fn and the
-    matched IoU mass instead of merging id sets. This is the
-    instance-pooled alternative to averaging per-volume scores.
-
-    Args:
-        results: MatchResults sharing one iou_threshold.
-
-    Raises:
-        MetricsError: On an empty list or mixed thresholds.
-    """
-    if not results:
-        raise MetricsError("pool_matches requires at least one result")
-    thresholds = {m.iou_threshold for m in results}
-    if len(thresholds) > 1:
-        raise MetricsError(f"cannot pool across thresholds {sorted(thresholds)}")
+    """Match instances by IoU and derive the metric suite from the matching."""
+    m = match_instances(pred, gt, iou_threshold)
     return MetricsRecord.from_counts(
-        tp=sum(len(m.matches) for m in results),
-        fp=sum(len(m.unmatched_pred) for m in results),
-        fn=sum(len(m.unmatched_gt) for m in results),
-        sum_iou=sum(m.sum_iou for m in results),
+        tp=len(m.matches),
+        fp=len(m.unmatched_pred),
+        fn=len(m.unmatched_gt),
+        sum_iou=m.sum_iou,
     )
 
 

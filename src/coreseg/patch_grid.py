@@ -320,6 +320,9 @@ def write_grid_manifest(spec: PatchSpec, volume_name: str, path: str | Path) -> 
 def read_grid_manifest(path: str | Path) -> tuple[PatchSpec, str, list[str]]:
     """Read a grid manifest back into (spec, volume_name, patch filenames).
 
+    The volume name must pass check_volume_name, and the patch list must be
+    exactly the one write_grid_manifest writes for the spec and name.
+
     Raises:
         GridError: On malformed or version-mismatched manifests.
     """
@@ -335,4 +338,11 @@ def read_grid_manifest(path: str | Path) -> tuple[PatchSpec, str, list[str]]:
     spec = plan_grid(original, patch, fields["pad_mode"])
     if (spec.padded_shape, spec.grid_dims) != (padded, grid):
         raise GridError(f"{path}: manifest geometry is internally inconsistent")
-    return spec, fields["volume_name"], fields["patch"]
+    try:
+        name = check_volume_name(fields["volume_name"], GridError)
+    except GridError as exc:
+        raise GridError(f"{context}: {exc}") from None
+    filenames = [patch_filename(pid) for pid in patch_ids(spec, name)]
+    if fields["patch"] != filenames:
+        raise GridError(f"{context}: patch list is not the grid's {len(filenames)} patch files")
+    return spec, name, filenames

@@ -1,9 +1,9 @@
-"""Learning-curve aggregation, percent-of-full reporting, and tables.
+"""Learning-curve aggregation and percent-of-full reporting.
 
-A LearningCurve holds one MetricsRecord per annotation budget plus the
-full-set budget. Reporting derives percent-of-full columns, detects the
-first budget whose score reaches a fraction of the full-set score, and
-renders comparison tables for selection strategies.
+A LearningCurve holds one MetricsRecord per annotation budget; the
+largest budget is the full annotation set. Reporting derives
+percent-of-full columns and detects the first budget whose score reaches
+a fraction of the full-set score.
 
 Threshold comparisons always use unrounded scores. Only display values
 are rounded: scores to 4 decimals and percents to 2, half-up, applied to
@@ -17,13 +17,10 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, NamedTuple, Sequence
 
-from .coreset import METHODS
 from .errors import CoresegError, InternalError, ReportError
 from .instance_metrics import MetricsRecord
 
 METRIC_NAMES = ("f1", "accuracy", "pq", "precision", "recall")
-
-_STRATEGY_ROWS = tuple((method, pretrained) for method in METHODS for pretrained in (True, False))
 
 
 class CurveRow(NamedTuple):
@@ -42,21 +39,21 @@ class PercentEntry(NamedTuple):
 class LearningCurve:
     """Per-budget metric records, strictly increasing in budget.
 
+    The last row, the largest budget, is the full annotation set.
+
     Attributes:
         rows: (budget, fraction, record) rows; fraction = budget /
             full_budget.
-        full_budget: The budget treated as the full annotation set;
-            exactly one row carries it.
     """
 
     rows: tuple[CurveRow, ...]
-    full_budget: int
+
+    @property
+    def full_budget(self) -> int:
+        return self.rows[-1].budget
 
     def full_record(self) -> MetricsRecord:
-        for row in self.rows:
-            if row.budget == self.full_budget:
-                return row.record
-        raise InternalError("curve lost its full-budget row")
+        return self.rows[-1].record
 
 
 def round_half_up(x: float, places: int) -> float:
@@ -79,35 +76,29 @@ def format_percent(x: float) -> str:
     return f"{round_half_up(x, 2):.2f}"
 
 
-def build_curve(
-    records: Mapping[int, MetricsRecord], full_budget: int | None = None
-) -> LearningCurve:
+def build_curve(records: Mapping[int, MetricsRecord]) -> LearningCurve:
     """Assemble a LearningCurve from per-budget records.
 
     Args:
-        records: Mapping from budget to its MetricsRecord.
-        full_budget: Budget of the full annotation set; defaults to the
-            largest budget present.
+        records: Mapping from budget to its MetricsRecord; the largest
+            budget is the full annotation set.
 
     Raises:
-        ReportError: On an empty mapping, a negative budget, or a
-            full_budget without a record.
+        ReportError: On an empty mapping, a negative budget, or a largest
+            budget of 0.
     """
     if not records:
         raise ReportError("a learning curve needs at least one record")
     budgets = sorted(records)
     if budgets[0] < 0:
         raise ReportError(f"budgets must be non-negative, got {budgets[0]}")
-    if full_budget is None:
-        full_budget = budgets[-1]
-    if full_budget not in records:
-        raise ReportError(f"no record for full budget {full_budget}")
+    full_budget = budgets[-1]
     if full_budget <= 0:
         raise ReportError(f"full budget must be positive, got {full_budget}")
     rows = tuple(
         CurveRow(budget=b, fraction=b / full_budget, record=records[b]) for b in budgets
     )
-    return LearningCurve(rows=rows, full_budget=full_budget)
+    return LearningCurve(rows)
 
 
 def _metric_value(record: MetricsRecord, metric: str) -> float:
@@ -186,77 +177,40 @@ def _render_aligned(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str
     return "\n".join(lines) + "\n"
 
 
-def comparison_table(records: Mapping[tuple[str, bool], MetricsRecord]) -> str:
-    """Render the strategy comparison table.
-
-    Rows appear in the fixed order coreset w/, coreset w/o, random w/,
-    random w/o (w/ marks a pre-trained downstream model); columns are f1,
-    accuracy, pq, precision. Missing cells render as "-", and row order
-    is independent of insertion order.
-
-    Args:
-        records: Mapping from (strategy, pretrained) to its record.
-
-    Raises:
-        ReportError: On an empty mapping or an unknown strategy name.
-    """
-    if not records:
-        raise ReportError("comparison_table requires at least one record")
-    for strategy, _ in records:
-        if strategy not in METHODS:
-            raise ReportError(f"unknown strategy {strategy!r}")
-    header = ["selection", "pretrained", "f1", "accuracy", "pq", "precision"]
-    rows = []
-    for strategy, pretrained in _STRATEGY_ROWS:
-        record = records.get((strategy, pretrained))
-        cells = [strategy, "w/" if pretrained else "w/o"]
-        if record is None:
-            cells.extend(["-"] * 4)
-        else:
-            cells.extend(
-                format_score(_metric_value(record, m))
-                for m in ("f1", "accuracy", "pq", "precision")
-            )
-        rows.append(cells)
-    return _render_aligned(header, rows)
-
-
-def render_curve_table(curve: LearningCurve, metrics: Sequence[str] = METRIC_NAMES) -> str:
+def render_curve_table(curve: LearningCurve) -> str:
     """Render the per-budget score and percent table as aligned text."""
-    percents = {m: percent_of_full(curve, m) for m in metrics}
+    percents = {m: percent_of_full(curve, m) for m in METRIC_NAMES}
     header = ["budget", "fraction%"]
-    for m in metrics:
+    for m in METRIC_NAMES:
         header.extend([m, f"{m}%"])
     rows = []
     for i, row in enumerate(curve.rows):
         cells = [str(row.budget), format_percent(100.0 * row.fraction)]
-        for m in metrics:
+        for m in METRIC_NAMES:
             entry = percents[m][i]
             cells.extend([format_score(entry.score), format_percent(entry.percent)])
         rows.append(cells)
     return _render_aligned(header, rows)
 
 
-def percent_csv(curve: LearningCurve, metrics: Sequence[str] = METRIC_NAMES) -> str:
+def percent_csv(curve: LearningCurve) -> str:
     """Render the long-form percent table as CSV.
 
     Columns: metric, budget, score (unrounded repr), percent (2-decimal
     display string).
     """
     lines = ["metric,budget,score,percent"]
-    for m in metrics:
+    for m in METRIC_NAMES:
         for entry in percent_of_full(curve, m):
             lines.append(f"{m},{entry.budget},{entry.score!r},{format_percent(entry.percent)}")
     return "\n".join(lines) + "\n"
 
 
-def surpass_summary(
-    curve: LearningCurve, fraction: float, metrics: Sequence[str] = METRIC_NAMES
-) -> str:
+def surpass_summary(curve: LearningCurve, fraction: float) -> str:
     """Render one first-surpass line per metric."""
     lines = [
         f"metric={m} fraction={fraction!r} budget={first_surpass(curve, m, fraction)}"
-        for m in metrics
+        for m in METRIC_NAMES
     ]
     return "\n".join(lines) + "\n"
 

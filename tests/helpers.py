@@ -71,7 +71,7 @@ def fixture_curve() -> LearningCurve:
             rq=f1,
             pq=pq,
         )
-    return build_curve(records, full_budget=CURVE_BUDGETS[-1])
+    return build_curve(records)
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,22 @@ def test_select_non_utf8_ids_is_input_error(capsys, tmp_path, demo_embeddings):
     assert not out_dir.exists()
 
 
+def test_select_empty_id_is_input_error(capsys, tmp_path, demo_embeddings):
+    # An empty id would end the manifest's selected block in a blank line,
+    # which the manifest reader then refuses.
+    stem, _ = demo_embeddings
+    ids = Path(f"{stem}.ids")
+    ids.write_text(ids.read_text().replace("p1\n", "\n"))
+    out_dir = tmp_path / "sel"
+    code, out, err = run(
+        capsys, "select", "--embeddings", stem, "--budgets", "4", "--out-dir", out_dir,
+    )
+    assert code == 3, err
+    assert f"{ids}: line 2 is an empty id" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("method", ["coreset", "random"])
 def test_select_infeasible_budget_in_list_writes_nothing(
     capsys, tmp_path, demo_embeddings, method

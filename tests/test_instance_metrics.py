@@ -10,14 +10,12 @@ from coreseg.instance_metrics import (
     CSV_COLUMNS,
     MatchResult,
     MetricsRecord,
-    compute_metrics,
     evaluate,
     match_instances,
     metrics_csv_text,
     metrics_kv_text,
     overlap_histogram,
     parse_metrics_csv,
-    pool_matches,
 )
 
 from helpers import instance_volume
@@ -58,6 +56,22 @@ def test_overlap_histogram_rejects_shape_mismatch():
     b = instance_volume(np.zeros((2, 2, 3), dtype=np.uint32))
     with pytest.raises(MetricsError, match="does not match"):
         overlap_histogram(a, b)
+
+
+def test_overlap_histogram_pairs_sorted_and_background_free():
+    top = 2**32 - 1
+    pred = instance_volume(np.array([[[0, 1, 1, 2, 2, 2, top]]]))
+    gt = instance_volume(np.array([[[5, 0, 7, 7, 7, 9, top]]]))
+    pairs, pred_totals, gt_totals = overlap_histogram(pred, gt)
+    # match_instances walks pairs in this order, so it must be ascending.
+    assert list(pairs.items()) == [((1, 7), 1), ((2, 7), 2), ((2, 9), 1), ((top, top), 1)]
+    assert pred_totals == {1: 2, 2: 3, top: 1}
+    assert gt_totals == {5: 1, 7: 3, 9: 1, top: 1}
+
+
+def test_overlap_histogram_empty_foreground():
+    zero = instance_volume(np.zeros((1, 1, 10)))
+    assert overlap_histogram(zero, zero) == ({}, {}, {})
 
 
 def hand_case():
@@ -197,27 +211,6 @@ def test_higher_threshold_cannot_add_matches():
     assert len(high.matches) <= len(low.matches)
 
 
-def test_pool_matches_sums_counts():
-    pred, gt = hand_case()
-    single = match_instances(pred, gt, 0.5)
-    pooled = pool_matches([single, single, single])
-    assert (pooled.tp, pooled.fp, pooled.fn) == (3, 3, 3)
-    assert pooled.sq == pytest.approx(0.8)
-    assert pooled.f1 == 0.5
-    # pooling one result reproduces its own record
-    assert pool_matches([single]) == compute_metrics(single)
-
-
-def test_pool_matches_rejects_empty_and_mixed_thresholds():
-    pred, gt = hand_case()
-    a = match_instances(pred, gt, 0.5)
-    b = match_instances(pred, gt, 0.6)
-    with pytest.raises(MetricsError, match="at least one"):
-        pool_matches([])
-    with pytest.raises(MetricsError, match="thresholds"):
-        pool_matches([a, b])
-
-
 def test_match_result_outputs_sorted():
     rng = np.random.default_rng(9)
     pred = random_labels(rng, shape=(10, 10, 10), k=6)
@@ -292,11 +285,6 @@ def test_metrics_csv_round_trips(counts, iou_share, threshold, budget):
     record = MetricsRecord.from_counts(tp, fp, fn, iou_share * tp)
     text = metrics_csv_text(record, budget, threshold)
     assert parse_metrics_csv(text) == (budget, record, threshold)
-
-
-def test_compute_metrics_equals_evaluate():
-    pred, gt = hand_case()
-    assert compute_metrics(match_instances(pred, gt, 0.5)) == evaluate(pred, gt, 0.5)
 
 
 def test_match_result_sum_iou_empty():

@@ -11,12 +11,11 @@ from coreseg.label_fusion import (
     CONN_FACE6,
     CONN_FULL26,
     Connectivity,
-    binarize,
     component_count,
     connected_components,
     stack_slices,
 )
-from coreseg.volume_io import KIND_INSTANCE, KIND_MASK, new_volume
+from coreseg.volume_io import KIND_INSTANCE, KIND_MASK
 
 from helpers import bfs_label, instance_volume, mask_volume, random_mask
 
@@ -53,13 +52,6 @@ def test_stack_slices_binarizes_and_orders():
     np.testing.assert_array_equal(vol.voxels[1], [[1, 0], [0, 1]])
 
 
-def test_stack_slices_accepts_single_slice_volumes():
-    v = new_volume(np.array([[[0, 2]]], dtype=np.uint32), KIND_INSTANCE)
-    out = stack_slices([v, np.array([[1, 0]])])
-    assert out.header.shape == (2, 1, 2)
-    np.testing.assert_array_equal(out.voxels[:, 0, :], [[0, 1], [1, 0]])
-
-
 def test_stack_slices_rejects_empty():
     with pytest.raises(FusionError, match="at least one"):
         stack_slices([])
@@ -71,9 +63,8 @@ def test_stack_slices_rejects_shape_mismatch():
 
 
 def test_stack_slices_rejects_thick_volume():
-    v = new_volume(np.zeros((2, 2, 2), dtype=np.uint32), KIND_MASK)
-    with pytest.raises(FusionError, match="z-size 2"):
-        stack_slices([v])
+    with pytest.raises(FusionError, match="slice 1 is 3D, expected 2D"):
+        stack_slices([np.zeros((2, 2)), np.zeros((2, 2, 2))])
 
 
 def test_opposite_corners_split_on_face6_join_on_full26():
@@ -178,13 +169,6 @@ def test_rejects_non_mask_volume():
     vol = instance_volume(np.zeros((2, 2, 2), dtype=np.uint32))
     with pytest.raises(VolumeFormatError, match="binary_mask"):
         connected_components(vol)
-
-
-def test_binarize():
-    vol = instance_volume(np.array([[[0, 3], [9, 0]]], dtype=np.uint32))
-    out = binarize(vol)
-    assert out.header.value_kind == KIND_MASK
-    np.testing.assert_array_equal(out.voxels, [[[0, 1], [1, 0]]])
 
 
 def test_fused_stack_labels_across_slices():

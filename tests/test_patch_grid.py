@@ -226,6 +226,23 @@ def test_grid_manifest_refuses_malformed_fields(tmp_path, edit, match):
         read_grid_manifest(path)
 
 
+def test_grid_manifest_refuses_path_in_volume_name(tmp_path):
+    path = tmp_path / "m.txt"
+    write_grid_manifest(plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO), "v", path)
+    text = path.read_text().replace("volume_name=v\n", "volume_name=../x\n")
+    path.write_text(text.replace("patch=v_", "patch=../x_"))
+    with pytest.raises(GridError, match="malformed grid manifest: volume_name must be a plain"):
+        read_grid_manifest(path)
+
+
+def test_grid_manifest_refuses_foreign_patch_list(tmp_path):
+    path = tmp_path / "m.txt"
+    write_grid_manifest(plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO), "v", path)
+    path.write_text(path.read_text().replace("patch=v_z0_y0_x0.vol3d", "patch=/etc/passwd"))
+    with pytest.raises(GridError, match="patch list is not the grid's 1 patch files"):
+        read_grid_manifest(path)
+
+
 def test_grid_manifest_refuses_undecodable_bytes(tmp_path):
     path = tmp_path / "m.txt"
     write_grid_manifest(plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO), "v", path)

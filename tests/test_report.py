@@ -7,7 +7,6 @@ from coreseg.instance_metrics import MetricsRecord
 from coreseg.report import (
     METRIC_NAMES,
     build_curve,
-    comparison_table,
     first_surpass,
     format_percent,
     format_score,
@@ -23,21 +22,6 @@ from helpers import CURVE_BUDGETS, CURVE_F1, CURVE_PCT, fixture_curve
 
 def zero_record():
     return MetricsRecord.from_counts(tp=0, fp=0, fn=0, sum_iou=0.0)
-
-
-def comp_record(f1, accuracy, pq, precision):
-    return MetricsRecord(
-        tp=0,
-        fp=0,
-        fn=0,
-        precision=precision,
-        recall=0.0,
-        f1=f1,
-        accuracy=accuracy,
-        sq=0.0,
-        rq=f1,
-        pq=pq,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +71,6 @@ def test_build_curve_rejects_bad_inputs():
         build_curve({})
     with pytest.raises(ReportError, match="non-negative"):
         build_curve({-1: zero_record(), 4: zero_record()})
-    with pytest.raises(ReportError, match="no record for full budget"):
-        build_curve({4: zero_record()}, full_budget=7)
     with pytest.raises(ReportError, match="must be positive"):
         build_curve({0: zero_record()})
 
@@ -179,48 +161,6 @@ def test_first_surpass_fraction_domain():
 # ---------------------------------------------------------------------------
 
 
-def comparison_records():
-    return {
-        ("coreset", True): comp_record(0.6003, 0.4291, 0.5405, 0.5045),
-        ("coreset", False): comp_record(0.5939, 0.4225, 0.5342, 0.4953),
-        ("random", True): comp_record(0.5773, 0.4058, 0.5173, 0.4697),
-        ("random", False): comp_record(0.5793, 0.4076, 0.5183, 0.4732),
-    }
-
-
-def test_comparison_table_layout():
-    text = comparison_table(comparison_records())
-    lines = text.splitlines()
-    assert len(lines) == 5
-    assert lines[0].split() == ["selection", "pretrained", "f1", "accuracy", "pq", "precision"]
-    assert lines[1].split() == ["coreset", "w/", "0.6003", "0.4291", "0.5405", "0.5045"]
-    assert lines[2].split() == ["coreset", "w/o", "0.5939", "0.4225", "0.5342", "0.4953"]
-    assert lines[3].split() == ["random", "w/", "0.5773", "0.4058", "0.5173", "0.4697"]
-    assert lines[4].split() == ["random", "w/o", "0.5793", "0.4076", "0.5183", "0.4732"]
-
-
-def test_comparison_table_order_is_fixed():
-    forward = comparison_table(comparison_records())
-    reversed_insertion = comparison_table(
-        dict(reversed(list(comparison_records().items())))
-    )
-    assert forward == reversed_insertion
-
-
-def test_comparison_table_missing_rows_render_dashes():
-    text = comparison_table({("random", False): comp_record(0.5, 0.4, 0.45, 0.42)})
-    lines = text.splitlines()
-    assert lines[1].split() == ["coreset", "w/", "-", "-", "-", "-"]
-    assert lines[4].split()[2:] == ["0.5000", "0.4000", "0.4500", "0.4200"]
-
-
-def test_comparison_table_rejects_bad_inputs():
-    with pytest.raises(ReportError, match="at least one"):
-        comparison_table({})
-    with pytest.raises(ReportError, match="unknown strategy"):
-        comparison_table({("entropy", True): comp_record(0.5, 0.4, 0.45, 0.42)})
-
-
 def test_render_curve_table_contents():
     text = render_curve_table(fixture_curve())
     assert "0.5884" in text
@@ -242,7 +182,7 @@ def test_percent_csv_layout():
 
 
 def test_surpass_summary_lines():
-    text = surpass_summary(fixture_curve(), 0.9, metrics=("f1", "accuracy", "pq", "precision"))
+    text = surpass_summary(fixture_curve(), 0.9)
     lines = text.splitlines()
     assert lines[0] == "metric=f1 fraction=0.9 budget=64"
     assert "metric=accuracy fraction=0.9 budget=128" in lines

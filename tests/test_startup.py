@@ -49,6 +49,60 @@ def test_export_is_its_submodule_object(name):
     assert vars(coreseg)[name] is getattr(module, name)
 
 
+def test_public_names_are_pinned():
+    # The behaviour contract is the CLI's bytes plus these names; changing
+    # it has to be a visible edit here.
+    assert set(coreseg.__all__) == {
+        "__version__",
+        "DistanceMatrix",
+        "EmbeddingMatrix",
+        "SelectionManifest",
+        "cosine_distance_matrix",
+        "coverage_radius",
+        "kcenter_greedy",
+        "normalize_rows",
+        "random_select",
+        "ConfigError",
+        "CoresegError",
+        "FusionError",
+        "GridError",
+        "InternalError",
+        "MetricsError",
+        "OverwriteRefused",
+        "ReportError",
+        "SelectionError",
+        "VolumeFormatError",
+        "MatchResult",
+        "MetricsRecord",
+        "evaluate",
+        "match_instances",
+        "overlap_histogram",
+        "CONN_FACE6",
+        "CONN_FULL26",
+        "Connectivity",
+        "component_count",
+        "connected_components",
+        "stack_slices",
+        "PatchId",
+        "PatchSpec",
+        "extract_patch",
+        "plan_grid",
+        "reassemble",
+        "tile",
+        "LearningCurve",
+        "build_curve",
+        "first_surpass",
+        "percent_of_full",
+        "KIND_INSTANCE",
+        "KIND_MASK",
+        "LabelVolume",
+        "VolumeHeader",
+        "new_volume",
+        "read_volume",
+        "write_volume",
+    }
+
+
 def test_dir_lists_all_before_any_use():
     code = "import coreseg, sys; print(set(coreseg.__all__) - set(dir(coreseg)))"
     assert run_child(code) == "set()"
