@@ -29,14 +29,14 @@ import hashlib
 import os
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 # No coreseg path calls BLAS, so OpenBLAS need start no thread pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .config import _PARSERS, PipelineConfig, apply_overrides, load_config, resolved_lines
+from .config import KEYS, PipelineConfig, load_config, parse_value, resolved_lines
 from .coreset import (
     METHOD_CORESET,
     check_budget,
@@ -82,14 +82,59 @@ EXIT_EXISTS = 5
 
 RUN_MANIFEST_VERSION = 1
 
+# Each command's help and its valued flags as (flag, config key, help).
+# Every flag sets its key through that key's parser, and the required-value
+# messages name a key's flag from here.
+_OPTIONS = {
+    "tile": ("pad a volume and cut it into patches", (
+        ("--volume", "volume", "input .vol3d volume"),
+        ("--name", "volume_name", "volume name for patch files"),
+        ("--patch", "patch_shape", "patch shape Z,Y,X"),
+        ("--pad-mode", "pad_mode", "zero or reflect (default reflect)"),
+        ("--out-dir", "out_dir", "directory for patches"),
+    )),
+    "fuse": ("stack 2D slice masks and label 3D instances", (
+        ("--slices-dir", "slices_dir", "directory of z=1 .vol3d slices"),
+        ("--connectivity", "connectivity", "6 or 26 (default 26)"),
+        ("--out", "out", "output .vol3d instance volume"),
+    )),
+    "cc": ("label connected components of a mask volume", (
+        ("--mask", "mask", "input binary_mask .vol3d volume"),
+        ("--connectivity", "connectivity", "6 or 26 (default 26)"),
+        ("--out", "out", "output .vol3d instance volume"),
+    )),
+    "select": ("select items by core-set or random strategy", (
+        ("--embeddings", "embeddings", "embedding file stem (<stem>.meta/.f32/.ids)"),
+        ("--method", "method", "coreset or random (default coreset)"),
+        ("--budget", "budget", "single budget overriding the config list"),
+        ("--budgets", "budgets", "comma-separated budget list"),
+        ("--seed", "rng_seed", "selection seed"),
+        ("--k-init", "k_init", "random initial picks"),
+        ("--out-dir", "out_dir", "directory for manifests"),
+    )),
+    "evaluate": ("score a prediction against ground truth", (
+        ("--pred", "pred", "predicted instance .vol3d volume"),
+        ("--gt", "gt", "ground-truth instance .vol3d volume"),
+        ("--iou-threshold", "iou_threshold",
+         "strict IoU match threshold in [0.5, 1) (default 0.5)"),
+        ("--budget", "budget", "budget stamped into the record"),
+        ("--out-dir", "out_dir", "directory for metrics files"),
+    )),
+    "report": ("aggregate metrics files into learning curves", (
+        ("--metrics-dir", "metrics_dir", "directory of metrics_b*.csv"),
+        ("--fraction", "surpass_fraction", "surpass fraction in (0, 1] (default 0.9)"),
+        ("--out-dir", "out_dir", "directory for report files"),
+    )),
+}
+_FLAGS = {key: flag for _, options in _OPTIONS.values() for flag, key, _ in options}
+
+
 def _flag(key: str):
     # Parse a flag with its config key's parser, so a flag accepts exactly
     # what a config file accepts and a bad value exits 2.
-    parse = _PARSERS[key]
-
     def convert(text: str):
         try:
-            return parse(text)
+            return parse_value(key, text)
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -103,113 +148,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"coreseg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (help_text, options) in _OPTIONS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument(
-            "--force", action="store_true", help="overwrite existing outputs"
-        )
-
-    p = sub.add_parser("tile", help="pad a volume and cut it into patches")
-    common(p)
-    p.add_argument("--volume", help="input .vol3d volume")
-    p.add_argument(
-        "--name",
-        dest="volume_name",
-        type=_flag("volume_name"),
-        help="volume name for patch files",
-    )
-    p.add_argument(
-        "--patch", dest="patch_shape", type=_flag("patch_shape"), help="patch shape Z,Y,X"
-    )
-    p.add_argument(
-        "--pad-mode",
-        dest="pad_mode",
-        type=_flag("pad_mode"),
-        help="zero or reflect (default reflect)",
-    )
-    p.add_argument("--out-dir", dest="out_dir", help="directory for patches")
-
-    p = sub.add_parser("fuse", help="stack 2D slice masks and label 3D instances")
-    common(p)
-    p.add_argument("--slices-dir", dest="slices_dir", help="directory of z=1 .vol3d slices")
-    p.add_argument(
-        "--connectivity", type=_flag("connectivity"), help="6 or 26 (default 26)"
-    )
-    p.add_argument("--out", help="output .vol3d instance volume")
-
-    p = sub.add_parser("cc", help="label connected components of a mask volume")
-    common(p)
-    p.add_argument("--mask", help="input binary_mask .vol3d volume")
-    p.add_argument(
-        "--connectivity", type=_flag("connectivity"), help="6 or 26 (default 26)"
-    )
-    p.add_argument("--out", help="output .vol3d instance volume")
-
-    p = sub.add_parser("select", help="select items by core-set or random strategy")
-    common(p)
-    p.add_argument("--embeddings", help="embedding file stem (<stem>.meta/.f32/.ids)")
-    p.add_argument("--method", type=_flag("method"), help="coreset or random (default coreset)")
-    p.add_argument(
-        "--budget", type=_flag("budget"), help="single budget overriding the config list"
-    )
-    p.add_argument(
-        "--budgets", type=_flag("budgets"), help="comma-separated budget list"
-    )
-    p.add_argument("--seed", dest="rng_seed", type=_flag("rng_seed"), help="selection seed")
-    p.add_argument("--k-init", dest="k_init", type=_flag("k_init"), help="random initial picks")
-    p.add_argument("--out-dir", dest="out_dir", help="directory for manifests")
-
-    p = sub.add_parser("evaluate", help="score a prediction against ground truth")
-    common(p)
-    p.add_argument("--pred", help="predicted instance .vol3d volume")
-    p.add_argument("--gt", help="ground-truth instance .vol3d volume")
-    p.add_argument(
-        "--iou-threshold", dest="iou_threshold", type=_flag("iou_threshold"),
-        help="strict IoU match threshold in [0.5, 1) (default 0.5)",
-    )
-    p.add_argument("--budget", type=_flag("budget"), help="budget stamped into the record")
-    p.add_argument("--out-dir", dest="out_dir", help="directory for metrics files")
-
-    p = sub.add_parser("report", help="aggregate metrics files into learning curves")
-    common(p)
-    p.add_argument("--metrics-dir", dest="metrics_dir", help="directory of metrics_b*.csv")
-    p.add_argument(
-        "--fraction",
-        dest="surpass_fraction",
-        type=_flag("surpass_fraction"),
-        help="surpass fraction in (0, 1] (default 0.9)",
-    )
-    p.add_argument("--out-dir", dest="out_dir", help="directory for report files")
-
+        p.add_argument("--force", action="store_true", help="overwrite existing outputs")
+        for flag, key, text in options:
+            p.add_argument(flag, dest=key, type=_flag(key), help=text)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {
-        f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)
-    }
-    return apply_overrides(cfg, overrides)
+    return replace(cfg, **{k: v for k, v in vars(args).items() if k in KEYS and v is not None})
 
 
-def _require(value: str | None, what: str) -> str:
+def _named(key: str, what: str) -> str:
+    return f"{what} ({_FLAGS[key]} / {key})"
+
+
+def _require(cfg: PipelineConfig, key: str, what: str) -> str:
+    value = getattr(cfg, key)
     if value is None:
-        raise ConfigError(f"missing required {what}")
+        raise ConfigError(f"missing required {_named(key, what)}")
     return value
 
 
-def _input_file(value: str | None, what: str) -> Path:
-    p = Path(_require(value, what))
+def _input_file(cfg: PipelineConfig, key: str, what: str) -> Path:
+    p = Path(_require(cfg, key, what))
     if not p.is_file():
-        raise FileNotFoundError(f"{what} does not exist: {p}")
+        raise FileNotFoundError(f"{_named(key, what)} does not exist: {p}")
     return p
 
 
-def _input_dir(value: str | None, what: str) -> Path:
-    p = Path(_require(value, what))
+def _input_dir(cfg: PipelineConfig, key: str, what: str) -> Path:
+    p = Path(_require(cfg, key, what))
     if not p.is_dir():
-        raise NotADirectoryError(f"{what} does not exist: {p}")
+        raise NotADirectoryError(f"{_named(key, what)} does not exist: {p}")
     return p
 
 
@@ -301,8 +275,8 @@ def _text(content: str):
 
 
 def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
-    vol_path = _input_file(cfg.volume, "input volume (--volume / volume)")
-    out_dir = Path(_require(cfg.out_dir, "output directory (--out-dir / out_dir)"))
+    vol_path = _input_file(cfg, "volume", "input volume")
+    out_dir = Path(_require(cfg, "out_dir", "output directory"))
     name = cfg.volume_name or check_volume_name(vol_path.stem, GridError)
     read: list[InputDigest] = []
     vol = read_volume(vol_path, digests=read)
@@ -345,8 +319,8 @@ def _ordered_slices(slices_dir: Path) -> list[tuple[int, Path]]:
 
 
 def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
-    slices_dir = _input_dir(cfg.slices_dir, "slice directory (--slices-dir / slices_dir)")
-    out = Path(_require(cfg.out, "output path (--out / out)"))
+    slices_dir = _input_dir(cfg, "slices_dir", "slice directory")
+    out = Path(_require(cfg, "out", "output path"))
     keyed = _ordered_slices(slices_dir)
     grids = []
     read: list[InputDigest] = []
@@ -380,8 +354,8 @@ def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
-    mask_path = _input_file(cfg.mask, "input mask (--mask / mask)")
-    out = Path(_require(cfg.out, "output path (--out / out)"))
+    mask_path = _input_file(cfg, "mask", "input mask")
+    out = Path(_require(cfg, "out", "output path"))
     read: list[InputDigest] = []
     mask = read_volume(mask_path, digests=read)
     labeled = connected_components(mask, Connectivity(cfg.connectivity))
@@ -399,8 +373,8 @@ def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_select(cfg: PipelineConfig, force: bool) -> int:
-    stem = _require(cfg.embeddings, "embedding stem (--embeddings / embeddings)")
-    out_dir = Path(_require(cfg.out_dir, "output directory (--out-dir / out_dir)"))
+    stem = _require(cfg, "embeddings", "embedding stem")
+    out_dir = Path(_require(cfg, "out_dir", "output directory"))
     read: list[InputDigest] = []
     E = read_embeddings(stem, digests=read)
     En = normalize_rows(E)
@@ -448,11 +422,11 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
-    pred_path = _input_file(cfg.pred, "prediction volume (--pred / pred)")
-    gt_path = _input_file(cfg.gt, "ground-truth volume (--gt / gt)")
-    out_dir = Path(_require(cfg.out_dir, "output directory (--out-dir / out_dir)"))
+    pred_path = _input_file(cfg, "pred", "prediction volume")
+    gt_path = _input_file(cfg, "gt", "ground-truth volume")
+    out_dir = Path(_require(cfg, "out_dir", "output directory"))
     if cfg.budget is None:
-        raise ConfigError("evaluate requires a budget (--budget / budget)")
+        raise ConfigError(f"evaluate requires {_named('budget', 'a budget')}")
     read: list[InputDigest] = []
     pred = read_volume(pred_path, digests=read)
     gt = read_volume(gt_path, digests=read)
@@ -474,8 +448,8 @@ def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_report(cfg: PipelineConfig, force: bool) -> int:
-    metrics_dir = _input_dir(cfg.metrics_dir, "metrics directory (--metrics-dir / metrics_dir)")
-    out_dir = Path(_require(cfg.out_dir, "output directory (--out-dir / out_dir)"))
+    metrics_dir = _input_dir(cfg, "metrics_dir", "metrics directory")
+    out_dir = Path(_require(cfg, "out_dir", "output directory"))
     files = sorted(metrics_dir.glob("metrics_b*.csv"))
     if not files:
         raise ReportError(f"no metrics_b*.csv files in {metrics_dir}")

@@ -1,4 +1,4 @@
-"""Flat key=value pipeline configuration with command-line overrides.
+"""Flat key=value pipeline configuration and the one value parser per key.
 
 A config file is diff-friendly text: one `key = value` per line, lists
 comma-separated, `#` comments and blank lines ignored. Every key can be
@@ -88,6 +88,13 @@ def _parse_float(text: str) -> float:
     return parse_float(text, ConfigError, "expected a number, got")
 
 
+def _parse_path(text: str) -> str:
+    if not text:
+        raise ConfigError("expected a non-empty path, got ''")
+    return text
+
+
+# The keys with a rule of their own; every other key is a path.
 _PARSERS = {
     "patch_shape": parse_shape,
     "pad_mode": lambda text: check_pad_mode(text, ConfigError),
@@ -99,17 +106,15 @@ _PARSERS = {
     "method": lambda text: check_method(text, ConfigError),
     "surpass_fraction": lambda text: check_surpass_fraction(_parse_float(text), ConfigError),
     "budget": _parse_budget,
-    "volume": str,
     "volume_name": lambda text: check_volume_name(text, ConfigError),
-    "slices_dir": str,
-    "mask": str,
-    "embeddings": str,
-    "pred": str,
-    "gt": str,
-    "metrics_dir": str,
-    "out": str,
-    "out_dir": str,
 }
+
+KEYS = frozenset(f.name for f in fields(PipelineConfig))
+
+
+def parse_value(key: str, text: str):
+    """Parse a config line's or flag's text for key with that key's rule."""
+    return _PARSERS.get(key, _parse_path)(text)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -117,8 +122,8 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     Raises:
         FileNotFoundError: If the file does not exist.
-        ConfigError: On text that is not UTF-8, an unknown key or an
-            unparsable value.
+        ConfigError: On text that is not UTF-8, an unknown or repeated
+            key, or an unparsable value.
     """
     p = Path(path)
     if not p.is_file():
@@ -127,7 +132,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{p}: config file is not UTF-8 text") from exc
-    cfg = PipelineConfig()
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -137,23 +142,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"{p}:{lineno}: expected key = value, got {raw!r}")
-        if key not in _PARSERS:
+        if key not in KEYS:
             raise ConfigError(f"{p}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{p}:{lineno}: duplicate config key {key!r}")
         try:
-            setattr(cfg, key, _PARSERS[key](value))
+            values[key] = parse_value(key, value)
         except ConfigError as exc:
             raise ConfigError(f"{p}:{lineno}: {key}: {exc}") from None
-    return cfg
-
-
-def apply_overrides(cfg: PipelineConfig, overrides: dict[str, object]) -> PipelineConfig:
-    """Apply already-parsed command-line values over a config; flags win."""
-    for key, value in overrides.items():
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown override key {key!r}")
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+    return PipelineConfig(**values)
 
 
 def resolved_lines(cfg: PipelineConfig) -> str:

@@ -62,9 +62,9 @@ def check_volume_name(name: str, error: type[CoresegError]) -> str:
 
     Patch files are named `<name>_z.._y.._x...vol3d` inside the output
     directory and the name is one grid manifest line, so it may hold no
-    path separator, NUL, CR or LF and may not be `.` or `..`.
+    path separator, NUL, CR or LF and may not be empty, `.` or `..`.
     """
-    if name in (".", "..") or any(c in name for c in _NAME_FORBIDDEN):
+    if name in ("", ".", "..") or any(c in name for c in _NAME_FORBIDDEN):
         raise error(
             "volume_name must be a plain name without /, \\, NUL, CR or LF "
             f"and not . or .., got {name!r}"

@@ -520,6 +520,20 @@ def test_select_empty_id_is_input_error(capsys, tmp_path, demo_embeddings):
     assert not out_dir.exists()
 
 
+def test_select_fewer_ids_than_rows_is_input_error(capsys, tmp_path, demo_embeddings):
+    stem, _ = demo_embeddings
+    ids = Path(f"{stem}.ids")
+    ids.write_text(ids.read_text().replace("p11\n", ""))
+    out_dir = tmp_path / "sel"
+    code, out, err = run(
+        capsys, "select", "--embeddings", stem, "--budgets", "4", "--out-dir", out_dir,
+    )
+    assert code == 3, err
+    assert f"coreseg select: {ids}: 11 ids for 12 embedding rows\n" == err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("method", ["coreset", "random"])
 def test_select_infeasible_budget_in_list_writes_nothing(
     capsys, tmp_path, demo_embeddings, method
@@ -919,6 +933,8 @@ def test_run_manifest_lists_exactly_the_outputs(capsys, tmp_path, command):
         "patch_shape=0,1,1",
         "budget=-1",
         "volume_name=../x",
+        "volume_name=",
+        "out_dir=",
     ],
 )
 @pytest.mark.parametrize("command", COMMANDS)
@@ -938,6 +954,103 @@ def test_bad_config_value_exits_2_from_every_command(
     key, _, value = line.partition("=")
     assert f"{cfg}:2: {key}: " in err and value in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_repeated_config_key_exits_2_from_every_command(
+    capsys, tmp_path, monkeypatch, command
+):
+    # A repeated key is refused even when both lines agree, as in every
+    # other coreseg text format, and before the command's first read.
+    args, _ = command_case(capsys, tmp_path, command)
+    for reader in ("read_volume", "read_embeddings", "read_digested"):
+        monkeypatch.setattr(cli, reader, None)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("patch_shape=2,4,4\n# again\npatch_shape=2,4,4\n", encoding="ascii")
+    code, out, err = run(capsys, *args, "--config", cfg)
+    assert code == 2, err
+    assert err == f"coreseg {command}: {cfg}:3: duplicate config key 'patch_shape'\n"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+# Each command's required values, the flag that leaves each one out, and
+# the message that names it.
+REQUIRED = [
+    ("tile", "--volume", "missing required input volume (--volume / volume)"),
+    ("tile", "--out-dir", "missing required output directory (--out-dir / out_dir)"),
+    ("fuse", "--slices-dir", "missing required slice directory (--slices-dir / slices_dir)"),
+    ("fuse", "--out", "missing required output path (--out / out)"),
+    ("cc", "--mask", "missing required input mask (--mask / mask)"),
+    ("cc", "--out", "missing required output path (--out / out)"),
+    ("select", "--embeddings", "missing required embedding stem (--embeddings / embeddings)"),
+    ("select", "--out-dir", "missing required output directory (--out-dir / out_dir)"),
+    ("evaluate", "--pred", "missing required prediction volume (--pred / pred)"),
+    ("evaluate", "--gt", "missing required ground-truth volume (--gt / gt)"),
+    ("evaluate", "--out-dir", "missing required output directory (--out-dir / out_dir)"),
+    ("evaluate", "--budget", "evaluate requires a budget (--budget / budget)"),
+    ("report", "--metrics-dir", "missing required metrics directory (--metrics-dir / metrics_dir)"),
+    ("report", "--out-dir", "missing required output directory (--out-dir / out_dir)"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, message", REQUIRED, ids=[f"{c}{f}" for c, f, _ in REQUIRED]
+)
+def test_missing_required_value_exits_2_naming_flag_and_key(
+    capsys, tmp_path, monkeypatch, command, flag, message
+):
+    args, _ = command_case(capsys, tmp_path, command)
+    at = args.index(flag)
+    del args[at : at + 2]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, *args)
+    assert code == 2, err
+    assert err == f"coreseg {command}: {message}\n"
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+@pytest.mark.parametrize(
+    "flag, key, reason",
+    [
+        ("--name", "volume_name", "volume_name must be a plain name"),
+        ("--out-dir", "out_dir", "expected a non-empty path, got ''"),
+    ],
+    ids=["volume-name", "path"],
+)
+def test_empty_value_is_usage_error(
+    capsys, tmp_path, monkeypatch, spelling, flag, key, reason
+):
+    # Taken as given, an empty name would name the patches after the
+    # volume's stem while the run manifest recorded "", and an empty output
+    # directory is the working directory. Both are refused before any read.
+    vol = tmp_path / "in" / "v.vol3d"
+    vol.parent.mkdir()
+    write_instance(vol, np.ones((3, 5, 5), dtype=np.uint32))
+    args = ["tile", "--volume", vol, "--patch", "2,4,4"]
+    if key != "out_dir":
+        args += ["--out-dir", tmp_path / "out"]
+    monkeypatch.setattr(cli, "read_volume", None)
+    monkeypatch.chdir(tmp_path)
+    if spelling == "flag":
+        args += [flag, ""]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key}=\n", encoding="ascii")
+        args += ["--config", "run.cfg"]
+    code, out, err = run(capsys, *args)
+    assert code == 2, err
+    assert reason in err
+    if spelling == "config":
+        assert f"run.cfg:1: {key}: " in err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["in", "run.cfg"] if spelling == "config" else ["in"]
+    )
 
 
 def manifest_inputs(run_manifest):
@@ -1103,6 +1216,15 @@ def test_config_unknown_key_is_usage_error(capsys, tmp_path):
     assert "no_such_key" in err
 
 
+def test_config_line_without_equals_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget=2\n  budgets 2,4\n", encoding="ascii")
+    code, _, err = run(capsys, "select", "--config", cfg, "--out-dir", tmp_path / "s")
+    assert code == 2, err
+    assert err == f"coreseg select: {cfg}:2: expected key = value, got '  budgets 2,4'\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_config_not_utf8_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"budget=2\n# r\xe9sum\xe9\n")
@@ -1129,11 +1251,12 @@ def test_config_not_utf8_is_usage_error(capsys, tmp_path):
         ("report", "surpass_fraction", "2"),
         ("report", "surpass_fraction", "\u0660.\u0665"),
         ("evaluate", "iou_threshold", "0.7_5"),
+        ("select", "budgets", "4,4"),
     ],
     ids=["superscript-shape", "5000-digit-shape", "pad-mode", "superscript-budget",
          "method", "arabic-indic-seed", "connectivity", "iou-threshold-low",
          "iou-threshold-one", "fraction-nan", "fraction-two", "arabic-indic-fraction",
-         "underscore-threshold"],
+         "underscore-threshold", "repeated-budget"],
 )
 def test_malformed_value_is_usage_error(
     capsys, tmp_path, demo_volume, demo_embeddings, spelling, command, key, value

@@ -157,6 +157,15 @@ def test_reassemble_rejects_mixed_names():
         reassemble(patches, spec)
 
 
+def test_reassemble_rejects_mixed_value_kinds():
+    vol = instance_volume(np.zeros((2, 2, 4), dtype=np.uint32))
+    spec = plan_grid((2, 2, 4), (2, 2, 2), PAD_ZERO)
+    patches = tile(vol, spec, "v")
+    patches[PatchId("v", (0, 0, 1))] = new_volume(np.zeros((2, 2, 2), np.uint32), KIND_MASK)
+    with pytest.raises(GridError, match=r"mix value kinds \['binary_mask', 'instance_labels'\]"):
+        reassemble(patches, spec)
+
+
 def test_reassemble_rejects_empty():
     spec = plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO)
     with pytest.raises(GridError, match="at least one patch"):
@@ -323,7 +332,9 @@ def test_check_volume_name_accepts_plain_names(name):
     assert check_volume_name(name, GridError) == name
 
 
-@pytest.mark.parametrize("name", ["../x", "a/b", "/abs", "a\\b", "a\0b", "a\rb", "a\nb", ".", ".."])
+@pytest.mark.parametrize(
+    "name", ["../x", "a/b", "/abs", "a\\b", "a\0b", "a\rb", "a\nb", ".", "..", ""]
+)
 @pytest.mark.parametrize("error", [GridError, ConfigError])
 def test_check_volume_name_refuses_paths_and_line_breaks(name, error):
     with pytest.raises(error, match="volume_name"):

@@ -253,6 +253,21 @@ def test_header_rejects_zero_axis():
         VolumeHeader(shape=(0, 1, 1), value_kind=KIND_MASK).validate()
 
 
+@pytest.mark.parametrize(
+    "voxels, match",
+    [
+        (np.zeros((1, 2, 3), dtype=np.uint32), r"voxel array shape \(1, 2, 3\) does not match "
+         r"header shape \(1, 3, 2\)"),
+        (np.zeros((1, 3, 2), dtype=np.int32), "voxel dtype must be uint32, got int32"),
+    ],
+    ids=["shape", "dtype"],
+)
+def test_volume_validate_rejects_voxels_that_disagree_with_header(voxels, match):
+    vol = LabelVolume(VolumeHeader(shape=(1, 3, 2), value_kind=KIND_INSTANCE), voxels)
+    with pytest.raises(VolumeFormatError, match=match):
+        vol.validate()
+
+
 def test_header_counts():
     h = VolumeHeader(shape=(2, 3, 4), value_kind=KIND_INSTANCE)
     assert h.voxel_count == 24
