@@ -150,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, options) in _OPTIONS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", help="flat key=value configuration file")
+        # --config takes a path, parsed as every key without a rule of its own.
+        p.add_argument("--config", type=_flag("config"), help="flat key=value configuration file")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         for flag, key, text in options:
             p.add_argument(flag, dest=key, type=_flag(key), help=text)
@@ -158,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
+    cfg = PipelineConfig() if args.config is None else load_config(args.config)
     return replace(cfg, **{k: v for k, v in vars(args).items() if k in KEYS and v is not None})
 
 

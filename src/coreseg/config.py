@@ -113,7 +113,7 @@ KEYS = frozenset(f.name for f in fields(PipelineConfig))
 
 
 def parse_value(key: str, text: str):
-    """Parse a config line's or flag's text for key with that key's rule."""
+    """Parse a flag's or config line's text for key by its rule, else as a path."""
     return _PARSERS.get(key, _parse_path)(text)
 
 

@@ -141,36 +141,26 @@ def overlap_histogram(
             f"pred shape {tuple(pred.voxels.shape)} does not match "
             f"gt shape {tuple(gt.voxels.shape)}"
         )
-    # Pack each voxel that is foreground in either volume into one
-    # (pred << 32) | gt key, so one sort counts every (pred, gt) cell in
-    # (pred, gt) order. The pairs are the cells with both ids nonzero, and
-    # each volume's totals are the marginal of its ids over those cells.
+    # Pack each foreground-in-both voxel's ids into one (pred << 32) | gt
+    # key, so one sort counts every pair and leaves them in (pred, gt) order.
     pred_flat = pred.voxels.ravel()
     gt_flat = gt.voxels.ravel()
-    either = pred_flat > 0
-    either |= gt_flat > 0
-    keys = pred_flat[either].astype(np.uint64) << np.uint64(32)
-    keys |= gt_flat[either].astype(np.uint64)
+    both = (pred_flat > 0) & (gt_flat > 0)
+    keys = pred_flat[both].astype(np.uint64) << np.uint64(32)
+    keys |= gt_flat[both].astype(np.uint64)
     keys, counts = np.unique(keys, return_counts=True)
-    pred_ids = keys >> np.uint64(32)
-    gt_ids = keys & np.uint64(0xFFFFFFFF)
-    both = (pred_ids > 0) & (gt_ids > 0)
-    pairs = dict(
-        zip(zip(pred_ids[both].tolist(), gt_ids[both].tolist()), counts[both].tolist())
-    )
-    return pairs, _marginal(pred_ids, counts), _marginal(gt_ids, counts)
+    pred_ids = (keys >> np.uint64(32)).tolist()
+    gt_ids = (keys & np.uint64(0xFFFFFFFF)).tolist()
+    pairs = dict(zip(zip(pred_ids, gt_ids), counts.tolist()))
+    pred_totals = _foreground_totals(pred)
+    gt_totals = _foreground_totals(gt)
+    return pairs, pred_totals, gt_totals
 
 
-def _marginal(ids: np.ndarray, counts: np.ndarray) -> dict[int, int]:
-    # Sum counts per nonzero id, in ascending id order.
-    fg = ids > 0
-    ids, counts = ids[fg], counts[fg]
-    order = np.argsort(ids)
-    ids, counts = ids[order], counts[order]
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    starts = np.flatnonzero(first)
-    return dict(zip(ids[starts].tolist(), np.add.reduceat(counts, starts).tolist()))
+def _foreground_totals(vol: LabelVolume) -> dict[int, int]:
+    flat = vol.voxels.ravel()
+    ids, counts = np.unique(flat[flat > 0], return_counts=True)
+    return {int(i): int(c) for i, c in zip(ids, counts)}
 
 
 def match_instances(

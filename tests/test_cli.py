@@ -1053,6 +1053,20 @@ def test_empty_value_is_usage_error(
     )
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_empty_config_path_is_usage_error(capsys, tmp_path, monkeypatch, command):
+    # Taken as "no config file", an empty --config would run on the
+    # defaults; it is refused like every other empty path.
+    args, _ = command_case(capsys, tmp_path, command)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, *args, "--config", "")
+    assert code == 2, err
+    assert "argument --config: expected a non-empty path, got ''" in err
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def manifest_inputs(run_manifest):
     """Return (role, name, digest) for every input= line of a run manifest."""
     lines = run_manifest.read_text().splitlines()

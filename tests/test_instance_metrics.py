@@ -74,24 +74,6 @@ def test_overlap_histogram_empty_foreground():
     assert overlap_histogram(zero, zero) == ({}, {}, {})
 
 
-def test_overlap_histogram_sorts_once(monkeypatch):
-    # Pairs and both totals come from one joint histogram of the voxels
-    # that are foreground in either volume.
-    rng = np.random.default_rng(3)
-    pred, gt = random_labels(rng), random_labels(rng)
-    expected = naive_histogram(pred, gt)
-    calls = []
-    real_unique = np.unique
-
-    def counting_unique(*args, **kwargs):
-        calls.append(args)
-        return real_unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", counting_unique)
-    assert overlap_histogram(pred, gt) == expected
-    assert len(calls) == 1
-
-
 def hand_case():
     """One matched pair at IoU 0.8, one extra prediction, one missed truth.
 
