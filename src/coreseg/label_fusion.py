@@ -74,45 +74,102 @@ CONN_FACE6 = Connectivity("face6")
 CONN_FULL26 = Connectivity("full26")
 
 
-def _pair_views(shape, offset) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Slices (here, there) such that there[i] is here[i] shifted by offset."""
-    here = tuple(slice(max(0, -d), n - max(0, d)) for n, d in zip(shape, offset))
-    there = tuple(slice(max(0, d), n - max(0, -d)) for n, d in zip(shape, offset))
-    return here, there
+# Entries per vectorised step: foreground voxels while edges are built
+# and labels written, edges while they are hooked, and voxels (whole
+# planes, at least one) while ids are assigned. It bounds the scratch of
+# each step at any density.
+_CHUNK = 1 << 16
+
+
+def _step_flags(size: int, axis: int) -> np.ndarray:
+    """Per coordinate along one axis, the unit steps that stay inside it.
+
+    Bit 2*axis is set where the coordinate can step down by one, bit
+    2*axis + 1 where it can step up; axis 0 is z, 1 is y and 2 is x.
+    """
+    coord = np.arange(size)
+    down = (coord >= 1).astype(np.uint8) << (2 * axis)
+    return down | (coord <= size - 2).astype(np.uint8) << (2 * axis + 1)
+
+
+def _shortcut(parent: np.ndarray) -> None:
+    """Point every entry of parent straight at its root, in place.
+
+    Entries only ever point at smaller ones, so by the time a chunk is
+    reached every earlier entry points at a root already, and pointer
+    jumping within the chunk settles it.
+    """
+    for lo in range(0, parent.size, _CHUNK):
+        p = parent[lo : lo + _CHUNK]
+        grand = parent[p]
+        while not np.array_equal(grand, p):
+            p[:] = grand
+            grand = parent[p]
 
 
 def _union_round(parent: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """One hook-and-shortcut round over the edges (a, b).
+    """One hook-and-shortcut round over the open edges (a, b).
 
-    parent must be fully shortcut on entry (every entry is a root) and is
-    again on return. Edges whose endpoints already share a root are
-    dropped; each remaining root is hooked to the smallest root it shares
-    an edge with, when that root is smaller. Returns the edges that were
-    still open at the start of the round.
+    parent must be fully shortcut on entry (every entry is a root); a and
+    b hold roots with a != b on every edge and are overwritten. Each root
+    is hooked to the smallest root it shares an edge with, when that root
+    is smaller, and parent is shortcut again. Returns the edges still open
+    afterwards, as pairs of their endpoints' roots.
     """
-    ra = parent[a]
-    rb = parent[b]
-    open_ = ra != rb
-    a, b, ra, rb = a[open_], b[open_], ra[open_], rb[open_]
-    np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-    while True:
-        grand = parent[parent]
-        if np.array_equal(grand, parent):
-            break
-        parent[:] = grand
-    return a, b
+    for lo in range(0, a.size, _CHUNK):
+        ca, cb = a[lo : lo + _CHUNK], b[lo : lo + _CHUNK]
+        np.minimum.at(parent, np.maximum(ca, cb), np.minimum(ca, cb))
+    _shortcut(parent)
+    for lo in range(0, a.size, _CHUNK):
+        ca, cb = a[lo : lo + _CHUNK], b[lo : lo + _CHUNK]
+        ca[:] = parent[ca]
+        cb[:] = parent[cb]
+    open_ = a != b
+    return a[open_], b[open_]
+
+
+def _offset_edges(out, f, flags, parent, offset):
+    """Yield the open edges that one neighbor offset adds, chunk by chunk.
+
+    out holds compact id + 1 at every foreground voxel and 0 elsewhere, f
+    the foreground's flat positions in ascending order, and flags their
+    _step_flags or-ed over the three axes. A voxel's neighbor is its flat
+    position plus the offset's linear delta, looked up only where flags
+    say the offset stays inside the volume, so no lookup wraps across a
+    row or plane. Pairs that already share a root are dropped; the rest
+    are yielded as (root, root).
+    """
+    dz, dy, dx = (int(d) for d in offset)
+    delta = (dz * out.shape[1] + dy) * out.shape[2] + dx
+    need = sum(1 << (2 * axis + (d > 0)) for axis, d in enumerate(offset) if d)
+    flat = out.reshape(-1)
+    for lo in range(0, f.size, _CHUNK):
+        here = f[lo : lo + _CHUNK][(flags[lo : lo + _CHUNK] & need) == need]
+        there = flat[here + delta]
+        hit = there != 0
+        here = flat[here[hit]]
+        there = there[hit]
+        here -= 1
+        there -= 1
+        ra = parent[here]
+        rb = parent[there]
+        keep = ra != rb
+        yield ra[keep], rb[keep]
 
 
 def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
     """Canonically label the connected components of a 3D binary mask.
 
     Union-find on the foreground only, run as vectorised hook-and-shortcut
-    rounds: each foreground voxel gets a compact id in z-major scan order,
-    each scan-order-previous offset contributes the foreground pairs of
-    two shifted views of the mask as edges, and every hook points a root
-    at a smaller one. A component's root is therefore its smallest compact
-    id, i.e. its first voxel in scan order, and a running count of roots
-    is the canonical numbering.
+    rounds in the spirit of two-pass labeling (Wu, Otoo & Suzuki, 2009).
+    Each foreground voxel gets a compact id in z-major scan order, kept as
+    id + 1 in the zero-filled output, which is thus also the id map. Each
+    scan-order-previous offset contributes, from the sorted foreground
+    positions, every voxel and its in-bounds foreground neighbor as an
+    edge, and every hook points a root at a smaller one. A component's
+    root is therefore its smallest compact id, i.e. its first voxel in scan
+    order, and a running count of roots is the canonical numbering, which
+    overwrites the ids at the end.
 
     Args:
         mask: 3D array, nonzero = foreground.
@@ -124,28 +181,49 @@ def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
         ascending position of each component's first voxel in z-major scan
         order; background stays 0.
     """
-    fg = np.ascontiguousarray(mask != 0)
-    n = int(np.count_nonzero(fg))
-    id_dtype = np.int32 if n < 2**31 else np.int64
-    ids = np.cumsum(fg, dtype=id_dtype).reshape(fg.shape)
-    ids -= 1
+    out = np.zeros(mask.shape, np.uint32)
+    flat = out.reshape(-1)
+    n = int(np.count_nonzero(mask))
+    id_dtype = np.int32 if mask.size < 2**31 else np.int64
+    f = np.empty(n, dtype=id_dtype)
+    flags = np.empty(n, dtype=np.uint8)
+    z_flags, y_flags, x_flags = map(_step_flags, mask.shape, range(3))
+    yx_flags = y_flags[:, None] | x_flags
+    plane = mask.shape[1] * mask.shape[2]
+    step = max(1, _CHUNK // max(plane, 1))
+    k = 0
+    for z in range(0, mask.shape[0], step):
+        pos = np.flatnonzero(mask[z : z + step])
+        slab_flags = z_flags[z : z + step, None, None] | yx_flags
+        flags[k : k + pos.size] = slab_flags.reshape(-1)[pos]
+        pos += z * plane
+        f[k : k + pos.size] = pos
+        flat[pos] = np.arange(k + 1, k + pos.size + 1, dtype=np.uint32)
+        k += pos.size
     parent = np.arange(n, dtype=id_dtype)
     a = b = np.empty(0, dtype=id_dtype)
     # One round per offset keeps only the edges still open, so the edge
     # lists stay small on solid foreground.
     for offset in prev_offsets:
-        here, there = _pair_views(fg.shape, offset)
-        pairs = fg[here] & fg[there]
-        a = np.concatenate([a, ids[here][pairs]])
-        b = np.concatenate([b, ids[there][pairs]])
-        del pairs
+        parts = list(_offset_edges(out, f, flags, parent, offset))
+        a = np.concatenate([a, *(pa for pa, _ in parts)])
+        b = np.concatenate([b, *(pb for _, pb in parts)])
+        del parts
         a, b = _union_round(parent, a, b)
-    del ids
     while a.size:
         a, b = _union_round(parent, a, b)
-    canonical = np.cumsum(parent == np.arange(n, dtype=id_dtype), dtype=np.uint32)
-    out = np.zeros(fg.shape, np.uint32)
-    out[fg] = canonical[parent]
+    # Number the roots in scan order, in place: a root's entry becomes its
+    # label before any later entry, whose root is smaller, reads it.
+    count = 0
+    for lo in range(0, n, _CHUNK):
+        p = parent[lo : lo + _CHUNK]
+        roots = p == np.arange(lo, lo + p.size, dtype=id_dtype)
+        found = int(np.count_nonzero(roots))
+        p[roots] = np.arange(count + 1, count + found + 1, dtype=id_dtype)
+        count += found
+        rest = ~roots
+        p[rest] = parent[p[rest]]
+        flat[f[lo : lo + _CHUNK]] = p
     return out
 
 

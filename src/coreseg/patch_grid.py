@@ -64,7 +64,9 @@ def check_volume_name(name: str, error: type[CoresegError]) -> str:
     directory and the name is one grid manifest line, so it may hold no
     path separator, NUL, CR or LF and may not be empty, `.` or `..`.
     """
-    if name in ("", ".", "..") or any(c in name for c in _NAME_FORBIDDEN):
+    if not name:
+        raise error("volume_name must not be empty")
+    if name in (".", "..") or any(c in name for c in _NAME_FORBIDDEN):
         raise error(
             "volume_name must be a plain name without /, \\, NUL, CR or LF "
             f"and not . or .., got {name!r}"

@@ -1018,7 +1018,7 @@ def test_missing_required_value_exits_2_naming_flag_and_key(
 @pytest.mark.parametrize(
     "flag, key, reason",
     [
-        ("--name", "volume_name", "volume_name must be a plain name"),
+        ("--name", "volume_name", "volume_name must not be empty"),
         ("--out-dir", "out_dir", "expected a non-empty path, got ''"),
     ],
     ids=["volume-name", "path"],

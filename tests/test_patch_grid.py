@@ -339,3 +339,17 @@ def test_check_volume_name_accepts_plain_names(name):
 def test_check_volume_name_refuses_paths_and_line_breaks(name, error):
     with pytest.raises(error, match="volume_name"):
         check_volume_name(name, error)
+
+
+@pytest.mark.parametrize("error", [GridError, ConfigError])
+def test_check_volume_name_names_the_empty_case(error):
+    with pytest.raises(error) as info:
+        check_volume_name("", error)
+    assert str(info.value) == "volume_name must not be empty"
+    # Every other refusal keeps the one message that lists the rule.
+    with pytest.raises(error) as info:
+        check_volume_name("..", error)
+    assert str(info.value) == (
+        "volume_name must be a plain name without /, \\, NUL, CR or LF "
+        "and not . or .., got '..'"
+    )
