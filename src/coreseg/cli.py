@@ -319,6 +319,14 @@ def _ordered_slices(slices_dir: Path) -> list[tuple[int, Path]]:
     return keyed
 
 
+def _label(command, cfg, force, out, mask, inputs) -> int:
+    # Label mask's components, commit them to out, and return their count.
+    labeled = connected_components(mask, Connectivity(cfg.connectivity))
+    writers = {out.name: lambda p: write_volume(labeled, p)}
+    _commit(command, cfg, force, out.parent, writers, f"{out.name}.run.txt", inputs)
+    return component_count(labeled)
+
+
 def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
     slices_dir = _input_dir(cfg, "slices_dir", "slice directory")
     out = Path(_require(cfg, "out", "output path"))
@@ -339,18 +347,9 @@ def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
             )
         grids.append(v.voxels[0])
     mask = stack_slices(grids)
-    labeled = connected_components(mask, Connectivity(cfg.connectivity))
-    _commit(
-        "fuse",
-        cfg,
-        force,
-        out.parent,
-        {out.name: lambda p: write_volume(labeled, p)},
-        f"{out.name}.run.txt",
-        [("slice", d) for d in read],
-    )
-    z, y, x = labeled.header.shape
-    print(f"components={component_count(labeled)} slices={len(keyed)} shape={z},{y},{x}")
+    count = _label("fuse", cfg, force, out, mask, [("slice", d) for d in read])
+    z, y, x = mask.header.shape
+    print(f"components={count} slices={len(keyed)} shape={z},{y},{x}")
     return EXIT_OK
 
 
@@ -359,17 +358,7 @@ def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
     out = Path(_require(cfg, "out", "output path"))
     read: list[InputDigest] = []
     mask = read_volume(mask_path, digests=read)
-    labeled = connected_components(mask, Connectivity(cfg.connectivity))
-    _commit(
-        "cc",
-        cfg,
-        force,
-        out.parent,
-        {out.name: lambda p: write_volume(labeled, p)},
-        f"{out.name}.run.txt",
-        [("mask", d) for d in read],
-    )
-    print(f"components={component_count(labeled)}")
+    print(f"components={_label('cc', cfg, force, out, mask, [('mask', d) for d in read])}")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ._fields import parse_float, parse_ints
-from .coreset import METHOD_CORESET, check_method
+from .coreset import METHOD_CORESET, check_k_init, check_method
 from .errors import ConfigError
 from .instance_metrics import check_iou_threshold
 from .label_fusion import CONN_FULL26, connectivity_kind
@@ -100,7 +100,7 @@ _PARSERS = {
     "pad_mode": lambda text: check_pad_mode(text, ConfigError),
     "connectivity": lambda text: connectivity_kind(text, ConfigError),
     "iou_threshold": lambda text: check_iou_threshold(_parse_float(text), ConfigError),
-    "k_init": _parse_int,
+    "k_init": lambda text: check_k_init(_parse_int(text), ConfigError),
     "budgets": parse_budgets,
     "rng_seed": _parse_int,
     "method": lambda text: check_method(text, ConfigError),

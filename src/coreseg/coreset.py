@@ -46,6 +46,24 @@ def check_method(method: str, error: type[CoresegError]) -> str:
     return method
 
 
+def check_k_init(k_init: int, error: type[CoresegError], budget: int | None = None) -> int:
+    """Return k_init if it is at least 1 and, when budget is given, at most
+    budget, else raise error."""
+    if k_init < 1:
+        raise error(f"k_init must be at least 1, got {k_init}")
+    if budget is not None and k_init > budget:
+        raise error(f"k_init {k_init} outside [1, budget={budget}]")
+    return k_init
+
+
+def _check_ids(ids: Sequence[str], what: str) -> None:
+    # Ids are written one per line, so each must read back as exactly one
+    # line: not empty and free of every boundary str.splitlines splits on.
+    for item in ids:
+        if item.splitlines() != [item]:
+            raise SelectionError(f"{what} {item!r} is not one non-empty line")
+
+
 @dataclass
 class EmbeddingMatrix:
     """N x Dim feature matrix with per-row item identifiers.
@@ -72,6 +90,7 @@ class EmbeddingMatrix:
             )
         if len(set(self.ids)) != len(self.ids):
             raise SelectionError("embedding ids must be unique")
+        _check_ids(self.ids, "embedding id")
         if not np.isfinite(self.values).all():
             raise SelectionError("embedding matrix contains non-finite entries")
         if self.normalized:
@@ -137,6 +156,7 @@ class SelectionManifest:
             )
         if len(set(self.selected)) != len(self.selected):
             raise SelectionError("selected ids are not unique")
+        _check_ids(self.selected, "selected id")
         if source_ids is not None:
             known = set(source_ids)
             for item in self.selected:
@@ -221,8 +241,8 @@ def check_budget(n: int, budget: int, k_init: int | None = None) -> None:
     k-center greedy) can be drawn from n items."""
     if budget > n:
         raise SelectionError(f"budget {budget} exceeds item count {n}")
-    if k_init is not None and not 1 <= k_init <= budget:
-        raise SelectionError(f"k_init {k_init} outside [1, budget={budget}]")
+    if k_init is not None:
+        check_k_init(k_init, SelectionError, budget)
 
 
 # Rounding margin of the pruning test in _farthest_first. A row entry is a

@@ -21,29 +21,13 @@ participates in matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from ._fields import parse_float, parse_ints
 from .errors import CoresegError, InternalError, MetricsError
 from .volume_io import LabelVolume
-
-CSV_COLUMNS = (
-    "budget",
-    "tp",
-    "fp",
-    "fn",
-    "precision",
-    "recall",
-    "f1",
-    "accuracy",
-    "sq",
-    "rq",
-    "pq",
-    "iou_threshold",
-)
-
 
 @dataclass(frozen=True)
 class MatchResult:
@@ -103,6 +87,11 @@ class MetricsRecord:
             rq=f1,
             pq=sq * f1,
         )
+
+
+# The metrics file layout: a budget, MetricsRecord's fields in order, and
+# the threshold. Reordering the fields reorders the file.
+CSV_COLUMNS = ("budget", *(f.name for f in fields(MetricsRecord)), "iou_threshold")
 
 
 def check_iou_threshold(value: float, error: type[CoresegError]) -> float:
@@ -235,20 +224,9 @@ def metrics_csv_text(record: MetricsRecord, budget: int, iou_threshold: float) -
 
 
 def _row_values(record: MetricsRecord, budget: int, iou_threshold: float) -> list[str]:
-    return [
-        str(budget),
-        str(record.tp),
-        str(record.fp),
-        str(record.fn),
-        repr(record.precision),
-        repr(record.recall),
-        repr(record.f1),
-        repr(record.accuracy),
-        repr(record.sq),
-        repr(record.rq),
-        repr(record.pq),
-        repr(iou_threshold),
-    ]
+    # Counts render as ints, scores and the threshold with full repr.
+    row = (budget, *astuple(record), iou_threshold)
+    return [repr(v) if isinstance(v, float) else str(v) for v in row]
 
 
 def parse_metrics_csv(text: str, source: str = "<metrics>") -> tuple[int, MetricsRecord, float]:

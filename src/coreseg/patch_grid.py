@@ -3,7 +3,7 @@
 A volume is padded at the high end of each axis to the next multiple of
 the patch shape (end-padding keeps patch offsets = grid_index *
 patch_shape), then cut into a non-overlapping grid of fixed-size patches.
-Reassembly places every patch back and crops the padding, so
+Reassembly places the in-bounds part of every patch back, so
 reassemble(tile(v)) == v voxel for voxel.
 
 Padding modes:
@@ -12,11 +12,15 @@ Padding modes:
         the edge plane, e.g. [a, b, c] padded to length 5 -> [a, b, c, b, a];
         a pad longer than the axis bounces back and forth (numpy's "reflect").
 
-A reflect patch is built without gathering voxel by voxel. On each axis the
-mirrored index map over the patch window splits into a few maximal runs
-that step +1 or -1 through the source, so the patch is the product of
-those runs: one basic-slice copy per (z, y, x) run triple, a mirrored run
-read through a negative-step view. Extraction holds no more than the patch.
+Both modes fill a patch by one copy path, without gathering voxel by
+voxel. On each axis the window splits into (patch slice, source slice)
+runs: zero padding's is the in-bounds run alone, over a zeroed block;
+reflect's are the maximal runs stepping +1 or -1 through the mirrored
+index map, a mirrored run read through a negative-step view. A patch is
+one basic-slice copy per (z, y, x) run triple, so extraction holds no
+more than the patch. Every window starts inside the axis, as the pad is
+shorter than a patch. reassemble copies each patch's in-bounds run
+straight into one volume of the original shape, and holds no more.
 """
 
 from __future__ import annotations
@@ -147,33 +151,35 @@ def patch_ids(spec: PatchSpec, volume_name: str) -> list[PatchId]:
     return [PatchId(volume_name, idx) for idx in np.ndindex(*spec.grid_dims)]
 
 
-def _reflect_index_map(length: int, padded: int) -> np.ndarray:
-    # Source index of every padded position on one axis. numpy's "reflect"
-    # pad mirrors about the last in-bounds plane without duplicating it and
-    # bounces repeatedly when the pad is longer than the axis, so the map is
-    # the convention itself; _reflect_runs cuts it into slice copies.
-    return np.pad(np.arange(length, dtype=np.int64), (0, padded - length), mode="reflect")
+def _axis_runs(spec: PatchSpec, pid: PatchId, pad_mode: str) -> list[list[tuple[slice, slice]]]:
+    """Return, per axis, the (patch slice, source slice) runs of pid's window.
 
-
-def _reflect_runs(length: int, padded: int, start: int, stop: int) -> list[tuple[slice, slice]]:
-    """Split the reflect map over [start, stop) into maximal +1/-1 runs.
-
-    Returns (patch slice, source slice) pairs covering the window in
-    order. A length-1 axis maps every position to 0 and so gives
-    single-element runs.
+    Zero padding gives the in-bounds run alone. Reflect padding splits
+    numpy's "reflect" map into maximal +1/-1 runs covering the window; a
+    length-1 axis maps every position to 0, in single-element runs.
     """
-    m = _reflect_index_map(length, padded)[start:stop].tolist()
-    runs = []
-    i = 0
-    while i < len(m):
-        step = -1 if i + 1 < len(m) and m[i + 1] < m[i] else 1
-        j = i + 1
-        while j < len(m) and m[j] - m[j - 1] == step:
-            j += 1
-        end = m[j - 1] + step
-        runs.append((slice(i, j), slice(m[i], end if end >= 0 else None, step)))
-        i = j
-    return runs
+    axes = []
+    for length, padded, p, i in zip(
+        spec.original_shape, spec.padded_shape, spec.patch_shape, pid.grid_index
+    ):
+        start = int(i) * p
+        if pad_mode == PAD_ZERO:
+            end = min(start + p, length)
+            axes.append([(slice(0, end - start), slice(start, end))])
+            continue
+        m = np.pad(np.arange(length), (0, padded - length), mode="reflect")
+        m = m[start : start + p].tolist()
+        runs, j = [], 0
+        while j < p:
+            step = -1 if j + 1 < p and m[j + 1] < m[j] else 1
+            k = j + 1
+            while k < p and m[k] - m[k - 1] == step:
+                k += 1
+            end = m[k - 1] + step
+            runs.append((slice(j, k), slice(m[j], end if end >= 0 else None, step)))
+            j = k
+        axes.append(runs)
+    return axes
 
 
 def _check_id(spec: PatchSpec, pid: PatchId) -> None:
@@ -206,25 +212,13 @@ def extract_patch(vol: LabelVolume, spec: PatchSpec, pid: PatchId) -> LabelVolum
             f"volume shape {tuple(vol.voxels.shape)} does not match "
             f"spec original shape {spec.original_shape}"
         )
-    starts = [int(i) * p for i, p in zip(pid.grid_index, spec.patch_shape)]
-    stops = [s + p for s, p in zip(starts, spec.patch_shape)]
-    if spec.pad_mode == PAD_REFLECT:
-        block = np.empty(spec.patch_shape, dtype=np.uint32)
-        runs = [
-            _reflect_runs(n, pn, a, b)
-            for n, pn, a, b in zip(spec.original_shape, spec.padded_shape, starts, stops)
-        ]
-        for (dz, sz), (dy, sy), (dx, sx) in itertools.product(*runs):
-            block[dz, dy, dx] = vol.voxels[sz, sy, sx]
-    else:
-        block = np.zeros(spec.patch_shape, dtype=np.uint32)
-        ins = [slice(s, min(e, n)) for s, e, n in zip(starts, stops, spec.original_shape)]
-        if all(s.start < s.stop for s in ins):
-            spans = [slice(0, s.stop - s.start) for s in ins]
-            block[tuple(spans)] = vol.voxels[tuple(ins)]
+    # Reflect runs cover the whole window; a zero run leaves the margin at 0.
+    new = np.zeros if spec.pad_mode == PAD_ZERO else np.empty
+    block = new(spec.patch_shape, dtype=np.uint32)
+    for (dz, sz), (dy, sy), (dx, sx) in itertools.product(*_axis_runs(spec, pid, spec.pad_mode)):
+        block[dz, dy, dx] = vol.voxels[sz, sy, sx]
     return LabelVolume(
-        VolumeHeader(shape=spec.patch_shape, value_kind=vol.header.value_kind),
-        np.ascontiguousarray(block, dtype=np.uint32),
+        VolumeHeader(shape=spec.patch_shape, value_kind=vol.header.value_kind), block
     )
 
 
@@ -276,21 +270,18 @@ def reassemble(patches: Mapping[PatchId, LabelVolume], spec: PatchSpec) -> Label
     if missing:
         pid = sorted(missing, key=lambda q: q.grid_index)[0]
         raise GridError(f"missing patch at grid index {pid.grid_index}")
-    padded = np.zeros(spec.padded_shape, dtype=np.uint32)
+    # The complete patch set covers every voxel, so no voxel stays unset.
+    voxels = np.empty(spec.original_shape, dtype=np.uint32)
     for pid, patch in patches.items():
         if tuple(patch.voxels.shape) != spec.patch_shape:
             raise GridError(
                 f"patch {pid.grid_index} has shape {tuple(patch.voxels.shape)}, "
                 f"expected {spec.patch_shape}"
             )
-        starts = [int(i) * p for i, p in zip(pid.grid_index, spec.patch_shape)]
-        spans = tuple(slice(s, s + p) for s, p in zip(starts, spec.patch_shape))
-        padded[spans] = patch.voxels
-    crop = tuple(slice(0, n) for n in spec.original_shape)
-    kind = next(iter(kinds))
+        for (dz, sz), (dy, sy), (dx, sx) in itertools.product(*_axis_runs(spec, pid, PAD_ZERO)):
+            voxels[sz, sy, sx] = patch.voxels[dz, dy, dx]
     return LabelVolume(
-        VolumeHeader(shape=spec.original_shape, value_kind=kind),
-        np.ascontiguousarray(padded[crop]),
+        VolumeHeader(shape=spec.original_shape, value_kind=next(iter(kinds))), voxels
     )
 
 

@@ -567,6 +567,27 @@ def test_select_k_init_beyond_later_budget_writes_nothing(capsys, tmp_path, demo
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("method", ["coreset", "random"])
+@pytest.mark.parametrize("spelling", ["config", "flag"])
+def test_select_k_init_below_one_exits_2_before_reading(capsys, tmp_path, method, spelling):
+    # The embedding stem does not exist, so only a refusal before any input
+    # is read gives exit 2; random selection, which draws no k_init picks,
+    # refuses the value all the same.
+    out_dir = tmp_path / "sel"
+    args = ["select", "--embeddings", tmp_path / "gone", "--method", method,
+            "--out-dir", out_dir]
+    if spelling == "flag":
+        args += ["--k-init", "0"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k_init = 0\n", encoding="ascii")
+        args += ["--config", cfg]
+    code, _, err = run(capsys, *args)
+    assert code == 2, err
+    assert "k_init must be at least 1, got 0" in err
+    assert not out_dir.exists()
+
+
 def test_select_outputs_are_rerun_stable(capsys, tmp_path, demo_embeddings):
     stem, _ = demo_embeddings
     out_dir = tmp_path / "sel"
@@ -1266,11 +1287,13 @@ def test_config_not_utf8_is_usage_error(capsys, tmp_path):
         ("report", "surpass_fraction", "\u0660.\u0665"),
         ("evaluate", "iou_threshold", "0.7_5"),
         ("select", "budgets", "4,4"),
+        ("select", "k_init", "0"),
+        ("select", "k_init", "-2"),
     ],
     ids=["superscript-shape", "5000-digit-shape", "pad-mode", "superscript-budget",
          "method", "arabic-indic-seed", "connectivity", "iou-threshold-low",
          "iou-threshold-one", "fraction-nan", "fraction-two", "arabic-indic-fraction",
-         "underscore-threshold", "repeated-budget"],
+         "underscore-threshold", "repeated-budget", "k-init-zero", "k-init-negative"],
 )
 def test_malformed_value_is_usage_error(
     capsys, tmp_path, demo_volume, demo_embeddings, spelling, command, key, value
@@ -1278,7 +1301,8 @@ def test_malformed_value_is_usage_error(
     # A flag and a config line accept the same text, through one parser.
     flags = {"patch_shape": "--patch", "pad_mode": "--pad-mode", "budgets": "--budgets",
              "method": "--method", "rng_seed": "--seed", "connectivity": "--connectivity",
-             "iou_threshold": "--iou-threshold", "surpass_fraction": "--fraction"}
+             "iou_threshold": "--iou-threshold", "surpass_fraction": "--fraction",
+             "k_init": "--k-init"}
     out_dir = tmp_path / "out"
     # cc, evaluate and report name inputs that do not exist, so only a value
     # refused before any input is opened gives exit 2.

@@ -447,6 +447,30 @@ def test_read_manifest_keeps_negative_seed_and_utf8_ids(tmp_path):
     assert read_selection_manifest(path) == m
 
 
+# An empty id and every line boundary that str.splitlines splits on, which
+# the readers split on when they read the ids back.
+UNREADABLE_IDS = [
+    "", "x\ny", "x\ry", "x\r\ny", "x\x0by", "x\x0cy", "x\x1cy", "x\x1dy", "x\x1ey",
+    "x\x85y", "x\u2028y", "x\u2029y", "trailing\n",
+]
+
+
+@pytest.mark.parametrize("bad", UNREADABLE_IDS)
+def test_write_embeddings_refuses_an_id_that_would_not_read_back(tmp_path, bad):
+    E = EmbeddingMatrix(ids=[bad, "c"], values=np.ones((2, 3)))
+    with pytest.raises(SelectionError, match="embedding id"):
+        write_embeddings(E, tmp_path / "emb")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", UNREADABLE_IDS)
+def test_write_selection_manifest_refuses_an_id_that_would_not_read_back(tmp_path, bad):
+    m = SelectionManifest("random", 0, 2, 2, [bad, "c"])
+    with pytest.raises(SelectionError, match="selected id"):
+        write_selection_manifest(m, tmp_path / "sel.txt")
+    assert list(tmp_path.iterdir()) == []
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(2, 24),

@@ -232,6 +232,15 @@ def test_csv_round_trip():
     assert back == record  # repr round-trips floats exactly
 
 
+def test_csv_columns_are_the_documented_file_format():
+    # CSV_COLUMNS is derived from MetricsRecord's field order, so this pins
+    # the order the README documents: reordering the fields is a test edit.
+    assert CSV_COLUMNS == (
+        "budget", "tp", "fp", "fn", "precision", "recall", "f1", "accuracy",
+        "sq", "rq", "pq", "iou_threshold",
+    )
+
+
 def test_csv_and_kv_layout():
     record = MetricsRecord.from_counts(tp=1, fp=1, fn=1, sum_iou=0.8)
     csv = metrics_csv_text(record, 8, 0.5)

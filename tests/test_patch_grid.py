@@ -308,14 +308,15 @@ def test_every_cell_matches_numpy_pad(shape, patch, seed):
             assert not np.shares_memory(got, vol.voxels)
 
 
-def test_reflect_extraction_holds_no_more_than_the_patch():
+@pytest.mark.parametrize("pad_mode", [PAD_ZERO, PAD_REFLECT])
+def test_reflect_extraction_holds_no_more_than_the_patch(pad_mode):
     # Each reflect patch is filled in place: the allocation peak of one
     # extraction stays within 10 % of the patch's own bytes, for every cell
     # (interior, mirrored and corner).
     rng = np.random.default_rng(3)
     shape, patch = (20, 70, 90), (16, 64, 64)
     vol = instance_volume(rng.integers(0, 9, size=shape, dtype=np.uint32))
-    spec = plan_grid(shape, patch, PAD_REFLECT)
+    spec = plan_grid(shape, patch, pad_mode)
     patch_bytes = 4 * int(np.prod(patch))
     for pid in patch_ids(spec, "v"):
         tracemalloc.start()
@@ -325,6 +326,26 @@ def test_reflect_extraction_holds_no_more_than_the_patch():
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * patch_bytes, (pid.grid_index, peak / patch_bytes)
+
+
+@pytest.mark.parametrize("pad_mode", [PAD_ZERO, PAD_REFLECT])
+def test_reassemble_holds_no_more_than_the_volume(pad_mode):
+    # Each patch's in-bounds run goes straight into the output, so the
+    # allocation peak stays within 10 % of the original volume's bytes; a
+    # padded copy cropped afterwards would need several volumes' worth.
+    rng = np.random.default_rng(4)
+    shape, patch = (20, 70, 90), (16, 64, 64)
+    vol = instance_volume(rng.integers(0, 9, size=shape, dtype=np.uint32))
+    spec = plan_grid(shape, patch, pad_mode)
+    patches = tile(vol, spec, "v")
+    tracemalloc.start()
+    try:
+        back = reassemble(patches, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.voxels, vol.voxels)
+    assert peak <= 1.1 * vol.voxels.nbytes, peak / vol.voxels.nbytes
 
 
 @pytest.mark.parametrize("name", ["train", "vol-1.b", "a b", "..x", "x..", "\u00e9"])
