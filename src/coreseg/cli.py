@@ -63,16 +63,17 @@ from .label_fusion import (
     stack_slices,
 )
 from .patch_grid import (
+    PatchSpec,
     check_volume_name,
-    extract_patch,
     patch_filename,
     patch_ids,
+    patch_planes,
     plan_grid,
     write_grid_manifest,
 )
 from .provenance import InputDigest, read_digested
 from .report import build_curve, percent_csv, render_curve_table, surpass_summary
-from .volume_io import read_volume, write_volume
+from .volume_io import VolumeHeader, read_volume, write_volume
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -209,6 +210,18 @@ def _write_run_manifest(
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _check_targets(out_dir: Path, names, force: bool) -> None:
+    # Refuse an existing target unless force is set, and one that is not a
+    # regular file even then.
+    for name in names:
+        target = out_dir / name
+        if target.exists():
+            if not target.is_file():
+                raise FileExistsError(f"output path is not a regular file: {target}")
+            if not force:
+                raise OverwriteRefused(f"output exists: {target} (use --force to overwrite)")
+
+
 def _commit(
     command: str,
     cfg: PipelineConfig,
@@ -238,13 +251,7 @@ def _commit(
         **writers,
         run_name: lambda p: _write_run_manifest(p, command, cfg, inputs, list(writers)),
     }
-    for name in steps:
-        target = out_dir / name
-        if target.exists():
-            if not target.is_file():
-                raise FileExistsError(f"output path is not a regular file: {target}")
-            if not force:
-                raise OverwriteRefused(f"output exists: {target} (use --force to overwrite)")
+    _check_targets(out_dir, steps, force)
     # Outputs listed by the run manifest this run replaces. tile and report
     # both name theirs run_manifest.txt, so the command must match too.
     replaced: set[str] = set()
@@ -279,17 +286,29 @@ def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
     vol_path = _input_file(cfg, "volume", "input volume")
     out_dir = Path(_require(cfg, "out_dir", "output directory"))
     name = cfg.volume_name or check_volume_name(vol_path.stem, GridError)
+    run_name = "run_manifest.txt"
+
+    # Patch names depend only on the header's shape, so the grid is planned
+    # and the targets checked before the payload is read: a refused rerun
+    # reads the header alone. Cached, so the payload's header reuses it.
+    @functools.cache
+    def plan(header: VolumeHeader) -> PatchSpec:
+        spec = plan_grid(header.shape, cfg.patch_shape, cfg.pad_mode)
+        names = [patch_filename(pid) for pid in patch_ids(spec, name)]
+        _check_targets(out_dir, [*names, "grid_manifest.txt", run_name], force)
+        return spec
+
     read: list[InputDigest] = []
-    vol = read_volume(vol_path, digests=read)
-    spec = plan_grid(vol.header.shape, cfg.patch_shape, cfg.pad_mode)
-    # Each writer extracts its own patch, so only one patch is held at a time.
+    vol = read_volume(vol_path, digests=read, before_payload=plan)
+    spec = plan(vol.header)
+    # Each writer fills its patch plane by plane, so one plane is held at a time.
     writers = {
-        patch_filename(pid): lambda p, pid=pid: write_volume(extract_patch(vol, spec, pid), p)
+        patch_filename(pid): lambda p, pid=pid: write_volume(patch_planes(vol, spec, pid), p)
         for pid in patch_ids(spec, name)
     }
     writers["grid_manifest.txt"] = lambda p: write_grid_manifest(spec, name, p)
     inputs = [("volume", d) for d in read]
-    _commit("tile", cfg, force, out_dir, writers, "run_manifest.txt", inputs)
+    _commit("tile", cfg, force, out_dir, writers, run_name, inputs)
     nz, ny, nx = spec.grid_dims
     print(
         f"patches={spec.patch_count} grid={nz},{ny},{nx} "

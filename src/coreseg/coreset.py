@@ -57,11 +57,16 @@ def check_k_init(k_init: int, error: type[CoresegError], budget: int | None = No
 
 
 def _check_ids(ids: Sequence[str], what: str) -> None:
-    # Ids are written one per line, so each must read back as exactly one
-    # line: not empty and free of every boundary str.splitlines splits on.
+    # Ids are written one per line in UTF-8, so each must encode and read
+    # back as exactly one line: not empty and free of every boundary
+    # str.splitlines splits on.
     for item in ids:
         if item.splitlines() != [item]:
             raise SelectionError(f"{what} {item!r} is not one non-empty line")
+        try:
+            item.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SelectionError(f"{what} {item!r} cannot be encoded as UTF-8") from None
 
 
 @dataclass

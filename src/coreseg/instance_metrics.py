@@ -29,6 +29,12 @@ from ._fields import parse_float, parse_ints
 from .errors import CoresegError, InternalError, MetricsError
 from .volume_io import LabelVolume
 
+# Voxels counted at a time by overlap_histogram: one 256 x 256 plane.
+_CHUNK_VOXELS = 1 << 16
+# Ascending keys and their counts, as np.unique(..., return_counts=True) gives.
+_Counts = tuple[np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Outcome of IoU matching between two instance volumes.
@@ -108,7 +114,9 @@ def overlap_histogram(
 
     This is one of the two volume hot loops of the pipeline (component
     labeling in label_fusion is the other); it has one plain NumPy
-    implementation.
+    implementation. It counts chunk by chunk, so its scratch is one
+    chunk's masks and keys plus the chunks' distinct keys, not the
+    volume's.
 
     Args:
         pred: Predicted instance volume.
@@ -130,26 +138,44 @@ def overlap_histogram(
             f"pred shape {tuple(pred.voxels.shape)} does not match "
             f"gt shape {tuple(gt.voxels.shape)}"
         )
-    # Pack each foreground-in-both voxel's ids into one (pred << 32) | gt
-    # key, so one sort counts every pair and leaves them in (pred, gt) order.
     pred_flat = pred.voxels.ravel()
     gt_flat = gt.voxels.ravel()
-    both = (pred_flat > 0) & (gt_flat > 0)
-    keys = pred_flat[both].astype(np.uint64) << np.uint64(32)
-    keys |= gt_flat[both].astype(np.uint64)
-    keys, counts = np.unique(keys, return_counts=True)
+    chunks = [
+        _chunk_counts(pred_flat[i : i + _CHUNK_VOXELS], gt_flat[i : i + _CHUNK_VOXELS])
+        for i in range(0, pred_flat.size, _CHUNK_VOXELS)
+    ]
+    (keys, counts), pred_totals, gt_totals = (_merged_counts(parts) for parts in zip(*chunks))
     pred_ids = (keys >> np.uint64(32)).tolist()
     gt_ids = (keys & np.uint64(0xFFFFFFFF)).tolist()
     pairs = dict(zip(zip(pred_ids, gt_ids), counts.tolist()))
-    pred_totals = _foreground_totals(pred)
-    gt_totals = _foreground_totals(gt)
-    return pairs, pred_totals, gt_totals
+    return pairs, _as_dict(*pred_totals), _as_dict(*gt_totals)
 
 
-def _foreground_totals(vol: LabelVolume) -> dict[int, int]:
-    flat = vol.voxels.ravel()
-    ids, counts = np.unique(flat[flat > 0], return_counts=True)
-    return {int(i): int(c) for i, c in zip(ids, counts)}
+def _chunk_counts(p: np.ndarray, g: np.ndarray) -> list[_Counts]:
+    # Return one chunk's counts of its pairs and of p's and g's foreground
+    # ids. The foreground masks are computed once for all three. A pair is
+    # packed into one (p << 32) | g key, so that one sort counts the pairs
+    # in (p, g) order.
+    p_fg = p > 0
+    g_fg = g > 0
+    totals = [np.unique(v[fg], return_counts=True) for v, fg in ((p, p_fg), (g, g_fg))]
+    both = np.logical_and(p_fg, g_fg, out=p_fg)
+    keys = p[both].astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= g[both]
+    return [np.unique(keys, return_counts=True), *totals]
+
+
+def _merged_counts(parts: tuple[_Counts, ...]) -> _Counts:
+    # Sum the chunks' counts per key, in ascending key order.
+    keys, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(counts, inverse, np.concatenate([c for _, c in parts]))
+    return keys, counts
+
+
+def _as_dict(keys: np.ndarray, counts: np.ndarray) -> dict[int, int]:
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def match_instances(

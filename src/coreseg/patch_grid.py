@@ -17,10 +17,13 @@ voxel. On each axis the window splits into (patch slice, source slice)
 runs: zero padding's is the in-bounds run alone, over a zeroed block;
 reflect's are the maximal runs stepping +1 or -1 through the mirrored
 index map, a mirrored run read through a negative-step view. A patch is
-one basic-slice copy per (z, y, x) run triple, so extraction holds no
-more than the patch. Every window starts inside the axis, as the pad is
-shorter than a patch. reassemble copies each patch's in-bounds run
-straight into one volume of the original shape, and holds no more.
+produced plane by plane (patch_planes): its z runs name each plane's
+source plane, and one reused plane buffer is filled by one basic-slice
+copy per (y, x) run pair. Writing a patch so holds one plane, and
+extract_patch, which copies each plane into its block, the patch plus
+one plane. Every window starts inside the axis, as the pad is shorter
+than a patch. reassemble copies each patch's in-bounds run straight into
+one volume of the original shape, and holds no more.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from ._fields import decode_lines, parse_ints, split_fields
 from .errors import CoresegError, GridError
-from .volume_io import LabelVolume, VolumeHeader
+from .volume_io import LabelVolume, VolumeHeader, VolumePlanes
 
 PAD_ZERO = "zero"
 PAD_REFLECT = "reflect"
@@ -190,8 +193,50 @@ def _check_id(spec: PatchSpec, pid: PatchId) -> None:
         raise GridError(f"grid index {tuple(idx)} outside grid dims {spec.grid_dims}")
 
 
+def patch_planes(vol: LabelVolume, spec: PatchSpec, pid: PatchId) -> VolumePlanes:
+    """Return one patch as its header and its z-planes, produced in order.
+
+    The patch's z runs are expanded to source planes (a mirrored run steps
+    downwards), and each plane is filled from its source plane by the
+    (y, x) run pairs into one reused plane buffer; a zero-padded plane
+    past the volume is zeroed. So write_volume writes the patch holding
+    one plane, not the patch.
+
+    Raises:
+        GridError: On an out-of-range id or shape mismatch.
+    """
+    _check_id(spec, pid)
+    if tuple(vol.voxels.shape) != spec.original_shape:
+        raise GridError(
+            f"volume shape {tuple(vol.voxels.shape)} does not match "
+            f"spec original shape {spec.original_shape}"
+        )
+    z_runs, y_runs, x_runs = _axis_runs(spec, pid, spec.pad_mode)
+    sources = [z for _, sz in z_runs for z in range(spec.original_shape[0])[sz]]
+    yx_runs = list(itertools.product(y_runs, x_runs))
+
+    def planes() -> Iterator[np.ndarray]:
+        # Reflect runs cover the whole plane; zero runs leave its margin at 0.
+        new = np.zeros if spec.pad_mode == PAD_ZERO else np.empty
+        plane = new(spec.patch_shape[1:], dtype=np.uint32)
+        for z in sources:
+            for (dy, sy), (dx, sx) in yx_runs:
+                plane[dy, dx] = vol.voxels[z, sy, sx]
+            yield plane
+        if len(sources) < spec.patch_shape[0]:
+            plane.fill(0)
+            for _ in range(spec.patch_shape[0] - len(sources)):
+                yield plane
+
+    header = VolumeHeader(shape=spec.patch_shape, value_kind=vol.header.value_kind)
+    return VolumePlanes(header, planes())
+
+
 def extract_patch(vol: LabelVolume, spec: PatchSpec, pid: PatchId) -> LabelVolume:
     """Extract one patch, padding margins according to spec.pad_mode.
+
+    The patch is filled plane by plane from patch_planes, so extraction
+    holds the patch plus one plane.
 
     Args:
         vol: Source volume; shape must equal spec.original_shape.
@@ -206,20 +251,11 @@ def extract_patch(vol: LabelVolume, spec: PatchSpec, pid: PatchId) -> LabelVolum
     Raises:
         GridError: On an out-of-range id or shape mismatch.
     """
-    _check_id(spec, pid)
-    if tuple(vol.voxels.shape) != spec.original_shape:
-        raise GridError(
-            f"volume shape {tuple(vol.voxels.shape)} does not match "
-            f"spec original shape {spec.original_shape}"
-        )
-    # Reflect runs cover the whole window; a zero run leaves the margin at 0.
-    new = np.zeros if spec.pad_mode == PAD_ZERO else np.empty
-    block = new(spec.patch_shape, dtype=np.uint32)
-    for (dz, sz), (dy, sy), (dx, sx) in itertools.product(*_axis_runs(spec, pid, spec.pad_mode)):
-        block[dz, dy, dx] = vol.voxels[sz, sy, sx]
-    return LabelVolume(
-        VolumeHeader(shape=spec.patch_shape, value_kind=vol.header.value_kind), block
-    )
+    patch = patch_planes(vol, spec, pid)
+    block = np.empty(spec.patch_shape, dtype=np.uint32)
+    for k, plane in enumerate(patch.planes):
+        block[k] = plane
+    return LabelVolume(patch.header, block)
 
 
 def tile(

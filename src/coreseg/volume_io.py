@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -170,17 +171,24 @@ def _parse_header(raw: bytes, path: Path) -> VolumeHeader:
 
 
 def read_volume(
-    path: str | Path, *, digests: list[InputDigest] | None = None
+    path: str | Path,
+    *,
+    digests: list[InputDigest] | None = None,
+    before_payload: Callable[[VolumeHeader], object] | None = None,
 ) -> LabelVolume:
     """Read a .vol3d file into a validated LabelVolume.
 
-    The file is read once: the header from a small prefix, the payload
-    straight into the voxel array, so memory peaks at one payload.
+    The file is opened and read once: the header from a small prefix, the
+    payload straight into the voxel array, so memory peaks at one payload.
 
     Args:
         path: File to read.
         digests: If given, the SHA-256 of the bytes parsed (header, blank
             line and payload, i.e. the whole file) is appended to it.
+        before_payload: If given, called with the header once the header
+            is parsed and the file's size checked against it, before the
+            payload is read. What it raises ends the read, so a caller can
+            refuse a request having read the header alone.
 
     Raises:
         FileNotFoundError: If path does not exist.
@@ -206,6 +214,8 @@ def read_volume(
         start = sep + 2
         found = size - start
         if found == header.payload_bytes:
+            if before_payload is not None:
+                before_payload(header)
             f.seek(start)
             voxels = np.fromfile(f, dtype="<u4", count=header.voxel_count)
             # Shorter only if the file shrank since fstat.
@@ -221,13 +231,33 @@ def read_volume(
     return vol
 
 
-def write_volume(vol: LabelVolume, path: str | Path) -> None:
-    """Write a LabelVolume to path in .vol3d format.
+@dataclass(frozen=True)
+class VolumePlanes:
+    """A volume produced one z-plane at a time, for write_volume.
+
+    Attributes:
+        header: The volume's header; its shape fixes the planes' count and
+            shape.
+        planes: A one-pass iterable of header.shape[0] arrays of shape
+            header.shape[1:] with values in [0, 2^32), in z order. Each is
+            written before the next is asked for, so all of them may be
+            one reused buffer.
+    """
+
+    header: VolumeHeader
+    planes: Iterable[np.ndarray]
+
+
+def write_volume(vol: LabelVolume | VolumePlanes, path: str | Path) -> None:
+    """Write a volume to path in .vol3d format, one z-plane at a time.
 
     Output bytes are a pure function of the volume, so identical volumes
-    produce identical files. The volume is validated before any write, so
-    an invalid volume leaves no partial file behind. The payload is
-    written straight from the voxel array, without a copy.
+    produce identical files. A LabelVolume is validated before any write,
+    so an invalid one leaves no partial file behind, and its planes are
+    written straight from the voxel array, without a copy. A VolumePlanes
+    is written as its planes are produced, so the write holds one plane
+    rather than the payload; each plane's shape, and their count, are
+    checked against the header as they come.
 
     Args:
         vol: Volume to store.
@@ -237,8 +267,19 @@ def write_volume(vol: LabelVolume, path: str | Path) -> None:
         VolumeFormatError: If vol violates an invariant.
         OSError: If the destination is unwritable.
     """
-    vol.validate()
-    payload = np.ascontiguousarray(vol.voxels, dtype="<u4")
+    if isinstance(vol, LabelVolume):
+        vol.validate()
+        vol = VolumePlanes(vol.header, vol.voxels)
+    shape = vol.header.shape
+    count = 0
     with Path(path).open("wb") as f:
         f.write(_header_bytes(vol.header))
-        payload.tofile(f)
+        for plane in vol.planes:
+            if count == shape[0] or plane.shape != shape[1:]:
+                raise VolumeFormatError(
+                    f"plane {count} of shape {plane.shape} does not fit volume shape {shape}"
+                )
+            f.write(np.ascontiguousarray(plane, dtype="<u4"))
+            count += 1
+    if count != shape[0]:
+        raise VolumeFormatError(f"{count} planes written for volume shape {shape}")

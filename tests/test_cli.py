@@ -118,6 +118,25 @@ def test_tile_refuses_then_forces_overwrite(capsys, tmp_path, demo_volume):
     assert (out_dir / "run_manifest.txt").read_bytes() == first
 
 
+def test_refused_tile_rerun_reads_only_the_header(capsys, tmp_path, demo_volume, monkeypatch):
+    vol_path, _ = demo_volume
+    out_dir = tmp_path / "patches"
+    args = ("tile", "--volume", vol_path, "--patch", "2,4,4", "--out-dir", out_dir)
+    assert run(capsys, *args)[0] == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    # Payloads are read by np.fromfile, so a payload read now ends in an
+    # internal error (exit 4). The patch names follow from the header, and
+    # the refusal comes first.
+    monkeypatch.setattr(np, "fromfile", None)
+    code, out, err = run(capsys, *args)
+    assert code == 5, err
+    assert "exists" in err and out == ""
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    monkeypatch.undo()
+    assert run(capsys, *args, "--force")[0] == 0
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 def test_tile_force_rerun_removes_stale_patches(capsys, tmp_path, demo_volume):
     vol_path, _ = demo_volume
     out_dir = tmp_path / "patches"

@@ -1,0 +1,84 @@
+"""Peak memory of the tile and evaluate commands, measured on child processes.
+
+Each command runs as a child of a small `python -S` spawner, which reads
+the child's peak RSS from os.wait4. A child spawned straight from pytest
+could report pytest's own peak instead: Linux carries the peak RSS of the
+address space a program is exec'ed from into the new program's
+ru_maxrss. A `--version` child, which imports every coreseg module and
+numpy, is the baseline; what a command holds beyond it is its inputs plus
+its scratch.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import coreseg
+from coreseg.volume_io import new_volume, write_volume
+
+MIB = 1 << 20
+# Scratch a command may hold beyond its input payloads: planes, chunks
+# and the allocator's slack.
+SCRATCH_MIB = 4
+SHAPE = (16, 512, 512)  # 16 MiB of uint32 payload per volume
+
+SPAWN = """\
+import json, os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps({"rc": os.waitstatus_to_exitcode(status), "maxrss_kib": usage.ru_maxrss}))
+"""
+
+
+def peak_mib(tmp_path: Path, *args: str) -> float:
+    """Run `python -m coreseg.cli ARGS` under the spawner; return its peak RSS in MiB."""
+    spawner = tmp_path / "spawn.py"
+    spawner.write_text(SPAWN)
+    env = dict(os.environ, PYTHONPATH=str(Path(coreseg.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-S", str(spawner), sys.executable, "-m", "coreseg.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["rc"] == 0, done
+    return result["maxrss_kib"] / 1024
+
+
+@pytest.fixture(scope="module")
+def volumes(tmp_path_factory):
+    # Instances of 24x24 voxels per 32x32 cell through every plane (56 %
+    # foreground); the prediction is shifted by 3 voxels in x.
+    d = tmp_path_factory.mktemp("peaks")
+    _, y, x = np.ogrid[: SHAPE[0], : SHAPE[1], : SHAPE[2]]
+    cells = (y // 32) * (SHAPE[2] // 32) + x // 32 + 1
+    gt = np.broadcast_to(np.where((y % 32 < 24) & (x % 32 < 24), cells, 0), SHAPE)
+    write_volume(new_volume(gt), d / "gt.vol3d")
+    write_volume(new_volume(np.roll(gt, 3, axis=2)), d / "pred.vol3d")
+    return d
+
+
+def test_tile_holds_the_volume_and_a_plane(tmp_path, volumes):
+    # One patch is the whole volume: a command that held the patch on top
+    # of the volume would exceed the bound by 12 MiB.
+    base = peak_mib(tmp_path, "--version")
+    peak = peak_mib(
+        tmp_path, "tile", "--volume", str(volumes / "gt.vol3d"), "--out-dir",
+        str(tmp_path / "out"), "--patch", ",".join(map(str, SHAPE)),
+    )
+    assert peak - base <= 4 * np.prod(SHAPE) / MIB + SCRATCH_MIB, (base, peak)
+
+
+def test_evaluate_holds_the_two_volumes_and_a_chunk(tmp_path, volumes):
+    # Masks, keys and sort buffers of the whole volume at once would exceed
+    # the bound by about 40 MiB.
+    base = peak_mib(tmp_path, "--version")
+    peak = peak_mib(
+        tmp_path, "evaluate", "--pred", str(volumes / "pred.vol3d"), "--gt",
+        str(volumes / "gt.vol3d"), "--budget", "8", "--out-dir", str(tmp_path / "out"),
+    )
+    assert peak - base <= 2 * 4 * np.prod(SHAPE) / MIB + SCRATCH_MIB, (base, peak)

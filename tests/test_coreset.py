@@ -471,6 +471,26 @@ def test_write_selection_manifest_refuses_an_id_that_would_not_read_back(tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+# Lone surrogates: a str can hold them, but UTF-8 cannot encode them.
+UNENCODABLE_IDS = ["a\udc80", "\ud800", "x\udfffy"]
+
+
+@pytest.mark.parametrize("bad", UNENCODABLE_IDS)
+def test_write_embeddings_refuses_an_id_utf8_cannot_encode(tmp_path, bad):
+    E = EmbeddingMatrix(ids=[bad, "b"], values=np.ones((2, 2)))
+    with pytest.raises(SelectionError, match="embedding id .* cannot be encoded as UTF-8"):
+        write_embeddings(E, tmp_path / "e")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", UNENCODABLE_IDS)
+def test_write_selection_manifest_refuses_an_id_utf8_cannot_encode(tmp_path, bad):
+    m = SelectionManifest("random", 0, 2, 2, ["b", bad])
+    with pytest.raises(SelectionError, match="selected id .* cannot be encoded as UTF-8"):
+        write_selection_manifest(m, tmp_path / "sel.txt")
+    assert list(tmp_path.iterdir()) == []
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(2, 24),

@@ -1,5 +1,7 @@
 """Tests for overlap counting, IoU matching, and the metric suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,44 @@ def test_overlap_histogram_matches_naive_count():
         gt = random_labels(rng)
         got = overlap_histogram(pred, gt)
         assert got == naive_histogram(pred, gt)
+
+
+def blob_pair(rng, shape, count):
+    """Return (pred, gt) instance volumes of `count` small ellipsoids.
+
+    gt paints ellipsoids of radii 2-4 at random centres; pred relabels
+    gt, drops a tenth of its ids and adds a few phantom ellipsoids.
+    """
+    gt = np.zeros(shape, dtype=np.uint32)
+    pred = np.zeros(shape, dtype=np.uint32)
+    for label in range(1, count + 1):
+        centre = [int(rng.integers(0, n)) for n in shape]
+        radii = rng.integers(8, 17, size=3) / 4.0
+        box = tuple(slice(max(c - 4, 0), min(c + 5, n)) for c, n in zip(centre, shape))
+        coords = np.ogrid[box]
+        body = sum(((g - c) / r) ** 2 for g, c, r in zip(coords, centre, radii)) <= 1
+        gt[box][body] = label
+        if label % 10 == 0:
+            continue
+        pred[box][body] = count + 1 - label if label % 7 else 2 * count + label
+    return instance_volume(pred), instance_volume(gt)
+
+
+def test_overlap_histogram_holds_a_chunk_not_the_volume():
+    # Pairs and totals are counted chunk by chunk, so the allocation peak
+    # stays within a tenth of one volume's bytes; counting the whole
+    # volume at once holds its masks and keys, about half a volume here.
+    pred, gt = blob_pair(np.random.default_rng(8), (32, 256, 256), 800)
+    expected = naive_histogram(pred, gt)
+    tracemalloc.start()
+    try:
+        got = overlap_histogram(pred, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert list(got[0]) == sorted(got[0])
+    assert peak <= 0.1 * gt.header.payload_bytes, peak / gt.header.payload_bytes
 
 
 def test_overlap_histogram_rejects_shape_mismatch():

@@ -16,6 +16,7 @@ from coreseg.volume_io import (
     KIND_MASK,
     LabelVolume,
     VolumeHeader,
+    VolumePlanes,
     new_volume,
     read_volume,
     write_volume,
@@ -170,6 +171,35 @@ def test_read_and_write_peak_at_one_payload(tmp_path):
     assert traced_peak(write_volume, vol, path) <= 1.1 * payload
     # The voxel array itself is one payload, so a read cannot be below it.
     assert payload <= traced_peak(read_volume, path, digests=[]) <= 1.1 * payload
+
+
+def test_planes_write_the_bytes_of_the_volume(tmp_path):
+    vol = small_volume()
+    write_volume(vol, tmp_path / "whole.vol3d")
+    # One reused buffer, refilled before each plane is asked for.
+    buffer = np.empty(vol.header.shape[1:], dtype=np.uint32)
+
+    def planes():
+        for plane in vol.voxels:
+            buffer[...] = plane
+            yield buffer
+
+    write_volume(VolumePlanes(vol.header, planes()), tmp_path / "planes.vol3d")
+    assert (tmp_path / "planes.vol3d").read_bytes() == (tmp_path / "whole.vol3d").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "planes",
+    [
+        pytest.param([np.zeros((3, 4), np.uint32)], id="too-few"),
+        pytest.param([np.zeros((3, 4), np.uint32)] * 3, id="too-many"),
+        pytest.param([np.zeros((3, 4), np.uint32), np.zeros((4, 3), np.uint32)], id="shape"),
+    ],
+)
+def test_planes_must_fit_the_header(tmp_path, planes):
+    header = VolumeHeader(shape=(2, 3, 4), value_kind=KIND_INSTANCE)
+    with pytest.raises(VolumeFormatError, match="planes? "):
+        write_volume(VolumePlanes(header, iter(planes)), tmp_path / "v.vol3d")
 
 
 def test_read_rejects_missing_blank_line(tmp_path):
