@@ -29,8 +29,8 @@ from ._fields import parse_float, parse_ints
 from .errors import CoresegError, InternalError, MetricsError
 from .volume_io import LabelVolume
 
-# Voxels counted at a time by overlap_histogram: one 256 x 256 plane.
-_CHUNK_VOXELS = 1 << 16
+# overlap_histogram's voxels per chunk (a 256 x 256 plane) and parts per merge.
+_CHUNK_VOXELS, _FOLD = 1 << 16, 8
 # Ascending keys and their counts, as np.unique(..., return_counts=True) gives.
 _Counts = tuple[np.ndarray, np.ndarray]
 
@@ -114,9 +114,8 @@ def overlap_histogram(
 
     This is one of the two volume hot loops of the pipeline (component
     labeling in label_fusion is the other); it has one plain NumPy
-    implementation. It counts chunk by chunk, so its scratch is one
-    chunk's masks and keys plus the chunks' distinct keys, not the
-    volume's.
+    implementation. It counts chunk by chunk and folds the counts into
+    running totals as it goes, so its scratch is a few chunks' keys.
 
     Args:
         pred: Predicted instance volume.
@@ -140,11 +139,13 @@ def overlap_histogram(
         )
     pred_flat = pred.voxels.ravel()
     gt_flat = gt.voxels.ravel()
-    chunks = [
-        _chunk_counts(pred_flat[i : i + _CHUNK_VOXELS], gt_flat[i : i + _CHUNK_VOXELS])
-        for i in range(0, pred_flat.size, _CHUNK_VOXELS)
-    ]
-    (keys, counts), pred_totals, gt_totals = (_merged_counts(parts) for parts in zip(*chunks))
+    parts: list[list[_Counts]] = []
+    for i in range(0, pred_flat.size, _CHUNK_VOXELS):
+        stop = i + _CHUNK_VOXELS
+        parts.append(_chunk_counts(pred_flat[i:stop], gt_flat[i:stop]))
+        if len(parts) == _FOLD or stop >= pred_flat.size:
+            parts = [[_merged_counts(counts) for counts in zip(*parts)]]
+    (keys, counts), pred_totals, gt_totals = parts[0]
     pred_ids = (keys >> np.uint64(32)).tolist()
     gt_ids = (keys & np.uint64(0xFFFFFFFF)).tolist()
     pairs = dict(zip(zip(pred_ids, gt_ids), counts.tolist()))
@@ -153,9 +154,8 @@ def overlap_histogram(
 
 def _chunk_counts(p: np.ndarray, g: np.ndarray) -> list[_Counts]:
     # Return one chunk's counts of its pairs and of p's and g's foreground
-    # ids. The foreground masks are computed once for all three. A pair is
-    # packed into one (p << 32) | g key, so that one sort counts the pairs
-    # in (p, g) order.
+    # ids, from foreground masks computed once. A pair is packed into one
+    # (p << 32) | g key, so that one sort counts the pairs in (p, g) order.
     p_fg = p > 0
     g_fg = g > 0
     totals = [np.unique(v[fg], return_counts=True) for v, fg in ((p, p_fg), (g, g_fg))]

@@ -8,8 +8,8 @@ first voxel in z-major scan order, so the labeling is a pure function of
 (mask, connectivity) and is byte-identical across thread counts.
 
 Component labeling is one of the two volume hot loops of the pipeline
-(overlap counting in instance_metrics is the other); it has one plain
-NumPy implementation.
+(overlap counting in instance_metrics is the other). It has one plain
+NumPy implementation, which joins x-runs of foreground, not voxels.
 """
 
 from __future__ import annotations
@@ -74,156 +74,154 @@ CONN_FACE6 = Connectivity("face6")
 CONN_FULL26 = Connectivity("full26")
 
 
-# Entries per vectorised step: foreground voxels while edges are built
-# and labels written, edges while they are hooked, and voxels (whole
-# planes, at least one) while ids are assigned. It bounds the scratch of
-# each step at any density.
+# Entries per vectorised step: voxels (whole rows, at least one) while
+# runs are listed and painted, else runs or edges. It bounds the scratch.
 _CHUNK = 1 << 16
 
 
-def _step_flags(size: int, axis: int) -> np.ndarray:
-    """Per coordinate along one axis, the unit steps that stay inside it.
+def _runs(mask: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Return the keys of each x-run's first and last voxels, and block bounds.
 
-    Bit 2*axis is set where the coordinate can step down by one, bit
-    2*axis + 1 where it can step up; axis 0 is z, 1 is y and 2 is x.
+    A voxel's key is row * (X + 1) + x, with row = z * Y + y. Keys ascend
+    in scan order, and no voxel has x = X, so a run that ends a row never
+    abuts one that starts the next. Runs are listed by blocks of rows, and
+    blocks[i] is block i's first run.
     """
-    coord = np.arange(size)
-    down = (coord >= 1).astype(np.uint8) << (2 * axis)
-    return down | (coord <= size - 2).astype(np.uint8) << (2 * axis + 1)
+    depth, height, width = mask.shape
+    rows = mask.reshape(depth * height, width)
+    step = max(1, _CHUNK // max(width, 1))
+    starts, ends, blocks = [np.empty(0, dtype)], [np.empty(0, dtype)], [0]
+    for r in range(0, rows.shape[0], step):
+        key = np.flatnonzero(rows[r : r + step] != 0)
+        key += key // width + r * (width + 1)
+        starts.append(key[np.diff(key, prepend=-2) != 1].astype(dtype))
+        ends.append(key[np.diff(key, append=-2) != 1].astype(dtype))
+        blocks.append(blocks[-1] + starts[-1].size)
+    return np.concatenate(starts), np.concatenate(ends), blocks
 
 
-def _shortcut(parent: np.ndarray) -> None:
-    """Point every entry of parent straight at its root, in place.
+def _row_steps(prev_offsets: np.ndarray, height: int) -> list[tuple[int, int, int]]:
+    # Each earlier row a run touches, as (row delta, dy, x slack): the
+    # offsets with one (dz, dy) reach one row, within their largest |dx|.
+    slack: dict[tuple[int, int], int] = {}
+    for dz, dy, dx in prev_offsets.tolist():
+        if dz or dy:
+            slack[dz, dy] = max(slack.get((dz, dy), 0), abs(dx))
+    return [(dz * height + dy, dy, s) for (dz, dy), s in slack.items()]
 
-    Entries only ever point at smaller ones, so by the time a chunk is
-    reached every earlier entry points at a root already, and pointer
-    jumping within the chunk settles it.
+
+def _touching(starts, ends, parent, shape, row_step):
+    """Yield, chunk by chunk, the open edges from each run into one earlier row.
+
+    Shifted by delta * (X + 1), a run's keys land in the reached row, where
+    it touches the runs that end at or after its start - slack and start at
+    or before its end + slack; the unused key x = X keeps both bounds in the
+    row. Runs whose row steps past the y border touch none. Edges come as
+    (root, root), without those whose ends already share a root.
     """
+    delta, dy, slack = row_step
+    height, width = shape[1], shape[2] + 1
+    for lo in range(0, starts.size, _CHUNK):
+        s = starts[lo : lo + _CHUNK]
+        first = np.searchsorted(ends, s + (delta * width - slack))
+        count = np.searchsorted(starts, ends[lo : lo + _CHUNK] + (delta * width + slack), "right")
+        count -= first
+        if dy:
+            y = s // width % height + dy
+            count[(y < 0) | (y >= height)] = 0
+        a = parent[np.repeat(np.arange(lo, lo + s.size), count)]
+        b = parent[np.arange(a.size) - np.repeat(np.cumsum(count) - count - first, count)]
+        keep = a != b
+        yield a[keep], b[keep]
+
+
+def _union_round(parent: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> int:
+    """One hook-and-shortcut round over the open edges (a[:k], b[:k]).
+
+    parent must be fully shortcut on entry (every entry is a root); the
+    edges hold roots with a != b. Each root is hooked to the smallest root
+    it shares an edge with, when that root is smaller. Then every entry is
+    pointed straight at its root, chunk by chunk: entries only point at
+    smaller ones, so all before a chunk point at roots already, and pointer
+    jumping within it settles it. The edges still open move to the front of
+    a and b as pairs of roots; returns their count.
+    """
+    for lo in range(0, k, _CHUNK):
+        ca, cb = a[lo : min(lo + _CHUNK, k)], b[lo : min(lo + _CHUNK, k)]
+        np.minimum.at(parent, np.maximum(ca, cb), np.minimum(ca, cb))
     for lo in range(0, parent.size, _CHUNK):
         p = parent[lo : lo + _CHUNK]
         grand = parent[p]
         while not np.array_equal(grand, p):
             p[:] = grand
             grand = parent[p]
-
-
-def _union_round(parent: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """One hook-and-shortcut round over the open edges (a, b).
-
-    parent must be fully shortcut on entry (every entry is a root); a and
-    b hold roots with a != b on every edge and are overwritten. Each root
-    is hooked to the smallest root it shares an edge with, when that root
-    is smaller, and parent is shortcut again. Returns the edges still open
-    afterwards, as pairs of their endpoints' roots.
-    """
-    for lo in range(0, a.size, _CHUNK):
-        ca, cb = a[lo : lo + _CHUNK], b[lo : lo + _CHUNK]
-        np.minimum.at(parent, np.maximum(ca, cb), np.minimum(ca, cb))
-    _shortcut(parent)
-    for lo in range(0, a.size, _CHUNK):
-        ca, cb = a[lo : lo + _CHUNK], b[lo : lo + _CHUNK]
-        ca[:] = parent[ca]
-        cb[:] = parent[cb]
-    open_ = a != b
-    return a[open_], b[open_]
-
-
-def _offset_edges(out, f, flags, parent, offset):
-    """Yield the open edges that one neighbor offset adds, chunk by chunk.
-
-    out holds compact id + 1 at every foreground voxel and 0 elsewhere, f
-    the foreground's flat positions in ascending order, and flags their
-    _step_flags or-ed over the three axes. A voxel's neighbor is its flat
-    position plus the offset's linear delta, looked up only where flags
-    say the offset stays inside the volume, so no lookup wraps across a
-    row or plane. Pairs that already share a root are dropped; the rest
-    are yielded as (root, root).
-    """
-    dz, dy, dx = (int(d) for d in offset)
-    delta = (dz * out.shape[1] + dy) * out.shape[2] + dx
-    need = sum(1 << (2 * axis + (d > 0)) for axis, d in enumerate(offset) if d)
-    flat = out.reshape(-1)
-    for lo in range(0, f.size, _CHUNK):
-        here = f[lo : lo + _CHUNK][(flags[lo : lo + _CHUNK] & need) == need]
-        there = flat[here + delta]
-        hit = there != 0
-        here = flat[here[hit]]
-        there = there[hit]
-        here -= 1
-        there -= 1
-        ra = parent[here]
-        rb = parent[there]
-        keep = ra != rb
-        yield ra[keep], rb[keep]
+    kept = 0
+    for lo in range(0, k, _CHUNK):
+        ca = parent[a[lo : min(lo + _CHUNK, k)]]
+        cb = parent[b[lo : min(lo + _CHUNK, k)]]
+        open_ = ca != cb
+        n = int(np.count_nonzero(open_))
+        a[kept : kept + n] = ca[open_]
+        b[kept : kept + n] = cb[open_]
+        kept += n
+    return kept
 
 
 def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
     """Canonically label the connected components of a 3D binary mask.
 
-    Union-find on the foreground only, run as vectorised hook-and-shortcut
-    rounds in the spirit of two-pass labeling (Wu, Otoo & Suzuki, 2009).
-    Each foreground voxel gets a compact id in z-major scan order, kept as
-    id + 1 in the zero-filled output, which is thus also the id map. Each
-    scan-order-previous offset contributes, from the sorted foreground
-    positions, every voxel and its in-bounds foreground neighbor as an
-    edge, and every hook points a root at a smaller one. A component's
-    root is therefore its smallest compact id, i.e. its first voxel in scan
-    order, and a running count of roots is the canonical numbering, which
-    overwrites the ids at the end.
+    Run-based two-scan labeling (He, Chao & Suzuki, 2008): union-find on
+    the foreground's x-runs in scan order, as vectorised hook-and-shortcut
+    rounds (Wu, Otoo & Suzuki, 2009). A run links to the runs it touches
+    in each earlier row that prev_offsets reaches, and hooks point roots at
+    smaller ones, so a component's root is its first run. A running count
+    of roots numbers them canonically; each run paints its label.
 
     Args:
         mask: 3D array, nonzero = foreground.
         prev_offsets: (K, 3) int array of scan-order-previous neighbor
-            offsets (dz, dy, dx), each lexicographically below (0, 0, 0).
+            offsets (dz, dy, dx), each lexicographically below (0, 0, 0),
+            (0, 0, -1) among them.
 
     Returns:
         uint32 array of the mask's shape with components numbered 1..C by
         ascending position of each component's first voxel in z-major scan
         order; background stays 0.
     """
+    depth, height, width = mask.shape
+    dtype = np.int32 if depth * height * (width + 1) < 2**31 else np.int64
+    starts, ends, blocks = _runs(mask, dtype)
+    parent = np.arange(starts.size, dtype=dtype)
+    # A row step's edges are at most each row's runs plus the reached row's.
+    a, b = np.empty((2, 2 * starts.size), dtype)
+    for row_step in _row_steps(prev_offsets, height):
+        k = 0
+        for ea, eb in _touching(starts, ends, parent, mask.shape, row_step):
+            a[k : k + ea.size] = ea
+            b[k : k + eb.size] = eb
+            k += ea.size
+        while k:
+            k = _union_round(parent, a, b, k)
+    del a, b
     out = np.zeros(mask.shape, np.uint32)
     flat = out.reshape(-1)
-    n = int(np.count_nonzero(mask))
-    id_dtype = np.int32 if mask.size < 2**31 else np.int64
-    f = np.empty(n, dtype=id_dtype)
-    flags = np.empty(n, dtype=np.uint8)
-    z_flags, y_flags, x_flags = map(_step_flags, mask.shape, range(3))
-    yx_flags = y_flags[:, None] | x_flags
-    plane = mask.shape[1] * mask.shape[2]
-    step = max(1, _CHUNK // max(plane, 1))
-    k = 0
-    for z in range(0, mask.shape[0], step):
-        pos = np.flatnonzero(mask[z : z + step])
-        slab_flags = z_flags[z : z + step, None, None] | yx_flags
-        flags[k : k + pos.size] = slab_flags.reshape(-1)[pos]
-        pos += z * plane
-        f[k : k + pos.size] = pos
-        flat[pos] = np.arange(k + 1, k + pos.size + 1, dtype=np.uint32)
-        k += pos.size
-    parent = np.arange(n, dtype=id_dtype)
-    a = b = np.empty(0, dtype=id_dtype)
-    # One round per offset keeps only the edges still open, so the edge
-    # lists stay small on solid foreground.
-    for offset in prev_offsets:
-        parts = list(_offset_edges(out, f, flags, parent, offset))
-        a = np.concatenate([a, *(pa for pa, _ in parts)])
-        b = np.concatenate([b, *(pb for _, pb in parts)])
-        del parts
-        a, b = _union_round(parent, a, b)
-    while a.size:
-        a, b = _union_round(parent, a, b)
-    # Number the roots in scan order, in place: a root's entry becomes its
-    # label before any later entry, whose root is smaller, reads it.
     count = 0
-    for lo in range(0, n, _CHUNK):
-        p = parent[lo : lo + _CHUNK]
-        roots = p == np.arange(lo, lo + p.size, dtype=id_dtype)
+    for lo, hi in zip(blocks[:-1], blocks[1:]):
+        # Number the roots in scan order, in place: a root's entry becomes
+        # its label before any later entry, whose root is smaller, reads it.
+        p = parent[lo:hi]
+        roots = p == np.arange(lo, hi, dtype=dtype)
         found = int(np.count_nonzero(roots))
-        p[roots] = np.arange(count + 1, count + found + 1, dtype=id_dtype)
+        p[roots] = np.arange(count + 1, count + found + 1, dtype=dtype)
         count += found
         rest = ~roots
         p[rest] = parent[p[rest]]
-        flat[f[lo : lo + _CHUNK]] = p
+        # A run's voxels are its first voxel's flat position plus 0, 1, ...
+        s = starts[lo:hi]
+        length = ends[lo:hi] - s + 1
+        voxel = np.repeat(s - s // (width + 1) - np.cumsum(length) + length, length)
+        voxel += np.arange(voxel.size)
+        flat[voxel] = np.repeat(p.astype(np.uint32), length)
     return out
 
 
@@ -254,7 +252,9 @@ def stack_slices(slices: Sequence[np.ndarray]) -> LabelVolume:
             raise FusionError(
                 f"slice {i} shape {arr.shape} does not match slice 0 shape {shape}"
             )
-    stacked = (np.stack(grids, axis=0) > 0).astype(np.uint32)
+    stacked = np.empty((len(grids), *shape), np.uint32)
+    for z, arr in enumerate(grids):
+        np.greater(arr, 0, out=stacked[z])
     return LabelVolume(
         VolumeHeader(shape=tuple(stacked.shape), value_kind=KIND_MASK), stacked
     )

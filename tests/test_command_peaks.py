@@ -1,4 +1,4 @@
-"""Peak memory of the tile and evaluate commands, measured on child processes.
+"""Peak memory of the tile, cc and evaluate commands, measured on child processes.
 
 Each command runs as a child of a small `python -S` spawner, which reads
 the child's peak RSS from os.wait4. A child spawned straight from pytest
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import coreseg
-from coreseg.volume_io import new_volume, write_volume
+from coreseg.volume_io import KIND_MASK, new_volume, read_volume, write_volume
 
 MIB = 1 << 20
 # Scratch a command may hold beyond its input payloads: planes, chunks
@@ -81,4 +81,15 @@ def test_evaluate_holds_the_two_volumes_and_a_chunk(tmp_path, volumes):
         tmp_path, "evaluate", "--pred", str(volumes / "pred.vol3d"), "--gt",
         str(volumes / "gt.vol3d"), "--budget", "8", "--out-dir", str(tmp_path / "out"),
     )
+    assert peak - base <= 2 * 4 * np.prod(SHAPE) / MIB + SCRATCH_MIB, (base, peak)
+
+
+def test_cc_holds_the_mask_and_the_labels(tmp_path, volumes):
+    # The squares as a binary mask, labeled with full26. A labeler whose
+    # scratch grows by bytes per foreground voxel, not per run, would exceed
+    # the bound: the voxel-based one took about 9 bytes each, 20 MiB here.
+    mask = tmp_path / "mask.vol3d"
+    write_volume(new_volume(read_volume(volumes / "gt.vol3d").voxels > 0, KIND_MASK), mask)
+    base = peak_mib(tmp_path, "--version")
+    peak = peak_mib(tmp_path, "cc", "--mask", str(mask), "--out", str(tmp_path / "cc.vol3d"))
     assert peak - base <= 2 * 4 * np.prod(SHAPE) / MIB + SCRATCH_MIB, (base, peak)

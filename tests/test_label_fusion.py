@@ -1,6 +1,7 @@
 """Tests for slice stacking and 3D connected-component labeling."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from coreseg import label_fusion
 from coreseg.errors import FusionError, VolumeFormatError
 from coreseg.label_fusion import (
     CONN_FACE6,
@@ -226,3 +228,91 @@ def test_label_components_peak_memory(density, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * mask.nbytes, peak / mask.nbytes
+
+
+# ROADMAP item 6's gate: the labeling peak stays within 2.5x the uint32 mask
+# at any density. The voxel-based labeler peaked at 1.16x, 2.34x and 3.96x
+# here; runs, their parents and one row step's edges take about 2 bytes per
+# voxel at most.
+@pytest.mark.parametrize("density", [0.05, 0.35, 0.60])
+def test_label_components_peak_within_2_5x_of_the_mask(density):
+    rng = np.random.default_rng(1)
+    mask = (rng.random((32, 512, 512)) < density).astype(np.uint32)
+    tracemalloc.start()
+    try:
+        label_components(mask, CONN_FULL26.prev_offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * mask.nbytes, peak / mask.nbytes
+
+
+def _two_runs(shape, first, second):
+    # Two x-runs given as (z, y, x0, x1) with x1 inclusive.
+    mask = np.zeros(shape, dtype=np.uint32)
+    for z, y, x0, x1 in (first, second):
+        mask[z, y, x0 : x1 + 1] = 1
+    return mask
+
+
+@pytest.mark.parametrize("conn", [CONN_FACE6, CONN_FULL26], ids=["face6", "full26"])
+@pytest.mark.parametrize(
+    "shape, first, second",
+    [
+        ((1, 2, 6), (0, 0, 3, 5), (0, 1, 0, 1)),  # a row's last x, the next row's x = 0
+        ((2, 4, 6), (0, 3, 0, 5), (1, 0, 0, 5)),  # a plane's last row, the next's first
+        ((2, 4, 6), (1, 0, 1, 4), (1, 3, 1, 4)),  # y = Y - 1 reaching y + 1 in z - 1
+        ((3, 4, 6), (0, 3, 1, 4), (2, 0, 1, 4)),  # y = 0 reaching y - 1 in z - 1
+        ((2, 1, 6), (0, 0, 0, 2), (1, 0, 4, 5)),  # Y = 1, runs apart in x
+    ],
+    ids=["row-end", "plane-end", "y-last-diagonal", "y-first-diagonal", "y1"],
+)
+def test_runs_across_a_row_or_plane_border_stay_apart(conn, shape, first, second):
+    # Each pair is not adjacent, but its runs' keys lie one row step apart
+    # or less, so a link that ignored the y border or the row's end would
+    # join them.
+    mask = _two_runs(shape, first, second)
+    out = label_components(mask, conn.prev_offsets)
+    np.testing.assert_array_equal(out, bfs_label(mask, conn.kind))
+    assert component_count(instance_volume(out)) == 2
+
+
+@st.composite
+def run_masks(draw):
+    # Each row alternates gaps and runs with drawn mean lengths, so long
+    # runs, runs that fill a row and runs that touch across rows all occur.
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 24)))
+    gap, run = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 24.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros(shape, dtype=bool)
+    for row in mask.reshape(-1, shape[2]):
+        x = int(rng.geometric(1 / gap)) - 1
+        while x < shape[2]:
+            length = int(rng.geometric(1 / run))
+            row[x : x + length] = True
+            x += length + int(rng.geometric(1 / gap))
+    return mask
+
+
+@pytest.mark.parametrize("conn", [CONN_FACE6, CONN_FULL26], ids=["face6", "full26"])
+@settings(max_examples=200, deadline=None)
+@given(mask=run_masks(), chunk=st.sampled_from([1, 3, 1 << 16]))
+def test_run_masks_match_flood_fill(conn, mask, chunk):
+    # A small chunk splits runs, edges and slabs across chunk boundaries.
+    with mock.patch.object(label_fusion, "_CHUNK", chunk):
+        got = label_components(mask, conn.prev_offsets)
+    np.testing.assert_array_equal(got, bfs_label(mask, conn.kind))
+
+
+def test_stack_slices_holds_only_the_mask():
+    # Stacking, comparing and converting the whole stack took 2.25x the mask.
+    rng = np.random.default_rng(2)
+    grids = [rng.integers(0, 3, size=(512, 512), dtype=np.uint32) for _ in range(16)]
+    tracemalloc.start()
+    try:
+        vol = stack_slices(grids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(vol.voxels, (np.stack(grids) > 0).astype(np.uint32))
+    assert peak <= 1.1 * vol.voxels.nbytes, peak / vol.voxels.nbytes
