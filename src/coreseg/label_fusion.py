@@ -8,8 +8,8 @@ first voxel in z-major scan order, so the labeling is a pure function of
 (mask, connectivity) and is byte-identical across thread counts.
 
 Component labeling is one of the two volume hot loops of the pipeline
-(overlap counting in instance_metrics is the other). It has one plain
-NumPy implementation, which joins x-runs of foreground, not voxels.
+(overlap counting in instance_metrics is the other); it has one plain
+NumPy implementation, which joins x-runs, not voxels.
 """
 
 from __future__ import annotations
@@ -74,18 +74,16 @@ CONN_FACE6 = Connectivity("face6")
 CONN_FULL26 = Connectivity("full26")
 
 
-# Entries per vectorised step: voxels (whole rows, at least one) while
-# runs are listed and painted, else runs or edges. It bounds the scratch.
+# Entries per vectorised step, whole rows of voxels (at least one) when
+# runs are listed or painted. It bounds the scratch.
 _CHUNK = 1 << 16
 
 
 def _runs(mask: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Return the keys of each x-run's first and last voxels, and block bounds.
+    """Return the x-runs' first and last keys, and each row block's first run.
 
-    A voxel's key is row * (X + 1) + x, with row = z * Y + y. Keys ascend
-    in scan order, and no voxel has x = X, so a run that ends a row never
-    abuts one that starts the next. Runs are listed by blocks of rows, and
-    blocks[i] is block i's first run.
+    A voxel's key is row * (X + 1) + x, with row = z * Y + y. No voxel has
+    x = X, so a run that ends a row never abuts one that starts the next.
     """
     depth, height, width = mask.shape
     rows = mask.reshape(depth * height, width)
@@ -111,13 +109,12 @@ def _row_steps(prev_offsets: np.ndarray, height: int) -> list[tuple[int, int, in
 
 
 def _touching(starts, ends, parent, shape, row_step):
-    """Yield, chunk by chunk, the open edges from each run into one earlier row.
+    """Yield, chunk by chunk, each run's open edges into one earlier row.
 
-    Shifted by delta * (X + 1), a run's keys land in the reached row, where
-    it touches the runs that end at or after its start - slack and start at
-    or before its end + slack; the unused key x = X keeps both bounds in the
-    row. Runs whose row steps past the y border touch none. Edges come as
-    (root, root), without those whose ends already share a root.
+    Shifted by delta * (X + 1), a run's keys land in that row, where it
+    touches the runs ending at or after its start - slack and starting at
+    or before its end + slack. Rows past the y border are not reached.
+    Edges are pairs of differing roots.
     """
     delta, dy, slack = row_step
     height, width = shape[1], shape[2] + 1
@@ -138,13 +135,11 @@ def _touching(starts, ends, parent, shape, row_step):
 def _union_round(parent: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> int:
     """One hook-and-shortcut round over the open edges (a[:k], b[:k]).
 
-    parent must be fully shortcut on entry (every entry is a root); the
-    edges hold roots with a != b. Each root is hooked to the smallest root
-    it shares an edge with, when that root is smaller. Then every entry is
-    pointed straight at its root, chunk by chunk: entries only point at
-    smaller ones, so all before a chunk point at roots already, and pointer
-    jumping within it settles it. The edges still open move to the front of
-    a and b as pairs of roots; returns their count.
+    parent must be fully shortcut on entry; the edges hold roots, a != b.
+    Each root is hooked to the smallest root it shares an edge with, when
+    smaller. Then parent is shortcut chunk by chunk: entries point only at
+    smaller ones, so pointer jumping within a chunk settles it. The edges
+    still open move to the front of a and b as roots; returns their count.
     """
     for lo in range(0, k, _CHUNK):
         ca, cb = a[lo : min(lo + _CHUNK, k)], b[lo : min(lo + _CHUNK, k)]
@@ -171,11 +166,10 @@ def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
     """Canonically label the connected components of a 3D binary mask.
 
     Run-based two-scan labeling (He, Chao & Suzuki, 2008): union-find on
-    the foreground's x-runs in scan order, as vectorised hook-and-shortcut
-    rounds (Wu, Otoo & Suzuki, 2009). A run links to the runs it touches
-    in each earlier row that prev_offsets reaches, and hooks point roots at
-    smaller ones, so a component's root is its first run. A running count
-    of roots numbers them canonically; each run paints its label.
+    the x-runs in scan order, as vectorised hook-and-shortcut rounds (Wu,
+    Otoo & Suzuki, 2009). A run links to the runs it touches in each
+    earlier row that prev_offsets reaches; hooks point at smaller roots, so
+    a component's root is its first run, and roots are numbered in order.
 
     Args:
         mask: 3D array, nonzero = foreground.
@@ -207,8 +201,8 @@ def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
     flat = out.reshape(-1)
     count = 0
     for lo, hi in zip(blocks[:-1], blocks[1:]):
-        # Number the roots in scan order, in place: a root's entry becomes
-        # its label before any later entry, whose root is smaller, reads it.
+        # Number the roots in scan order, in place: a root gets its label
+        # before any later entry, whose root is smaller, reads it.
         p = parent[lo:hi]
         roots = p == np.arange(lo, hi, dtype=dtype)
         found = int(np.count_nonzero(roots))
@@ -216,7 +210,7 @@ def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
         count += found
         rest = ~roots
         p[rest] = parent[p[rest]]
-        # A run's voxels are its first voxel's flat position plus 0, 1, ...
+        # A run's voxels: its first voxel's flat position plus 0, 1, ...
         s = starts[lo:hi]
         length = ends[lo:hi] - s + 1
         voxel = np.repeat(s - s // (width + 1) - np.cumsum(length) + length, length)
