@@ -29,7 +29,7 @@ from ._fields import parse_float, parse_ints
 from .errors import CoresegError, InternalError, MetricsError
 from .volume_io import LabelVolume
 
-# Voxels per chunk (a 256 x 256 plane) and parts per merge in overlap_histogram.
+# overlap_histogram's chunk (a 256 x 256 plane), chunks per fold.
 _CHUNK_VOXELS, _FOLD = 1 << 16, 16
 # Ascending keys and their counts, as np.unique(..., return_counts=True) gives.
 _Counts = tuple[np.ndarray, np.ndarray]
@@ -114,8 +114,8 @@ def overlap_histogram(
 
     This is one of the two volume hot loops of the pipeline (component
     labeling in label_fusion is the other); it has one plain NumPy
-    implementation. It folds every few chunks' counts into running totals,
-    so its scratch is a few chunks' keys.
+    implementation. It folds chunks' counts into the totals in groups, so
+    its scratch is a few chunks' keys.
 
     Args:
         pred: Predicted instance volume.
@@ -144,7 +144,7 @@ def overlap_histogram(
         stop = i + _CHUNK_VOXELS
         parts.append(_chunk_counts(pred_flat[i:stop], gt_flat[i:stop]))
         if len(parts) == _FOLD or stop >= pred_flat.size:
-            parts = [[_merged_counts(kind) for kind in zip(*parts)]]
+            parts = [list(map(_merged_counts, zip(*parts)))]
     (keys, counts), pred_totals, gt_totals = parts[0]
     pred_ids = (keys >> np.uint64(32)).tolist()
     gt_ids = (keys & np.uint64(0xFFFFFFFF)).tolist()
@@ -153,9 +153,9 @@ def overlap_histogram(
 
 
 def _chunk_counts(p: np.ndarray, g: np.ndarray) -> list[_Counts]:
-    # Return one chunk's counts of its pairs and of p's and g's foreground
-    # ids, from masks computed once. A pair is packed into one (p << 32) | g
-    # key, so that one sort counts the pairs in (p, g) order.
+    # One chunk's counts of its pairs and of p's and g's foreground ids,
+    # from masks made once. A pair packs into one (p << 32) | g key, so one
+    # sort counts pairs in (p, g) order.
     p_fg = p > 0
     g_fg = g > 0
     totals = [np.unique(v[fg], return_counts=True) for v, fg in ((p, p_fg), (g, g_fg))]

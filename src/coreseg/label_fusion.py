@@ -7,9 +7,8 @@ numbered canonically: 1..C by ascending position of each component's
 first voxel in z-major scan order, so the labeling is a pure function of
 (mask, connectivity) and is byte-identical across thread counts.
 
-Component labeling is one of the two volume hot loops of the pipeline
-(overlap counting in instance_metrics is the other); it has one plain
-NumPy implementation, which joins x-runs, not voxels.
+Labeling is one of the pipeline's two volume hot loops (overlap counting
+in instance_metrics is the other); it joins x-runs, not voxels.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ CONN_FACE6 = Connectivity("face6")
 CONN_FULL26 = Connectivity("full26")
 
 
-# Entries per vectorised step, whole rows of voxels (at least one) when
-# runs are listed or painted. It bounds the scratch.
+# Entries per vectorised step (whole rows, at least one, when runs are
+# listed or painted), bounding the scratch.
 _CHUNK = 1 << 16
 
 
@@ -90,22 +89,32 @@ def _runs(mask: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray, list[i
     step = max(1, _CHUNK // max(width, 1))
     starts, ends, blocks = [np.empty(0, dtype)], [np.empty(0, dtype)], [0]
     for r in range(0, rows.shape[0], step):
-        key = np.flatnonzero(rows[r : r + step] != 0)
+        key = np.flatnonzero(rows[r : r + step] != 0).astype(dtype)
         key += key // width + r * (width + 1)
-        starts.append(key[np.diff(key, prepend=-2) != 1].astype(dtype))
-        ends.append(key[np.diff(key, append=-2) != 1].astype(dtype))
+        first = np.diff(key, prepend=-2) != 1
+        starts.append(key[first])
+        ends.append(key[np.roll(first, -1)])
         blocks.append(blocks[-1] + starts[-1].size)
     return np.concatenate(starts), np.concatenate(ends), blocks
 
 
 def _row_steps(prev_offsets: np.ndarray, height: int) -> list[tuple[int, int, int]]:
-    # Each earlier row a run touches, as (row delta, dy, x slack): the
-    # offsets with one (dz, dy) reach one row, within their largest |dx|.
+    # (row delta, dy, x slack) of each earlier row a run touches: one per
+    # (dz, dy), within the offsets' largest |dx|.
     slack: dict[tuple[int, int], int] = {}
     for dz, dy, dx in prev_offsets.tolist():
         if dz or dy:
             slack[dz, dy] = max(slack.get((dz, dy), 0), abs(dx))
     return [(dz * height + dy, dy, s) for (dz, dy), s in slack.items()]
+
+
+def _below(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.searchsorted(keys, q) for ascending q, by one sort: all doubled,
+    the keys made odd, so a q sorts before an equal key."""
+    lo, hi = np.searchsorted(keys, q[[0, -1]])
+    both = np.concatenate((q * 2, keys[lo:hi] * 2 + 1))
+    both.sort()
+    return np.flatnonzero((both & 1) == 0) - np.arange(-lo, q.size - lo)
 
 
 def _touching(starts, ends, parent, shape, row_step):
@@ -114,14 +123,13 @@ def _touching(starts, ends, parent, shape, row_step):
     Shifted by delta * (X + 1), a run's keys land in that row, where it
     touches the runs ending at or after its start - slack and starting at
     or before its end + slack. Rows past the y border are not reached.
-    Edges are pairs of differing roots.
     """
     delta, dy, slack = row_step
     height, width = shape[1], shape[2] + 1
     for lo in range(0, starts.size, _CHUNK):
         s = starts[lo : lo + _CHUNK]
-        first = np.searchsorted(ends, s + (delta * width - slack))
-        count = np.searchsorted(starts, ends[lo : lo + _CHUNK] + (delta * width + slack), "right")
+        first = _below(ends, s + (delta * width - slack))
+        count = _below(starts, ends[lo : lo + _CHUNK] + (delta * width + slack + 1))
         count -= first
         if dy:
             y = s // width % height + dy
@@ -135,14 +143,13 @@ def _touching(starts, ends, parent, shape, row_step):
 def _union_round(parent: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> int:
     """One hook-and-shortcut round over the open edges (a[:k], b[:k]).
 
-    parent must be fully shortcut on entry; the edges hold roots, a != b.
-    Each root is hooked to the smallest root it shares an edge with, when
-    smaller. Then parent is shortcut chunk by chunk: entries point only at
-    smaller ones, so pointer jumping within a chunk settles it. The edges
-    still open move to the front of a and b as roots; returns their count.
+    Edges join differing roots of a fully shortcut parent. A root hooks to
+    the smallest root it shares an edge with, if smaller, so pointer jumping
+    settles parent chunk by chunk. Returns the count of open edges, moved to
+    the front of a and b as roots.
     """
     for lo in range(0, k, _CHUNK):
-        ca, cb = a[lo : min(lo + _CHUNK, k)], b[lo : min(lo + _CHUNK, k)]
+        ca, cb = a[lo:k][:_CHUNK], b[lo:k][:_CHUNK]
         np.minimum.at(parent, np.maximum(ca, cb), np.minimum(ca, cb))
     for lo in range(0, parent.size, _CHUNK):
         p = parent[lo : lo + _CHUNK]
@@ -152,12 +159,10 @@ def _union_round(parent: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> in
             grand = parent[p]
     kept = 0
     for lo in range(0, k, _CHUNK):
-        ca = parent[a[lo : min(lo + _CHUNK, k)]]
-        cb = parent[b[lo : min(lo + _CHUNK, k)]]
+        ca, cb = parent[a[lo:k][:_CHUNK]], parent[b[lo:k][:_CHUNK]]
         open_ = ca != cb
         n = int(np.count_nonzero(open_))
-        a[kept : kept + n] = ca[open_]
-        b[kept : kept + n] = cb[open_]
+        a[kept : kept + n], b[kept : kept + n] = ca[open_], cb[open_]
         kept += n
     return kept
 
@@ -173,9 +178,8 @@ def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
 
     Args:
         mask: 3D array, nonzero = foreground.
-        prev_offsets: (K, 3) int array of scan-order-previous neighbor
-            offsets (dz, dy, dx), each lexicographically below (0, 0, 0),
-            (0, 0, -1) among them.
+        prev_offsets: (K, 3) int array of the neighbor offsets
+            (dz, dy, dx) before a voxel in scan order, (0, 0, -1) among them.
 
     Returns:
         uint32 array of the mask's shape with components numbered 1..C by
@@ -183,39 +187,37 @@ def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
         order; background stays 0.
     """
     depth, height, width = mask.shape
-    dtype = np.int32 if depth * height * (width + 1) < 2**31 else np.int64
+    # _below doubles the keys.
+    dtype = np.int32 if depth * height * (width + 1) < 2**30 else np.int64
     starts, ends, blocks = _runs(mask, dtype)
     parent = np.arange(starts.size, dtype=dtype)
-    # A row step's edges are at most each row's runs plus the reached row's.
+    # At most two edges per run in a row step.
     a, b = np.empty((2, 2 * starts.size), dtype)
     for row_step in _row_steps(prev_offsets, height):
         k = 0
         for ea, eb in _touching(starts, ends, parent, mask.shape, row_step):
-            a[k : k + ea.size] = ea
-            b[k : k + eb.size] = eb
+            a[k : k + ea.size], b[k : k + ea.size] = ea, eb
             k += ea.size
         while k:
             k = _union_round(parent, a, b, k)
     del a, b
     out = np.zeros(mask.shape, np.uint32)
-    flat = out.reshape(-1)
     count = 0
     for lo, hi in zip(blocks[:-1], blocks[1:]):
-        # Number the roots in scan order, in place: a root gets its label
-        # before any later entry, whose root is smaller, reads it.
+        # Number the roots in scan order, in place: an entry's root is
+        # smaller, so numbered before the entry reads it.
         p = parent[lo:hi]
         roots = p == np.arange(lo, hi, dtype=dtype)
         found = int(np.count_nonzero(roots))
         p[roots] = np.arange(count + 1, count + found + 1, dtype=dtype)
         count += found
-        rest = ~roots
-        p[rest] = parent[p[rest]]
-        # A run's voxels: its first voxel's flat position plus 0, 1, ...
+        p[~roots] = parent[p[~roots]]
+        # A run's voxels: its first voxel's flat index plus 0, 1, ...
         s = starts[lo:hi]
         length = ends[lo:hi] - s + 1
         voxel = np.repeat(s - s // (width + 1) - np.cumsum(length) + length, length)
         voxel += np.arange(voxel.size)
-        flat[voxel] = np.repeat(p.astype(np.uint32), length)
+        out.reshape(-1)[voxel] = np.repeat(p.astype(np.uint32), length)
     return out
 
 

@@ -304,6 +304,19 @@ def test_run_masks_match_flood_fill(conn, mask, chunk):
     np.testing.assert_array_equal(got, bfs_label(mask, conn.kind))
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(st.integers(-(2**29), 2**29), max_size=40),
+    q=st.lists(st.integers(-(2**29), 2**29), min_size=1, max_size=40),
+)
+def test_below_counts_as_searchsorted(dtype, keys, q):
+    # Queries equal to keys, before all and past all of them included.
+    keys = np.sort(np.array(keys, dtype=dtype))
+    q = np.sort(np.array(q + keys[::3].tolist(), dtype=dtype))
+    np.testing.assert_array_equal(label_fusion._below(keys, q), np.searchsorted(keys, q))
+
+
 def test_stack_slices_holds_only_the_mask():
     # Stacking, comparing and converting the whole stack took 2.25x the mask.
     rng = np.random.default_rng(2)

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_ab.py REV --out BENCH_17.json --pairs 10 --seed 17
+    python3 tools/bench_ab.py REV --out BENCH_17.json --seed 17
 
 REV (the base) and --change (default HEAD, so commit the change first) are
 exported with `git archive` into sibling temporary directories, so no
@@ -11,8 +11,10 @@ in this checkout read 2.9 % slower on select-sweep than the same commit's
 export. Each pair runs `clibench/run.py` once in each tree, with the same
 workload, seed, run length and trace flag, and swaps which side goes first
 from one pair to the next, so a host that drifts slows both sides alike.
-Each side runs its own copy of the benchmark; the record says whether
-`clibench/` differs between them.
+The run length is BENCHMARK.json's `run_seconds`. A record takes at least
+10 pairs, the number a gain claim needs; a `--trace 1` record, kept for
+its per-layer figures, may take fewer. Each side runs its own copy of the
+benchmark; the record says whether `clibench/` differs between them.
 
 For every metric the record holds each side's values, median and
 quartiles, and how many pairs each side won; ties count for neither. Which
@@ -51,12 +53,12 @@ def _git(*args: str) -> str:
     ).stdout
 
 
-def run_once(tree: Path, workload: str, args) -> dict:
+def run_once(tree: Path, workload: str, settings: dict) -> dict:
     """Run one benchmark in `tree`; return its result line plus its meta line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    flags = [f"--{k}={settings[k]}" for k in ("seed", "seconds", "trace")]
     done = subprocess.run(
-        [sys.executable, "clibench/run.py", "--workload", workload, "--seed",
-         str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)],
+        [sys.executable, "clibench/run.py", "--workload", workload, *flags],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -109,12 +111,15 @@ def parse_args(argv=None):
     parser.add_argument("rev", help="the base revision, e.g. the parent commit")
     parser.add_argument("--change", default="HEAD", help="the changed revision")
     parser.add_argument("--out", required=True, help="record to write, e.g. BENCH_17.json")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="at least 10 unless --trace 1")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--workload", action="append", help="default: every workload")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.pairs < (1 if args.trace else 10):
+        parser.error(f"--pairs {args.pairs}: a record takes at least 10 pairs, "
+                     "or 1 with --trace 1")
+    return args
 
 
 def main(argv=None) -> int:
@@ -122,10 +127,9 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
-    record = {
-        "settings": {k: getattr(args, k) for k in ("pairs", "seed", "seconds", "trace")},
-        "workloads": {},
-    }
+    settings = {k: getattr(args, k) for k in ("pairs", "seed", "trace")}
+    settings["seconds"] = bench["run_seconds"]
+    record = {"settings": settings, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side, rev in zip(SIDES, (args.rev, args.change)):
@@ -137,7 +141,7 @@ def main(argv=None) -> int:
             runs: dict[str, list[dict]] = {s: [] for s in SIDES}
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    runs[side].append(run_once(trees[side], workload, args))
+                    runs[side].append(run_once(trees[side], workload, settings))
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"{json.dumps(runs[side][-1]['metrics'])}", file=sys.stderr)
             # Written after each workload, so a cut-off run keeps what it measured.
