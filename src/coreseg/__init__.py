@@ -42,7 +42,6 @@ _EXPORTS = {
     "SelectionError": "errors",
     "VolumeFormatError": "errors",
     "MatchResult": "instance_metrics",
-    "MetricsRecord": "instance_metrics",
     "evaluate": "instance_metrics",
     "match_instances": "instance_metrics",
     "overlap_histogram": "instance_metrics",
@@ -59,6 +58,7 @@ _EXPORTS = {
     "reassemble": "patch_grid",
     "tile": "patch_grid",
     "LearningCurve": "report",
+    "MetricsRecord": "report",
     "build_curve": "report",
     "first_surpass": "report",
     "percent_of_full": "report",

@@ -30,22 +30,15 @@ import os
 import re
 import sys
 from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # No coreseg path calls BLAS, so OpenBLAS need start no thread pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .config import KEYS, PipelineConfig, load_config, parse_value, resolved_lines
-from .coreset import (
-    METHOD_CORESET,
-    check_budget,
-    kcenter_greedy,
-    normalize_rows,
-    random_select,
-    read_embeddings,
-    write_selection_manifest,
-)
 from .errors import (
     ConfigError,
     CoresegError,
@@ -55,25 +48,71 @@ from .errors import (
     OverwriteRefused,
     ReportError,
 )
-from .instance_metrics import evaluate, metrics_csv_text, metrics_kv_text, parse_metrics_csv
-from .label_fusion import (
-    Connectivity,
-    component_count,
-    connected_components,
-    stack_slices,
-)
-from .patch_grid import (
-    PatchSpec,
-    check_volume_name,
-    patch_filename,
-    patch_ids,
-    patch_planes,
-    plan_grid,
-    write_grid_manifest,
-)
 from .provenance import InputDigest, read_digested
-from .report import build_curve, percent_csv, render_curve_table, surpass_summary
-from .volume_io import VolumeHeader, read_volume, write_volume
+
+if TYPE_CHECKING:
+    from .patch_grid import PatchSpec
+    from .volume_io import VolumeHeader
+
+# The library names each command calls, by module. main binds the names of
+# the command it runs, so a child loads only that command's modules (and
+# numpy only for a command that needs it); __getattr__ resolves any of them
+# from outside. A name already bound, say by a test, is never rebound.
+_CALLS = {
+    "tile": {
+        "patch_grid": (
+            "check_volume_name", "patch_filename", "patch_ids", "patch_planes", "plan_grid",
+            "write_grid_manifest",
+        ),
+        "volume_io": ("read_volume", "write_volume"),
+    },
+    "fuse": {
+        "label_fusion": (
+            "Connectivity", "component_count", "connected_components", "stack_slices",
+        ),
+        "volume_io": ("read_volume", "write_volume"),
+    },
+    "cc": {
+        "label_fusion": ("Connectivity", "component_count", "connected_components"),
+        "volume_io": ("read_volume", "write_volume"),
+    },
+    "select": {
+        "coreset": (
+            "METHOD_CORESET", "check_budget", "kcenter_greedy", "normalize_rows",
+            "random_select", "read_embeddings", "write_selection_manifest",
+        ),
+    },
+    "evaluate": {
+        "instance_metrics": ("evaluate",),
+        "report": ("metrics_csv_text", "metrics_kv_text"),
+        "volume_io": ("read_volume",),
+    },
+    "report": {
+        "report": (
+            "build_curve", "parse_metrics_csv", "percent_csv", "render_curve_table",
+            "surpass_summary",
+        ),
+    },
+}
+_HOMES = {
+    name: module for calls in _CALLS.values() for module, names in calls.items() for name in names
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __package__), name)
+    return globals().setdefault(name, value)
+
+
+def _bind(command: str) -> None:
+    # A command's code reads these names as globals, which __getattr__ does
+    # not serve, so they are bound before the command runs.
+    for names in _CALLS[command].values():
+        for name in names:
+            __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -238,14 +277,17 @@ def _commit(
     the digest its reader recorded. Every target is checked before
     anything is written: one that exists is refused unless force is set,
     and one that is not a regular file is refused even then. Each output,
-    and then the run manifest, is written to a sibling ``<name>.part``;
-    only when all of them are written are they renamed onto their final
-    names, the run manifest last, so a run manifest marks a complete
-    output set. On any failure the temp files are deleted and the error
-    re-raised. After a forced rerun, the outputs that the replaced run
-    manifest of the same command listed and this run did not write are
-    deleted, so no output outlives the manifest that listed it. Only plain
-    names of regular files in out_dir are deleted.
+    and then the run manifest, is written to a sibling ``<name>.part``.
+    Only when all of them are written is each existing target moved aside
+    to ``<name>.prev``, the old run manifest first, and the new files
+    renamed onto their final names, the run manifest last, so a run
+    manifest marks a complete output set. On any failure the new files
+    are taken out, the moved targets are moved back and the error is
+    re-raised, so the directory holds what it held before the run. On
+    success the ``.prev`` files are deleted, and so are the outputs that
+    the replaced run manifest of the same command listed and this run did
+    not write, so no output outlives the manifest that listed it. Only
+    plain names of regular files in out_dir are deleted.
     """
     steps = {
         **writers,
@@ -261,17 +303,31 @@ def _commit(
             replaced = {x.removeprefix("output=") for x in lines if x.startswith("output=")}
     out_dir.mkdir(parents=True, exist_ok=True)
     made: list[Path] = []
+    moved: list[str] = []
+    placed: list[str] = []
     try:
         for name, write in steps.items():
             made.append(out_dir / f"{name}.part")
             write(made[-1])
+        for name in (run_name, *writers):
+            if (out_dir / name).is_file():
+                (out_dir / name).replace(out_dir / f"{name}.prev")
+                moved.append(name)
         for name, tmp in zip(steps, made):
             tmp.replace(out_dir / name)
+            placed.append(name)
     except BaseException:
+        for name in placed:
+            if name not in moved:
+                (out_dir / name).unlink()
+        for name in moved:
+            (out_dir / f"{name}.prev").replace(out_dir / name)
         for tmp in made:
             if tmp.is_file():
                 tmp.unlink()
         raise
+    for name in moved:
+        (out_dir / f"{name}.prev").unlink()
     for name in replaced - steps.keys():
         stale = out_dir / name
         if "/" not in name and name not in (".", "..") and stale.is_file():
@@ -507,6 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command
     try:
         cfg = _merge_config(args)
+        _bind(command)
         return _COMMANDS[command](cfg, args.force)
     except OverwriteRefused as exc:
         print(f"coreseg {command}: {exc}", file=sys.stderr)

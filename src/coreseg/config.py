@@ -3,7 +3,9 @@
 A config file is diff-friendly text: one `key = value` per line, lists
 comma-separated, `#` comments and blank lines ignored. Every key can be
 overridden by a command-line flag, and the command line wins; both pass
-the consuming module's value check before any input is opened. Defaults
+the consuming module's value check before any input is opened. That
+check is imported from its module when a value for its key is first
+parsed, so parsing loads only the modules whose keys are given. Defaults
 mirror the reference experiment setup: patch shape (32, 512, 512), three
 random initial picks, budgets 0, 8, 16, 32, 64, 128, 256, 512, 1024.
 """
@@ -11,15 +13,11 @@ random initial picks, budgets 0, 8, 16, 32, 64, 128, 256, 512, 1024.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from importlib import import_module
 from pathlib import Path
 
 from ._fields import parse_float, parse_ints
-from .coreset import METHOD_CORESET, check_k_init, check_method
 from .errors import ConfigError
-from .instance_metrics import check_iou_threshold
-from .label_fusion import CONN_FULL26, connectivity_kind
-from .patch_grid import PAD_REFLECT, check_pad_mode, check_volume_name
-from .report import check_surpass_fraction
 
 DEFAULT_BUDGETS = (0, 8, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -34,13 +32,16 @@ class PipelineConfig:
     """
 
     patch_shape: tuple[int, int, int] = (32, 512, 512)
-    pad_mode: str = PAD_REFLECT
-    connectivity: str = CONN_FULL26.kind
+    # These three are patch_grid.PAD_REFLECT, label_fusion.CONN_FULL26.kind
+    # and coreset.METHOD_CORESET, spelled out so that the defaults load no
+    # module (tests/test_startup.py pins them).
+    pad_mode: str = "reflect"
+    connectivity: str = "full26"
     iou_threshold: float = 0.5
     k_init: int = 3
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
     rng_seed: int = 0
-    method: str = METHOD_CORESET
+    method: str = "coreset"
     surpass_fraction: float = 0.9
     budget: int | None = None
     volume: str | None = None
@@ -94,19 +95,29 @@ def _parse_path(text: str) -> str:
     return text
 
 
+def _checked(module: str, check: str, parse=str):
+    # Parse text, then apply the check that the consuming module defines,
+    # loading that module only when such a value is first parsed.
+    def parse_checked(text: str):
+        value = parse(text)
+        return getattr(import_module(f".{module}", __package__), check)(value, ConfigError)
+
+    return parse_checked
+
+
 # The keys with a rule of their own; every other key is a path.
 _PARSERS = {
     "patch_shape": parse_shape,
-    "pad_mode": lambda text: check_pad_mode(text, ConfigError),
-    "connectivity": lambda text: connectivity_kind(text, ConfigError),
-    "iou_threshold": lambda text: check_iou_threshold(_parse_float(text), ConfigError),
-    "k_init": lambda text: check_k_init(_parse_int(text), ConfigError),
+    "pad_mode": _checked("patch_grid", "check_pad_mode"),
+    "connectivity": _checked("label_fusion", "connectivity_kind"),
+    "iou_threshold": _checked("report", "check_iou_threshold", _parse_float),
+    "k_init": _checked("coreset", "check_k_init", _parse_int),
     "budgets": parse_budgets,
     "rng_seed": _parse_int,
-    "method": lambda text: check_method(text, ConfigError),
-    "surpass_fraction": lambda text: check_surpass_fraction(_parse_float(text), ConfigError),
+    "method": _checked("coreset", "check_method"),
+    "surpass_fraction": _checked("report", "check_surpass_fraction", _parse_float),
     "budget": _parse_budget,
-    "volume_name": lambda text: check_volume_name(text, ConfigError),
+    "volume_name": _checked("patch_grid", "check_volume_name"),
 }
 
 KEYS = frozenset(f.name for f in fields(PipelineConfig))

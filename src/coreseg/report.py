@@ -1,6 +1,9 @@
-"""Learning-curve aggregation and percent-of-full reporting.
+"""Metrics records and their files, learning curves and percent-of-full reporting.
 
-A LearningCurve holds one MetricsRecord per annotation budget; the
+A MetricsRecord holds one evaluation's counts and scores; evaluate writes
+it as a key=value file and a one-row CSV, and report reads the CSV back.
+This module loads no numpy, so reading and reporting records does not
+either. A LearningCurve holds one MetricsRecord per annotation budget; the
 largest budget is the full annotation set. Reporting derives
 percent-of-full columns and detects the first budget whose score reaches
 a fraction of the full-set score.
@@ -13,14 +16,106 @@ deterministic, so identical inputs produce byte-identical text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import CoresegError, InternalError, ReportError
-from .instance_metrics import MetricsRecord
+from ._fields import parse_float, parse_ints
+from .errors import CoresegError, InternalError, MetricsError, ReportError
 
 METRIC_NAMES = ("f1", "accuracy", "pq", "precision", "recall")
+
+
+@dataclass(frozen=True)
+class MetricsRecord:
+    """Matching counts and every derived score."""
+
+    tp: int
+    fp: int
+    fn: int
+    precision: float
+    recall: float
+    f1: float
+    accuracy: float
+    sq: float
+    rq: float
+    pq: float
+
+    @classmethod
+    def from_counts(cls, tp: int, fp: int, fn: int, sum_iou: float) -> "MetricsRecord":
+        """Derive the full record from counts and the matched IoU sum."""
+
+        def ratio(num: float, den: float) -> float:
+            return num / den if den > 0 else 0.0
+
+        f1 = ratio(2 * tp, 2 * tp + fp + fn)
+        sq = ratio(sum_iou, tp)
+        return cls(
+            tp=tp,
+            fp=fp,
+            fn=fn,
+            precision=ratio(tp, tp + fp),
+            recall=ratio(tp, tp + fn),
+            f1=f1,
+            accuracy=ratio(tp, tp + fp + fn),
+            sq=sq,
+            rq=f1,
+            pq=sq * f1,
+        )
+
+
+# The metrics file layout: a budget, MetricsRecord's fields in order, and
+# the threshold. Reordering the fields reorders the file.
+CSV_COLUMNS = ("budget", *(f.name for f in fields(MetricsRecord)), "iou_threshold")
+
+
+def check_iou_threshold(value: float, error: type[CoresegError]) -> float:
+    """Return value if it lies in [0.5, 1), where matching is unique, else raise error."""
+    if not 0.5 <= value < 1.0:
+        raise error(f"iou_threshold must lie in [0.5, 1), got {value}")
+    return value
+
+
+def metrics_kv_text(record: MetricsRecord, budget: int, iou_threshold: float) -> str:
+    """Render one record as a flat key=value document."""
+    values = _row_values(record, budget, iou_threshold)
+    return "".join(f"{k}={v}\n" for k, v in zip(CSV_COLUMNS, values))
+
+
+def metrics_csv_text(record: MetricsRecord, budget: int, iou_threshold: float) -> str:
+    """Render one record as a CSV document with a header row."""
+    values = _row_values(record, budget, iou_threshold)
+    return ",".join(CSV_COLUMNS) + "\n" + ",".join(values) + "\n"
+
+
+def _row_values(record: MetricsRecord, budget: int, iou_threshold: float) -> list[str]:
+    # Counts render as ints, scores and the threshold with full repr.
+    row = (budget, *astuple(record), iou_threshold)
+    return [repr(v) if isinstance(v, float) else str(v) for v in row]
+
+
+def parse_metrics_csv(text: str, source: str = "<metrics>") -> tuple[int, MetricsRecord, float]:
+    """Parse a single-row metrics CSV back into (budget, record, threshold).
+
+    Raises:
+        MetricsError: On missing header, wrong columns, or a malformed row.
+    """
+    lines = [line for line in text.splitlines() if line]
+    if len(lines) != 2 or lines[0] != ",".join(CSV_COLUMNS):
+        raise MetricsError(f"{source}: expected a header row plus one metrics row")
+    cells = lines[1].split(",")
+    if len(cells) != len(CSV_COLUMNS):
+        raise MetricsError(f"{source}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
+    try:
+        budget, tp, fp, fn = parse_ints(",".join(cells[:4]), MetricsError, "budget and counts")
+        *scores, threshold = (
+            parse_float(c, MetricsError, "score or threshold") for c in cells[4:]
+        )
+        check_iou_threshold(threshold, MetricsError)
+    except MetricsError as exc:
+        raise MetricsError(f"{source}: malformed metrics row: {exc}") from exc
+    # The score columns follow the counts in MetricsRecord's field order.
+    return budget, MetricsRecord(tp, fp, fn, *scores), threshold
 
 
 class CurveRow(NamedTuple):

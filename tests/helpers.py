@@ -13,8 +13,7 @@ from collections import deque
 import numpy as np
 
 from coreseg.coreset import EmbeddingMatrix, _distance_row, normalize_rows
-from coreseg.instance_metrics import MetricsRecord
-from coreseg.report import LearningCurve, build_curve
+from coreseg.report import LearningCurve, MetricsRecord, build_curve
 from coreseg.rng import SplitMix64
 from coreseg.volume_io import KIND_INSTANCE, KIND_MASK, LabelVolume, VolumeHeader
 

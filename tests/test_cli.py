@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from coreseg.coreset import (
     write_selection_manifest,
 )
 from coreseg.coreset import EmbeddingMatrix
-from coreseg.instance_metrics import parse_metrics_csv
 from coreseg.patch_grid import PatchId, patch_filename, read_grid_manifest, reassemble
+from coreseg.report import parse_metrics_csv
 from coreseg.volume_io import (
     KIND_INSTANCE,
     KIND_MASK,
@@ -1198,6 +1199,51 @@ def test_failed_write_leaves_nothing_behind(
     # Nothing was left behind, so the corrected rerun needs no --force.
     monkeypatch.undo()
     assert run(capsys, *args)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command, flag, first_value, renames",
+    [
+        # The first run scores the ground truth against itself; the rerun
+        # scores the empty prediction into the same three names.
+        ("evaluate", "--pred", lambda d: d / "gt.vol3d", 3 + 3),
+        # The rerun writes 8 patches where the first run wrote 1: three
+        # targets are moved aside, and ten files are renamed in.
+        ("tile", "--patch", lambda d: "3,5,5", 3 + 10),
+    ],
+)
+def test_failed_rename_restores_the_previous_outputs(
+    capsys, tmp_path, monkeypatch, command, flag, first_value, renames
+):
+    # Fail each rename of a forced rerun in turn: the output directory must
+    # hold exactly the previous run's bytes after each failure.
+    args, _ = command_case(capsys, tmp_path, command)
+    first_args = list(args)
+    first_args[args.index(flag) + 1] = first_value(tmp_path)
+    assert run(capsys, *first_args)[0] == 0
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_replace = Path.replace
+    for failing_call in itertools.count(1):
+        calls = []
+
+        def replace_or_fail(self, target):
+            calls.append(self)
+            if len(calls) == failing_call:
+                raise OSError("injected rename failure")
+            return real_replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace_or_fail)
+        code, stdout, err = run(capsys, *args, "--force")
+        monkeypatch.undo()
+        if code == 0:
+            break
+        assert code == 3, err
+        assert "injected rename failure" in err
+        assert stdout == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before, failing_call
+    assert failing_call - 1 == renames
+    assert {p.name: p.read_bytes() for p in out.iterdir()} != before
 
 
 @pytest.mark.parametrize("command", COMMANDS)

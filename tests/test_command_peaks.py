@@ -4,9 +4,9 @@ Each command runs as a child of a small `python -S` spawner, which reads
 the child's peak RSS from os.wait4. A child spawned straight from pytest
 could report pytest's own peak instead: Linux carries the peak RSS of the
 address space a program is exec'ed from into the new program's
-ru_maxrss. A `--version` child, which imports every coreseg module and
-numpy, is the baseline; what a command holds beyond it is its inputs plus
-its scratch.
+ru_maxrss. Each command's baseline is the same command on one-voxel
+inputs, which loads the same modules (a command loads only its own, and
+numpy); what a command holds beyond it is its inputs plus its scratch.
 """
 
 import json
@@ -52,20 +52,29 @@ def peak_mib(tmp_path: Path, *args: str) -> float:
 @pytest.fixture(scope="module")
 def volumes(tmp_path_factory):
     # Instances of 24x24 voxels per 32x32 cell through every plane (56 %
-    # foreground); the prediction is shifted by 3 voxels in x.
+    # foreground); the prediction is shifted by 3 voxels in x. The one-voxel
+    # volumes in tiny/ serve the baselines.
     d = tmp_path_factory.mktemp("peaks")
     _, y, x = np.ogrid[: SHAPE[0], : SHAPE[1], : SHAPE[2]]
     cells = (y // 32) * (SHAPE[2] // 32) + x // 32 + 1
     gt = np.broadcast_to(np.where((y % 32 < 24) & (x % 32 < 24), cells, 0), SHAPE)
     write_volume(new_volume(gt), d / "gt.vol3d")
     write_volume(new_volume(np.roll(gt, 3, axis=2)), d / "pred.vol3d")
+    (d / "tiny").mkdir()
+    one = np.ones((1, 1, 1), dtype=np.uint32)
+    for name in ("gt.vol3d", "pred.vol3d"):
+        write_volume(new_volume(one), d / "tiny" / name)
+    write_volume(new_volume(one > 0, KIND_MASK), d / "tiny" / "mask.vol3d")
     return d
 
 
 def test_tile_holds_the_volume_and_a_plane(tmp_path, volumes):
     # One patch is the whole volume: a command that held the patch on top
     # of the volume would exceed the bound by 12 MiB.
-    base = peak_mib(tmp_path, "--version")
+    base = peak_mib(
+        tmp_path, "tile", "--volume", str(volumes / "tiny" / "gt.vol3d"), "--out-dir",
+        str(tmp_path / "base"), "--patch", "1,1,1",
+    )
     peak = peak_mib(
         tmp_path, "tile", "--volume", str(volumes / "gt.vol3d"), "--out-dir",
         str(tmp_path / "out"), "--patch", ",".join(map(str, SHAPE)),
@@ -76,7 +85,10 @@ def test_tile_holds_the_volume_and_a_plane(tmp_path, volumes):
 def test_evaluate_holds_the_two_volumes_and_a_chunk(tmp_path, volumes):
     # Masks, keys and sort buffers of the whole volume at once would exceed
     # the bound by about 40 MiB.
-    base = peak_mib(tmp_path, "--version")
+    base = peak_mib(
+        tmp_path, "evaluate", "--pred", str(volumes / "tiny" / "pred.vol3d"), "--gt",
+        str(volumes / "tiny" / "gt.vol3d"), "--budget", "8", "--out-dir", str(tmp_path / "base"),
+    )
     peak = peak_mib(
         tmp_path, "evaluate", "--pred", str(volumes / "pred.vol3d"), "--gt",
         str(volumes / "gt.vol3d"), "--budget", "8", "--out-dir", str(tmp_path / "out"),
@@ -90,6 +102,9 @@ def test_cc_holds_the_mask_and_the_labels(tmp_path, volumes):
     # the bound: the voxel-based one took about 9 bytes each, 20 MiB here.
     mask = tmp_path / "mask.vol3d"
     write_volume(new_volume(read_volume(volumes / "gt.vol3d").voxels > 0, KIND_MASK), mask)
-    base = peak_mib(tmp_path, "--version")
+    base = peak_mib(
+        tmp_path, "cc", "--mask", str(volumes / "tiny" / "mask.vol3d"), "--out",
+        str(tmp_path / "base.vol3d"),
+    )
     peak = peak_mib(tmp_path, "cc", "--mask", str(mask), "--out", str(tmp_path / "cc.vol3d"))
     assert peak - base <= 2 * 4 * np.prod(SHAPE) / MIB + SCRATCH_MIB, (base, peak)

@@ -18,10 +18,10 @@ from coreseg.errors import (
     ReportError,
     SelectionError,
 )
-from coreseg.instance_metrics import MetricsRecord, match_instances
+from coreseg.instance_metrics import match_instances
 from coreseg.label_fusion import Connectivity
 from coreseg.patch_grid import plan_grid
-from coreseg.report import build_curve, first_surpass
+from coreseg.report import MetricsRecord, build_curve, first_surpass
 from coreseg.volume_io import new_volume
 
 CANDIDATES = [

@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coreseg.errors import MetricsError
-from coreseg.instance_metrics import (
+from coreseg.instance_metrics import MatchResult, evaluate, match_instances, overlap_histogram
+from coreseg.report import (
     CSV_COLUMNS,
-    MatchResult,
     MetricsRecord,
-    evaluate,
-    match_instances,
     metrics_csv_text,
     metrics_kv_text,
-    overlap_histogram,
     parse_metrics_csv,
 )
 

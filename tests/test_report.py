@@ -3,9 +3,9 @@
 import pytest
 
 from coreseg.errors import ReportError
-from coreseg.instance_metrics import MetricsRecord
 from coreseg.report import (
     METRIC_NAMES,
+    MetricsRecord,
     build_curve,
     first_surpass,
     format_percent,
