@@ -1210,6 +1210,9 @@ def test_failed_write_leaves_nothing_behind(
         # The rerun writes 8 patches where the first run wrote 1: three
         # targets are moved aside, and ten files are renamed in.
         ("tile", "--patch", lambda d: "3,5,5", 3 + 10),
+        # The first run's budget 4 is dropped and 5 added: the b3 selection
+        # and the run manifest are moved aside, and three files renamed in.
+        ("select", "--budgets", lambda d: "0,3,4", 2 + 3),
     ],
 )
 def test_failed_rename_restores_the_previous_outputs(
