@@ -10,7 +10,9 @@ A ``run_manifest`` capturing the tool version, the hash of the resolved
 configuration, and the digest of every input is written alongside every
 output set. Each input is read once, by the reader that parses it, and
 its digest is of the bytes that reader parsed. A command writes all of
-its outputs or none (see _commit).
+its outputs or none (see _commit). Each command imports the library
+names it calls in its own body, so a child loads only the modules of the
+command it runs.
 
 Exit statuses:
     0  success
@@ -30,9 +32,7 @@ import os
 import re
 import sys
 from dataclasses import replace
-from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 # No coreseg path calls BLAS, so OpenBLAS need start no thread pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -48,71 +48,7 @@ from .errors import (
     OverwriteRefused,
     ReportError,
 )
-from .provenance import InputDigest, read_digested
-
-if TYPE_CHECKING:
-    from .patch_grid import PatchSpec
-    from .volume_io import VolumeHeader
-
-# The library names each command calls, by module. main binds the names of
-# the command it runs, so a child loads only that command's modules (and
-# numpy only for a command that needs it); __getattr__ resolves any of them
-# from outside. A name already bound, say by a test, is never rebound.
-_CALLS = {
-    "tile": {
-        "patch_grid": (
-            "check_volume_name", "patch_filename", "patch_ids", "patch_planes", "plan_grid",
-            "write_grid_manifest",
-        ),
-        "volume_io": ("read_volume", "write_volume"),
-    },
-    "fuse": {
-        "label_fusion": (
-            "Connectivity", "component_count", "connected_components", "stack_slices",
-        ),
-        "volume_io": ("read_volume", "write_volume"),
-    },
-    "cc": {
-        "label_fusion": ("Connectivity", "component_count", "connected_components"),
-        "volume_io": ("read_volume", "write_volume"),
-    },
-    "select": {
-        "coreset": (
-            "METHOD_CORESET", "check_budget", "kcenter_greedy", "normalize_rows",
-            "random_select", "read_embeddings", "write_selection_manifest",
-        ),
-    },
-    "evaluate": {
-        "instance_metrics": ("evaluate",),
-        "report": ("metrics_csv_text", "metrics_kv_text"),
-        "volume_io": ("read_volume",),
-    },
-    "report": {
-        "report": (
-            "build_curve", "parse_metrics_csv", "percent_csv", "render_curve_table",
-            "surpass_summary",
-        ),
-    },
-}
-_HOMES = {
-    name: module for calls in _CALLS.values() for module, names in calls.items() for name in names
-}
-
-
-def __getattr__(name: str):
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_HOMES[name]}", __package__), name)
-    return globals().setdefault(name, value)
-
-
-def _bind(command: str) -> None:
-    # A command's code reads these names as globals, which __getattr__ does
-    # not serve, so they are bound before the command runs.
-    for names in _CALLS[command].values():
-        for name in names:
-            __getattr__(name)
-
+from .provenance import InputDigest
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -240,7 +176,7 @@ def _write_run_manifest(
         f"format_version={RUN_MANIFEST_VERSION}",
         f"tool=coreseg/{__version__}",
         f"command={command}",
-        f"config_sha256={hashlib.sha256(config_text.encode('ascii')).hexdigest()}",
+        f"config_sha256={hashlib.sha256(config_text.encode('utf-8')).hexdigest()}",
     ]
     for role, name, digest in sorted((role, d.name, d.sha256) for role, d in inputs):
         lines.append(f"input={role}:{name}:{digest}")
@@ -250,15 +186,15 @@ def _write_run_manifest(
 
 
 def _check_targets(out_dir: Path, names, force: bool) -> None:
-    # Refuse an existing target unless force is set, and one that is not a
-    # regular file even then.
+    # Refuse an existing target, or its <name>.part or <name>.prev, unless
+    # force is set, and one that is not a regular file even then.
     for name in names:
-        target = out_dir / name
-        if target.exists():
-            if not target.is_file():
-                raise FileExistsError(f"output path is not a regular file: {target}")
-            if not force:
-                raise OverwriteRefused(f"output exists: {target} (use --force to overwrite)")
+        for target in (out_dir / name, out_dir / f"{name}.part", out_dir / f"{name}.prev"):
+            if target.exists():
+                if not target.is_file():
+                    raise FileExistsError(f"output path is not a regular file: {target}")
+                if not force:
+                    raise OverwriteRefused(f"output exists: {target} (use --force to overwrite)")
 
 
 def _commit(
@@ -274,17 +210,18 @@ def _commit(
 
     writers maps each output file name to a function that writes that
     output to the path it is given; inputs pairs each input's role with
-    the digest its reader recorded. Every target is checked before
-    anything is written: one that exists is refused unless force is set,
-    and one that is not a regular file is refused even then. Each output,
-    and then the run manifest, is written to a sibling ``<name>.part``.
-    Only when all of them are written is each existing target moved aside
-    to ``<name>.prev``, the old run manifest first, and the new files
-    renamed onto their final names, the run manifest last, so a run
-    manifest marks a complete output set. On any failure the new files
-    are taken out, the moved targets are moved back and the error is
-    re-raised, so the directory holds what it held before the run. On
-    success the ``.prev`` files are deleted, and so are the outputs that
+    the digest its reader recorded. Every target, and its ``<name>.part``
+    and ``<name>.prev``, is checked before anything is written: one that
+    exists is refused unless force is set, and one that is not a regular
+    file is refused even then. Each output, and then the run manifest, is
+    written to its ``<name>.part``. Only when all of them are written is
+    each existing target moved aside to ``<name>.prev``, the old run
+    manifest first, and the new files renamed onto their final names, the
+    run manifest last, so a run manifest marks a complete output set. On
+    any failure the new files are taken out, the moved targets are moved
+    back and the error is re-raised, so the directory holds what it held
+    before the run; only a killed run leaves a ``.part`` or ``.prev``. On
+    success every ``<name>.prev`` is deleted, and so are the outputs that
     the replaced run manifest of the same command listed and this run did
     not write, so no output outlives the manifest that listed it. Only
     plain names of regular files in out_dir are deleted.
@@ -326,8 +263,8 @@ def _commit(
             if tmp.is_file():
                 tmp.unlink()
         raise
-    for name in moved:
-        (out_dir / f"{name}.prev").unlink()
+    for name in steps:
+        (out_dir / f"{name}.prev").unlink(missing_ok=True)
     for name in replaced - steps.keys():
         stale = out_dir / name
         if "/" not in name and name not in (".", "..") and stale.is_file():
@@ -339,6 +276,12 @@ def _text(content: str):
 
 
 def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
+    from .patch_grid import (
+        PatchSpec, check_volume_name, patch_filename, patch_ids, patch_planes, plan_grid,
+        write_grid_manifest,
+    )
+    from .volume_io import VolumeHeader, read_volume, write_volume
+
     vol_path = _input_file(cfg, "volume", "input volume")
     out_dir = Path(_require(cfg, "out_dir", "output directory"))
     name = cfg.volume_name or check_volume_name(vol_path.stem, GridError)
@@ -396,6 +339,9 @@ def _ordered_slices(slices_dir: Path) -> list[tuple[int, Path]]:
 
 def _label(command, cfg, force, out, mask, inputs) -> int:
     # Label mask's components, commit them to out, and return their count.
+    from .label_fusion import Connectivity, component_count, connected_components
+    from .volume_io import write_volume
+
     labeled = connected_components(mask, Connectivity(cfg.connectivity))
     writers = {out.name: lambda p: write_volume(labeled, p)}
     _commit(command, cfg, force, out.parent, writers, f"{out.name}.run.txt", inputs)
@@ -403,6 +349,9 @@ def _label(command, cfg, force, out, mask, inputs) -> int:
 
 
 def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
+    from .label_fusion import stack_slices
+    from .volume_io import read_volume
+
     slices_dir = _input_dir(cfg, "slices_dir", "slice directory")
     out = Path(_require(cfg, "out", "output path"))
     keyed = _ordered_slices(slices_dir)
@@ -429,6 +378,8 @@ def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
+    from .volume_io import read_volume
+
     mask_path = _input_file(cfg, "mask", "input mask")
     out = Path(_require(cfg, "out", "output path"))
     read: list[InputDigest] = []
@@ -438,6 +389,11 @@ def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_select(cfg: PipelineConfig, force: bool) -> int:
+    from .coreset import (
+        METHOD_CORESET, check_budget, kcenter_greedy, normalize_rows, random_select,
+        read_embeddings, write_selection_manifest,
+    )
+
     stem = _require(cfg, "embeddings", "embedding stem")
     out_dir = Path(_require(cfg, "out_dir", "output directory"))
     read: list[InputDigest] = []
@@ -487,6 +443,10 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
+    from .instance_metrics import evaluate
+    from .report import metrics_csv_text, metrics_kv_text
+    from .volume_io import read_volume
+
     pred_path = _input_file(cfg, "pred", "prediction volume")
     gt_path = _input_file(cfg, "gt", "ground-truth volume")
     out_dir = Path(_require(cfg, "out_dir", "output directory"))
@@ -513,6 +473,11 @@ def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_report(cfg: PipelineConfig, force: bool) -> int:
+    from .provenance import read_digested
+    from .report import (
+        build_curve, parse_metrics_csv, percent_csv, render_curve_table, surpass_summary,
+    )
+
     metrics_dir = _input_dir(cfg, "metrics_dir", "metrics directory")
     out_dir = Path(_require(cfg, "out_dir", "output directory"))
     files = sorted(metrics_dir.glob("metrics_b*.csv"))
@@ -563,7 +528,6 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command
     try:
         cfg = _merge_config(args)
-        _bind(command)
         return _COMMANDS[command](cfg, args.force)
     except OverwriteRefused as exc:
         print(f"coreseg {command}: {exc}", file=sys.stderr)

@@ -124,7 +124,15 @@ KEYS = frozenset(f.name for f in fields(PipelineConfig))
 
 
 def parse_value(key: str, text: str):
-    """Parse a flag's or config line's text for key by its rule, else as a path."""
+    """Parse a flag's or config line's text for key by its rule, else as a path.
+
+    Text that UTF-8 cannot encode (a lone surrogate, which an undecodable
+    byte in argv becomes) is refused, so every manifest can record it.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"not UTF-8: {text!r}") from None
     return _PARSERS.get(key, _parse_path)(text)
 
 

@@ -331,7 +331,8 @@ def write_grid_manifest(spec: PatchSpec, volume_name: str, path: str | Path) -> 
     """Write the grid manifest: spec fields plus every patch filename.
 
     The manifest lists patches in z-major grid order so the file is a
-    deterministic function of (spec, volume_name).
+    deterministic function of (spec, volume_name). It is UTF-8, as the
+    volume name is the user's.
     """
     lines = [
         f"format_version={GRID_MANIFEST_VERSION}",
@@ -343,7 +344,7 @@ def write_grid_manifest(spec: PatchSpec, volume_name: str, path: str | Path) -> 
         "grid_dims=" + ",".join(str(c) for c in spec.grid_dims),
     ]
     lines += [f"patch={patch_filename(pid)}" for pid in patch_ids(spec, volume_name)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_grid_manifest(path: str | Path) -> tuple[PatchSpec, str, list[str]]:
@@ -356,7 +357,7 @@ def read_grid_manifest(path: str | Path) -> tuple[PatchSpec, str, list[str]]:
         GridError: On malformed or version-mismatched manifests.
     """
     context = f"{path}: malformed grid manifest"
-    lines = decode_lines(Path(path).read_bytes(), GridError, context)
+    lines = decode_lines(Path(path).read_bytes(), GridError, context, "utf-8")
     fields = split_fields(
         lines, _GRID_KEYS, GridError, context, version=GRID_MANIFEST_VERSION, repeated="patch"
     )

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coreseg import cli, coreset
+from coreseg import cli, coreset, instance_metrics, label_fusion, volume_io
 from coreseg.cli import main as cli_main
+from coreseg.config import PipelineConfig, resolved_lines
 from coreseg.coreset import (
     kcenter_greedy,
     normalize_rows,
@@ -630,8 +632,8 @@ def test_select_refusal_computes_nothing(
     )
     assert run(capsys, *args)[0] == 0
     # A call would now fail with an internal error; the refusal comes first.
-    monkeypatch.setattr(cli, "kcenter_greedy", None)
-    monkeypatch.setattr(cli, "random_select", None)
+    monkeypatch.setattr(coreset, "kcenter_greedy", None)
+    monkeypatch.setattr(coreset, "random_select", None)
     assert run(capsys, *args)[0] == 5
 
 
@@ -986,8 +988,8 @@ def test_bad_config_value_exits_2_from_every_command(
     # use included, so the run stops before its first read. The message says
     # where the bad value is: file, line and key.
     args, _ = command_case(capsys, tmp_path, command)
-    for reader in ("read_volume", "read_embeddings", "read_digested"):
-        monkeypatch.setattr(cli, reader, None)
+    for reader in ("volume_io.read_volume", "coreset.read_embeddings", "provenance.read_digested"):
+        monkeypatch.setattr(f"coreseg.{reader}", None)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# bad value on line 2\n{line}\n", encoding="ascii")
     code, _, err = run(capsys, *args, "--config", cfg)
@@ -1004,8 +1006,8 @@ def test_repeated_config_key_exits_2_from_every_command(
     # A repeated key is refused even when both lines agree, as in every
     # other coreseg text format, and before the command's first read.
     args, _ = command_case(capsys, tmp_path, command)
-    for reader in ("read_volume", "read_embeddings", "read_digested"):
-        monkeypatch.setattr(cli, reader, None)
+    for reader in ("volume_io.read_volume", "coreset.read_embeddings", "provenance.read_digested"):
+        monkeypatch.setattr(f"coreseg.{reader}", None)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("patch_shape=2,4,4\n# again\npatch_shape=2,4,4\n", encoding="ascii")
     code, out, err = run(capsys, *args, "--config", cfg)
@@ -1076,7 +1078,7 @@ def test_empty_value_is_usage_error(
     args = ["tile", "--volume", vol, "--patch", "2,4,4"]
     if key != "out_dir":
         args += ["--out-dir", tmp_path / "out"]
-    monkeypatch.setattr(cli, "read_volume", None)
+    monkeypatch.setattr(volume_io, "read_volume", None)
     monkeypatch.chdir(tmp_path)
     if spelling == "flag":
         args += [flag, ""]
@@ -1153,13 +1155,14 @@ def test_run_manifest_hashes_the_bytes_read_not_a_swapped_file(
     args, run_name = command_case(capsys, tmp_path, command)
     path = Path(args[args.index(f"--{role}") + 1])
     original = hashlib.sha256(path.read_bytes()).hexdigest()
-    real = getattr(cli, step)
+    home = {"cc": label_fusion, "evaluate": instance_metrics}[command]
+    real = getattr(home, step)
 
     def swap_then_compute(*a, **kw):
         path.write_bytes(b"replaced while the run was computing")
         return real(*a, **kw)
 
-    monkeypatch.setattr(cli, step, swap_then_compute)
+    monkeypatch.setattr(home, step, swap_then_compute)
     assert run(capsys, *args)[0] == 0
     [digest] = [d for r, _, d in manifest_inputs(tmp_path / "out" / run_name) if r == role]
     assert digest == original
@@ -1180,7 +1183,8 @@ def test_failed_write_leaves_nothing_behind(
     capsys, tmp_path, monkeypatch, command, writer, failing_call
 ):
     args, _ = command_case(capsys, tmp_path, command)
-    real = getattr(cli, writer)
+    home = {"write_volume": volume_io, "write_selection_manifest": coreset}.get(writer, cli)
+    real = getattr(home, writer)
     calls = []
 
     def write_then_fail(*a, **kw):
@@ -1189,7 +1193,7 @@ def test_failed_write_leaves_nothing_behind(
         if len(calls) == failing_call:
             raise OSError("injected write failure")
 
-    monkeypatch.setattr(cli, writer, write_then_fail)
+    monkeypatch.setattr(home, writer, write_then_fail)
     code, out, err = run(capsys, *args)
     assert code == 3
     assert "injected write failure" in err
@@ -1270,6 +1274,86 @@ def test_force_refuses_directory_in_place_of_output(capsys, tmp_path, demo_volum
     assert [p.name for p in out_dir.iterdir()] == ["run_manifest.txt"]
     (out_dir / "run_manifest.txt").rmdir()
     assert run(capsys, *args)[0] == 0
+
+
+# Names of two temp files each command's outputs would use: <name>.part
+# while it is written and <name>.prev while an old output is moved aside.
+TEMP_NAMES = {
+    "evaluate": ("metrics_b4.csv.part", "metrics_b4.txt.prev"),
+    "tile": ("grid_manifest.txt.part", "run_manifest.txt.prev"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEMP_NAMES))
+def test_file_named_like_a_temp_file_is_an_existing_output(capsys, tmp_path, command):
+    # Such a file is the user's: the run is refused without --force and
+    # keeps its bytes; a forced run, fresh or over an existing output
+    # set, leaves no temp file behind.
+    args, _ = command_case(capsys, tmp_path, command)
+    out = tmp_path / "out"
+    out.mkdir()
+    user_files = {name: f"the user's {name}".encode() for name in TEMP_NAMES[command]}
+    for name, data in user_files.items():
+        (out / name).write_bytes(data)
+    code, stdout, err = run(capsys, *args)
+    assert code == 5, err
+    assert "use --force" in err and stdout == ""
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == user_files
+    for _ in range(2):
+        code, _, err = run(capsys, *args, "--force")
+        assert code == 0, err
+        assert list(out.glob("*.part")) + list(out.glob("*.prev")) == []
+        for name, data in user_files.items():
+            (out / name).write_bytes(data)
+
+
+@pytest.mark.parametrize("command", sorted(TEMP_NAMES))
+def test_force_refuses_directory_named_like_a_temp_file(capsys, tmp_path, command):
+    args, _ = command_case(capsys, tmp_path, command)
+    name = TEMP_NAMES[command][0]
+    (tmp_path / "out" / name).mkdir(parents=True)
+    code, stdout, err = run(capsys, *args, "--force")
+    assert code == 3, err
+    assert "not a regular file" in err and stdout == ""
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+
+
+def test_non_ascii_paths_are_hashed_as_utf8(capsys, tmp_path):
+    (tmp_path / "données").mkdir()
+    mask = corner_mask(tmp_path / "données")
+    out = tmp_path / "sortie" / "é.vol3d"
+    code, _, err = run(capsys, "cc", "--mask", mask, "--out", out)
+    assert code == 0, err
+    config_text = resolved_lines(PipelineConfig(mask=str(mask), out=str(out)))
+    digest = hashlib.sha256(config_text.encode("utf-8")).hexdigest()
+    lines = (out.parent / "é.vol3d.run.txt").read_text(encoding="utf-8").splitlines()
+    assert f"config_sha256={digest}" in lines
+    assert "input=mask:corner.vol3d:" + hashlib.sha256(mask.read_bytes()).hexdigest() in lines
+
+
+def test_non_ascii_volume_name_is_written_to_the_grid_manifest(capsys, tmp_path, demo_volume):
+    vol_path, _ = demo_volume
+    out_dir = tmp_path / "patches"
+    code, _, err = run(
+        capsys, "tile", "--volume", vol_path, "--name", "é", "--patch", "2,4,4",
+        "--out-dir", out_dir,
+    )
+    assert code == 0, err
+    _, name, filenames = read_grid_manifest(out_dir / "grid_manifest.txt")
+    assert name == "é"
+    assert sorted(filenames) == sorted(p.name for p in out_dir.glob("*.vol3d"))
+
+
+def test_undecodable_argv_byte_is_usage_error(capsys, tmp_path, monkeypatch):
+    # Python turns the byte into a lone surrogate that no manifest could
+    # hold; the run stops before its first read.
+    mask = Path(os.fsdecode(bytes(tmp_path / "m") + b"\xff.vol3d"))
+    corner_mask(tmp_path).replace(mask)
+    monkeypatch.setattr(volume_io, "read_volume", None)
+    code, stdout, err = run(capsys, "cc", "--mask", mask, "--out", tmp_path / "out" / "c.vol3d")
+    assert code == 2, err
+    assert "argument --mask: not UTF-8: " in err and stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
