@@ -223,8 +223,10 @@ def _commit(
     before the run; only a killed run leaves a ``.part`` or ``.prev``. On
     success every ``<name>.prev`` is deleted, and so are the outputs that
     the replaced run manifest of the same command listed and this run did
-    not write, so no output outlives the manifest that listed it. Only
-    plain names of regular files in out_dir are deleted.
+    not write, with their ``.part`` and ``.prev``, so no output outlives
+    the manifest that listed it. A killed run may have left that manifest
+    at ``<run_name>.prev``, so its outputs count too. Only plain names of
+    regular files in out_dir are deleted.
     """
     steps = {
         **writers,
@@ -234,10 +236,11 @@ def _commit(
     # Outputs listed by the run manifest this run replaces. tile and report
     # both name theirs run_manifest.txt, so the command must match too.
     replaced: set[str] = set()
-    if (out_dir / run_name).is_file():
-        lines = (out_dir / run_name).read_text(encoding="utf-8", errors="replace").splitlines()
-        if f"command={command}" in lines:
-            replaced = {x.removeprefix("output=") for x in lines if x.startswith("output=")}
+    for manifest in (out_dir / run_name, out_dir / f"{run_name}.prev"):
+        if manifest.is_file():
+            lines = manifest.read_text(encoding="utf-8", errors="replace").splitlines()
+            if f"command={command}" in lines:
+                replaced |= {x.removeprefix("output=") for x in lines if x.startswith("output=")}
     out_dir.mkdir(parents=True, exist_ok=True)
     made: list[Path] = []
     moved: list[str] = []
@@ -266,9 +269,10 @@ def _commit(
     for name in steps:
         (out_dir / f"{name}.prev").unlink(missing_ok=True)
     for name in replaced - steps.keys():
-        stale = out_dir / name
-        if "/" not in name and name not in (".", "..") and stale.is_file():
-            stale.unlink()
+        if "/" not in name and name not in (".", ".."):
+            for stale in (out_dir / name, out_dir / f"{name}.part", out_dir / f"{name}.prev"):
+                if stale.is_file():
+                    stale.unlink()
 
 
 def _text(content: str):
@@ -316,13 +320,24 @@ def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
     return EXIT_OK
 
 
-def _ordered_slices(slices_dir: Path) -> list[tuple[int, Path]]:
-    files = sorted(slices_dir.glob("*.vol3d"))
+def _listing(directory: Path, pattern: str, what: str, error: type[CoresegError]) -> list[Path]:
+    # The files matching pattern, sorted. An empty listing is refused, and
+    # so, before any read, is a name that UTF-8 cannot encode, which no run
+    # manifest could record.
+    files = sorted(directory.glob(pattern))
     if not files:
-        raise FusionError(f"no .vol3d slices in {slices_dir}")
-    keyed: list[tuple[int, Path]] = []
-    seen: dict[int, Path] = {}
+        raise error(f"no {what} in {directory}")
     for f in files:
+        try:
+            f.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise error(f"input file name is not UTF-8: {f.name!r}") from None
+    return files
+
+
+def _ordered_slices(slices_dir: Path) -> list[Path]:
+    seen: dict[int, Path] = {}
+    for f in _listing(slices_dir, "*.vol3d", ".vol3d slices", FusionError):
         m = re.search(r"([0-9]+)$", f.stem)
         if not m:
             raise FusionError(f"slice filename lacks a numeric suffix: {f.name}")
@@ -332,9 +347,7 @@ def _ordered_slices(slices_dir: Path) -> list[tuple[int, Path]]:
                 f"duplicate slice index {num}: {seen[num].name} and {f.name}"
             )
         seen[num] = f
-        keyed.append((num, f))
-    keyed.sort()
-    return keyed
+    return [seen[num] for num in sorted(seen)]
 
 
 def _label(command, cfg, force, out, mask, inputs) -> int:
@@ -354,26 +367,23 @@ def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
 
     slices_dir = _input_dir(cfg, "slices_dir", "slice directory")
     out = Path(_require(cfg, "out", "output path"))
-    keyed = _ordered_slices(slices_dir)
+    files = _ordered_slices(slices_dir)
     grids = []
     read: list[InputDigest] = []
-    first_shape: tuple[int, int] | None = None
-    for _, f in keyed:
+    for f in files:
         v = read_volume(f, digests=read)
         z, y, x = v.header.shape
         if z != 1:
             raise FusionError(f"{f.name}: slice has z-size {z}, expected 1")
-        if first_shape is None:
-            first_shape = (y, x)
-        elif (y, x) != first_shape:
+        if grids and (y, x) != grids[0].shape:
             raise FusionError(
-                f"{f.name}: slice shape {(y, x)} does not match first slice {first_shape}"
+                f"{f.name}: slice shape {(y, x)} does not match first slice {grids[0].shape}"
             )
         grids.append(v.voxels[0])
     mask = stack_slices(grids)
     count = _label("fuse", cfg, force, out, mask, [("slice", d) for d in read])
     z, y, x = mask.header.shape
-    print(f"components={count} slices={len(keyed)} shape={z},{y},{x}")
+    print(f"components={count} slices={len(files)} shape={z},{y},{x}")
     return EXIT_OK
 
 
@@ -480,9 +490,7 @@ def cmd_report(cfg: PipelineConfig, force: bool) -> int:
 
     metrics_dir = _input_dir(cfg, "metrics_dir", "metrics directory")
     out_dir = Path(_require(cfg, "out_dir", "output directory"))
-    files = sorted(metrics_dir.glob("metrics_b*.csv"))
-    if not files:
-        raise ReportError(f"no metrics_b*.csv files in {metrics_dir}")
+    files = _listing(metrics_dir, "metrics_b*.csv", "metrics_b*.csv files", ReportError)
     records = {}
     thresholds = set()
     read: list[InputDigest] = []

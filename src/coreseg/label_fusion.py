@@ -13,8 +13,7 @@ in instance_metrics is the other); it joins x-runs, not voxels.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,26 +23,20 @@ from .volume_io import KIND_INSTANCE, KIND_MASK, LabelVolume, VolumeHeader
 
 _CONNECTIVITY_FLAGS = {"6": "face6", "26": "full26", "face6": "face6", "full26": "full26"}
 
+# The neighborhood, as the earlier rows a voxel touches in scan order:
+# (dz, dy, x slack), a neighbor's |dx| being at most the slack. The voxel
+# before in its own row, (0, 0, -1), is in its x-run already.
+_ROW_STEPS = {
+    "full26": ((-1, -1, 1), (-1, 0, 1), (-1, 1, 1), (0, -1, 1)),
+    "face6": ((-1, 0, 0), (0, -1, 0)),
+}
+
 
 def connectivity_kind(flag: str, error: type[CoresegError]) -> str:
     """Return the kind that flag names ("6", "26", "face6", "full26"), else raise error."""
     if flag not in _CONNECTIVITY_FLAGS:
         raise error(f"connectivity must be 6 or 26, got {flag!r}")
     return _CONNECTIVITY_FLAGS[flag]
-
-
-def _prev_offsets(kind: str) -> np.ndarray:
-    # Scan-order-previous neighbors: all adjacent offsets lexicographically
-    # below (0, 0, 0). face6 keeps the three axis-aligned ones; full26 keeps
-    # all thirteen.
-    offsets = []
-    for dz, dy, dx in itertools.product((-1, 0, 1), repeat=3):
-        if (dz, dy, dx) >= (0, 0, 0):
-            continue
-        if kind == "face6" and abs(dz) + abs(dy) + abs(dx) != 1:
-            continue
-        offsets.append((dz, dy, dx))
-    return np.array(offsets, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -56,12 +49,10 @@ class Connectivity:
     """
 
     kind: str
-    prev_offsets: np.ndarray = field(compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.kind not in _CONNECTIVITY_FLAGS.values():
+        if self.kind not in _ROW_STEPS:
             raise FusionError(f"unknown connectivity {self.kind!r}")
-        object.__setattr__(self, "prev_offsets", _prev_offsets(self.kind))
 
     @staticmethod
     def from_flag(flag: str) -> "Connectivity":
@@ -98,16 +89,6 @@ def _runs(mask: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray, list[i
     return np.concatenate(starts), np.concatenate(ends), blocks
 
 
-def _row_steps(prev_offsets: np.ndarray, height: int) -> list[tuple[int, int, int]]:
-    # (row delta, dy, x slack) of each earlier row a run touches: one per
-    # (dz, dy), within the offsets' largest |dx|.
-    slack: dict[tuple[int, int], int] = {}
-    for dz, dy, dx in prev_offsets.tolist():
-        if dz or dy:
-            slack[dz, dy] = max(slack.get((dz, dy), 0), abs(dx))
-    return [(dz * height + dy, dy, s) for (dz, dy), s in slack.items()]
-
-
 def _below(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     """np.searchsorted(keys, q) for ascending q, by one sort: all doubled,
     the keys made odd, so a q sorts before an equal key."""
@@ -120,12 +101,13 @@ def _below(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _touching(starts, ends, parent, shape, row_step):
     """Yield, chunk by chunk, each run's open edges into one earlier row.
 
-    Shifted by delta * (X + 1), a run's keys land in that row, where it
-    touches the runs ending at or after its start - slack and starting at
+    Shifted by (dz * Y + dy) * (X + 1), a run's keys land in that row, where
+    it touches the runs ending at or after its start - slack and starting at
     or before its end + slack. Rows past the y border are not reached.
     """
-    delta, dy, slack = row_step
+    dz, dy, slack = row_step
     height, width = shape[1], shape[2] + 1
+    delta = dz * height + dy
     for lo in range(0, starts.size, _CHUNK):
         s = starts[lo : lo + _CHUNK]
         first = _below(ends, s + (delta * width - slack))
@@ -167,19 +149,18 @@ def _union_round(parent: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> in
     return kept
 
 
-def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
+def label_components(mask: np.ndarray, conn: Connectivity) -> np.ndarray:
     """Canonically label the connected components of a 3D binary mask.
 
     Run-based two-scan labeling (He, Chao & Suzuki, 2008): union-find on
     the x-runs in scan order, as vectorised hook-and-shortcut rounds (Wu,
-    Otoo & Suzuki, 2009). A run links to the runs it touches in each
-    earlier row that prev_offsets reaches; hooks point at smaller roots, so
-    a component's root is its first run, and roots are numbered in order.
+    Otoo & Suzuki, 2009). A run links to the runs it touches in each of
+    conn's earlier rows; hooks point at smaller roots, so a component's
+    root is its first run, and roots are numbered in order.
 
     Args:
         mask: 3D array, nonzero = foreground.
-        prev_offsets: (K, 3) int array of the neighbor offsets
-            (dz, dy, dx) before a voxel in scan order, (0, 0, -1) among them.
+        conn: Neighborhood rule.
 
     Returns:
         uint32 array of the mask's shape with components numbered 1..C by
@@ -193,7 +174,7 @@ def label_components(mask: np.ndarray, prev_offsets: np.ndarray) -> np.ndarray:
     parent = np.arange(starts.size, dtype=dtype)
     # At most two edges per run in a row step.
     a, b = np.empty((2, 2 * starts.size), dtype)
-    for row_step in _row_steps(prev_offsets, height):
+    for row_step in _ROW_STEPS[conn.kind]:
         k = 0
         for ea, eb in _touching(starts, ends, parent, mask.shape, row_step):
             a[k : k + ea.size], b[k : k + ea.size] = ea, eb
@@ -279,7 +260,7 @@ def connected_components(
             f"{vol.header.value_kind!r}"
         )
     vol.validate()
-    labels = label_components(vol.voxels, conn.prev_offsets)
+    labels = label_components(vol.voxels, conn)
     return LabelVolume(
         VolumeHeader(shape=vol.header.shape, value_kind=KIND_INSTANCE), labels
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coreseg import cli, coreset, instance_metrics, label_fusion, volume_io
+from coreseg import cli, coreset, instance_metrics, label_fusion, provenance, volume_io
 from coreseg.cli import main as cli_main
 from coreseg.config import PipelineConfig, resolved_lines
 from coreseg.coreset import (
@@ -1253,6 +1253,83 @@ def test_failed_rename_restores_the_previous_outputs(
     assert {p.name: p.read_bytes() for p in out.iterdir()} != before
 
 
+KILLED = 9
+
+
+def run_killed(args, nth):
+    """Run the CLI in a forked child that dies at its nth Path.replace.
+
+    Returns KILLED if it died there, else the child's exit status.
+    """
+    pid = os.fork()
+    if pid == 0:
+        calls = itertools.count(1)
+        real_replace = Path.replace
+
+        def replace_or_die(self, target):
+            if next(calls) == nth:
+                os._exit(KILLED)
+            return real_replace(self, target)
+
+        Path.replace = replace_or_die
+        try:
+            os._exit(cli_main([str(a) for a in args]))
+        finally:
+            os._exit(70)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+@pytest.mark.parametrize(
+    "command, first, killed, final, renames",
+    [
+        # Scores the ground truth against itself, then the empty prediction
+        # into the same three names: three moved aside, three renamed in.
+        ("evaluate", ["--pred", "gt.vol3d"], ["--pred", "empty.vol3d"], None, 3 + 3),
+        # Drops budget 16: the manifest and b8 are moved aside and renamed in.
+        ("select", ["--budgets", "8,16"], ["--budgets", "8"], None, 2 + 2),
+        # The killed run may leave b16 at its .part or .prev, which the
+        # final run, without budget 16, must take out too.
+        ("select", ["--budgets", "8,16"], ["--budgets", "8,16"], ["--budgets", "8"], 3 + 3),
+    ],
+    ids=["evaluate", "select-8,16-8", "select-8,16-8,16-8"],
+)
+def test_forced_rerun_after_a_killed_run_leaves_only_listed_outputs(
+    capsys, tmp_path, command, first, killed, final, renames
+):
+    # Kill a forced rerun at each rename in turn; a forced run then leaves
+    # exactly the outputs its run manifest lists and no temp file.
+    if command == "evaluate":
+        labeled_pair(tmp_path)
+        base = ["evaluate", "--gt", tmp_path / "gt.vol3d", "--budget", "4"]
+        first, killed = ([tmp_path / a if a.endswith(".vol3d") else a for a in args]
+                         for args in (first, killed))
+        run_name = "metrics_b4.run.txt"
+    else:
+        values = np.random.default_rng(3).normal(size=(20, 4))
+        write_embeddings(EmbeddingMatrix([f"p{i}" for i in range(20)], values), tmp_path / "e")
+        base = ["select", "--embeddings", tmp_path / "e"]
+        run_name = "run_manifest_coreset.txt"
+    out = tmp_path / "out"
+    base += ["--out-dir", out]
+    assert run(capsys, *base, *first)[0] == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for nth in itertools.count(1):
+        for p in out.iterdir():
+            p.unlink()
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+        status = run_killed([*base, *killed, "--force"], nth)
+        if status == 0:
+            break
+        assert status == KILLED, nth
+        code, _, err = run(capsys, *base, *(final or killed), "--force")
+        assert code == 0, err
+        lines = (out / run_name).read_text().splitlines()
+        listed = {x.removeprefix("output=") for x in lines if x.startswith("output=")}
+        assert {p.name for p in out.iterdir()} == listed | {run_name}, nth
+    assert nth - 1 == renames
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_output_directory_taken_by_file_is_input_error(capsys, tmp_path, command):
     args, _ = command_case(capsys, tmp_path, command)
@@ -1353,6 +1430,37 @@ def test_undecodable_argv_byte_is_usage_error(capsys, tmp_path, monkeypatch):
     code, stdout, err = run(capsys, "cc", "--mask", mask, "--out", tmp_path / "out" / "c.vol3d")
     assert code == 2, err
     assert "argument --mask: not UTF-8: " in err and stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fuse", "report"])
+def test_undecodable_input_name_in_a_listing_is_input_error(
+    capsys, tmp_path, monkeypatch, command
+):
+    # A globbed name bypasses argv's check; it is refused before any read,
+    # and nothing is written, not even the output directory.
+    if command == "fuse":
+        inputs = tmp_path / "slices"
+        slice_file(inputs, "s0.vol3d", [[1, 0], [0, 1]])
+        slice_file(inputs, "s1.vol3d", [[0, 0], [1, 1]])
+        (inputs / "s1.vol3d").replace(os.fsdecode(bytes(inputs / "s") + b"\xff1.vol3d"))
+        args = ["fuse", "--slices-dir", inputs, "--out", tmp_path / "out" / "f.vol3d"]
+        monkeypatch.setattr(volume_io, "read_volume", None)
+    else:
+        gt, _ = labeled_pair(tmp_path)
+        inputs = tmp_path / "metrics"
+        for budget in ("2", "4"):
+            assert run(
+                capsys, "evaluate", "--pred", gt, "--gt", gt, "--budget", budget,
+                "--out-dir", inputs,
+            )[0] == 0
+        (inputs / "metrics_b4.csv").replace(os.fsdecode(bytes(inputs / "metrics_b") + b"\xff.csv"))
+        args = ["report", "--metrics-dir", inputs, "--out-dir", tmp_path / "out"]
+        monkeypatch.setattr(provenance, "read_digested", None)
+    name = next(p.name for p in inputs.iterdir() if "\udcff" in p.name)
+    code, stdout, err = run(capsys, *args)
+    assert code == 3, err
+    assert f"input file name is not UTF-8: {name!r}" in err and stdout == ""
     assert not (tmp_path / "out").exists()
 
 

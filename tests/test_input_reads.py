@@ -5,7 +5,8 @@ read_embeddings, read_digested), and the run manifest takes the digest
 that reader recorded of the bytes it parsed. A ``read_bytes``,
 ``read_text`` or ``open`` call in ``cli.py`` would read an input a second
 time, or hash bytes the run did not use. The one read allowed is of the
-run manifest that ``_commit`` replaces, which is an output.
+run manifest that ``_commit`` replaces, which is an output, at its name or
+at the ``<name>.prev`` that a killed run moved it to.
 """
 
 import ast
@@ -17,7 +18,7 @@ from coreseg import cli
 
 READ_NAMES = {"read_bytes", "read_text", "open"}
 # (enclosing function, receiver) of the reads that are allowed.
-ALLOWED = {("_commit", "out_dir / run_name")}
+ALLOWED = {("_commit", "manifest")}
 
 
 def file_reads(tree: ast.AST) -> list[str]:
@@ -64,5 +65,5 @@ def test_checker_flags_input_read(snippet):
 
 
 def test_checker_accepts_replaced_manifest_read_in_commit():
-    snippet = "def _commit(out_dir, run_name):\n    (out_dir / run_name).read_text()"
+    snippet = "def _commit(out_dir, run_name):\n    manifest.read_text()"
     assert file_reads(ast.parse(snippet)) == []
