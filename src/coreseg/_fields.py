@@ -46,34 +46,28 @@ def split_fields(
     context: str,
     *,
     version: int | None = None,
-    repeated: str | None = None,
-) -> dict:
+) -> dict[str, str]:
     """Split key=value lines into one value per key of keys.
 
     A line without "=", a repeated key, a missing key and an unknown key
     are each refused. With version, a format_version other than it is
-    refused before the key set is checked. With repeated, that key may
-    appear any number of times and maps to the list of its values in
-    order.
+    refused before the key set is checked.
     """
-    fields: dict = {} if repeated is None else {repeated: []}
+    fields: dict[str, str] = {}
     for line in lines:
         key, sep, value = line.partition("=")
         if not sep:
             raise error(f"{context} line {line!r}")
-        if key == repeated:
-            fields[key].append(value)
-        elif key in fields:
+        if key in fields:
             raise error(f"{context}: duplicate key {key!r}")
-        else:
-            fields[key] = value
+        fields[key] = value
     found = fields.get("format_version")
     if version is not None and found is not None and found != str(version):
         raise error(f"{context}: unsupported format_version {found!r}")
     missing = set(keys) - set(fields)
     if missing:
         raise error(f"{context}: missing keys {sorted(missing)}")
-    unknown = set(fields) - set(keys) - {repeated}
+    unknown = set(fields) - set(keys)
     if unknown:
         raise error(f"{context}: unknown keys {sorted(unknown)}")
     return fields

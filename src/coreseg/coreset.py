@@ -46,13 +46,10 @@ def check_method(method: str, error: type[CoresegError]) -> str:
     return method
 
 
-def check_k_init(k_init: int, error: type[CoresegError], budget: int | None = None) -> int:
-    """Return k_init if it is at least 1 and, when budget is given, at most
-    budget, else raise error."""
+def check_k_init(k_init: int, error: type[CoresegError]) -> int:
+    """Return k_init if it is at least 1, else raise error."""
     if k_init < 1:
         raise error(f"k_init must be at least 1, got {k_init}")
-    if budget is not None and k_init > budget:
-        raise error(f"k_init {k_init} outside [1, budget={budget}]")
     return k_init
 
 
@@ -246,18 +243,18 @@ def check_budget(n: int, budget: int, k_init: int | None = None) -> None:
     k-center greedy) can be drawn from n items."""
     if budget > n:
         raise SelectionError(f"budget {budget} exceeds item count {n}")
-    if k_init is not None:
-        check_k_init(k_init, SelectionError, budget)
+    if k_init is not None and check_k_init(k_init, SelectionError) > budget:
+        raise SelectionError(f"k_init {k_init} outside [1, budget={budget}]")
 
 
 # Rounding margin of the pruning test in _farthest_first. A row entry is a
 # dot product of two unit vectors of dimension D, so it is off by at most
 # about D * 2**-53 (1.4e-14 at D = 128); rows miss unit norm by a few ulps,
 # which adds less. An item is left out only when
-# d(a, c) >= 4 * min_d + _PRUNE_MARGIN, and the chord triangle inequality
-# then puts its exact d(i, c) above its exact min_d by at least
+# (d(a, c) - _PRUNE_MARGIN) / 4 >= min_d, and the chord triangle
+# inequality then puts its exact d(i, c) above its exact min_d by at least
 # _PRUNE_MARGIN**2 / 8 = 1.25e-11. While that gap exceeds the rounding of
-# both values (D up to about 5 * 10**4), the computed distance of a
+# these values (D up to about 5 * 10**4), the computed distance of a
 # left-out item could not have lowered its computed minimum, so pruning
 # changes no bit of the output.
 _PRUNE_MARGIN = 1e-5
@@ -272,14 +269,12 @@ def _farthest_first(
     Each item keeps its minimum distance min_d to the picks so far and the
     pick a that set it. The chord length sqrt(2 d) is a metric, so a new
     pick c can only bring item i closer than a when chord(a, c) <
-    2 chord(i, a), i.e. d(a, c) < 4 min_d; only those rows are computed.
+    2 chord(i, a), i.e. d(a, c) / 4 < min_d; only those rows are computed.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
+    # Picked items hold -inf, so no later pick qualifies them.
     min_d = np.full(n, np.inf, dtype=np.float64)
-    # reach = 4 min_d + margin: a pick farther than this from an item's
-    # nearest pick cannot change that item. Picked items hold -inf in both.
-    reach = np.full(n, np.inf, dtype=np.float64)
     assign = np.zeros(n, dtype=np.intp)
     centers = np.empty((budget, values.shape[1]), dtype=np.float64)
     order: list[int] = []
@@ -290,10 +285,12 @@ def _farthest_first(
         if pick < 0:
             raise InternalError("greedy ran out of candidates before the budget")
         order.append(pick)
-        min_d[pick] = reach[pick] = -np.inf
+        min_d[pick] = -np.inf
         v = centers[step] = values[pick]
-        # Before the first pick every item's reach is +inf, so all qualify.
-        near = _distance_row(centers[: step + 1], v)[assign] < reach
+        # Solved on the picks' side, one bound per earlier pick gathered to
+        # the items. Before the first pick every min_d is +inf: all qualify.
+        bound = (_distance_row(centers[: step + 1], v) - _PRUNE_MARGIN) / 4.0
+        near = bound[assign] < min_d
         # Past about a quarter of the items, copying the rows out and
         # computing over the copy costs more than one full row.
         if 4 * np.count_nonzero(near) > n:
@@ -307,7 +304,6 @@ def _farthest_first(
             closer = idx[keep]
             row = row[keep]
         min_d[closer] = row
-        reach[closer] = 4.0 * row + _PRUNE_MARGIN
         assign[closer] = step
         if step + 1 < n:
             next_pick = int(np.argmax(min_d))
@@ -316,6 +312,26 @@ def _farthest_first(
             next_pick = -1
             trace.append(0.0)
     return order, trace
+
+
+def _select(
+    method: str, rng_seed: int, ids: Sequence[str], forced: list[int], budget: int,
+    embeddings: EmbeddingMatrix | None,
+) -> SelectionManifest:
+    # The one body of both methods: the forced picks, then farthest-first
+    # picks up to budget when embeddings are given. k_init counts the
+    # forced picks, so it is budget for random selection.
+    order, trace = forced, []
+    if embeddings is not None and budget > 0:
+        En = _as_normalized(embeddings)
+        if list(En.ids) != list(ids):
+            raise SelectionError("embeddings ids do not match the id list")
+        order, trace = _farthest_first(En.values, forced, budget)
+    manifest = SelectionManifest(
+        method, rng_seed, len(forced), budget, [ids[i] for i in order], trace
+    )
+    manifest.validate(ids)
+    return manifest
 
 
 def kcenter_greedy(
@@ -348,20 +364,9 @@ def kcenter_greedy(
             outside [1, budget].
     """
     En = _as_normalized(E)
-    n = len(En.ids)
-    check_budget(n, budget, k_init)
-    init = SplitMix64(rng_seed).sample(n, k_init)
-    order, trace = _farthest_first(En.values, init, budget)
-    manifest = SelectionManifest(
-        method=METHOD_CORESET,
-        rng_seed=rng_seed,
-        k_init=k_init,
-        budget=budget,
-        selected=[En.ids[i] for i in order],
-        radius_trace=trace,
-    )
-    manifest.validate(En.ids)
-    return manifest
+    check_budget(len(En.ids), budget, k_init)
+    forced = SplitMix64(rng_seed).sample(len(En.ids), k_init)
+    return _select(METHOD_CORESET, rng_seed, En.ids, forced, budget, En)
 
 
 def random_select(
@@ -388,25 +393,9 @@ def random_select(
         SelectionError: If budget exceeds the item count or embeddings ids
             disagree with ids.
     """
-    n = len(ids)
-    check_budget(n, budget)
-    order = SplitMix64(rng_seed).sample(n, budget)
-    trace: list[float] = []
-    if embeddings is not None and budget > 0:
-        En = _as_normalized(embeddings)
-        if list(En.ids) != list(ids):
-            raise SelectionError("embeddings ids do not match the id list")
-        order, trace = _farthest_first(En.values, order, budget)
-    manifest = SelectionManifest(
-        method=METHOD_RANDOM,
-        rng_seed=rng_seed,
-        k_init=budget,
-        budget=budget,
-        selected=[ids[i] for i in order],
-        radius_trace=trace,
-    )
-    manifest.validate(ids)
-    return manifest
+    check_budget(len(ids), budget)
+    forced = SplitMix64(rng_seed).sample(len(ids), budget)
+    return _select(METHOD_RANDOM, rng_seed, ids, forced, budget, embeddings)
 
 
 def coverage_radius(d: DistanceMatrix, selected: Sequence[str] | Sequence[int]) -> float:

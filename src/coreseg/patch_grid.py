@@ -358,9 +358,10 @@ def read_grid_manifest(path: str | Path) -> tuple[PatchSpec, str, list[str]]:
     """
     context = f"{path}: malformed grid manifest"
     lines = decode_lines(Path(path).read_bytes(), GridError, context, "utf-8")
-    fields = split_fields(
-        lines, _GRID_KEYS, GridError, context, version=GRID_MANIFEST_VERSION, repeated="patch"
-    )
+    # The patch= lines are the one repeated key; the rest are fields.
+    patches = [line[len("patch="):] for line in lines if line.startswith("patch=")]
+    rest = [line for line in lines if not line.startswith("patch=")]
+    fields = split_fields(rest, _GRID_KEYS, GridError, context, version=GRID_MANIFEST_VERSION)
     original, patch, padded, grid = (
         parse_ints(fields[key], GridError, f"{context} {key}", 3)
         for key in ("original_shape", "patch_shape", "padded_shape", "grid_dims")
@@ -373,6 +374,6 @@ def read_grid_manifest(path: str | Path) -> tuple[PatchSpec, str, list[str]]:
     except GridError as exc:
         raise GridError(f"{context}: {exc}") from None
     filenames = [patch_filename(pid) for pid in patch_ids(spec, name)]
-    if fields["patch"] != filenames:
+    if patches != filenames:
         raise GridError(f"{context}: patch list is not the grid's {len(filenames)} patch files")
     return spec, name, filenames
