@@ -1,16 +1,19 @@
 """Embedding-space sample selection: k-center greedy and random baseline.
 
-Selection operates on row-normalized embeddings under the cosine distance
-d(i, j) = 1 - <e_i, e_j>, clamped to [0, 2]. k-center greedy starts from
-k_init uniformly drawn items and then repeatedly adds the item whose
-minimum distance to the selected set is largest (farthest-point
-sampling), recording the coverage radius after every pick; random
-selection runs the same loop with every pick forced. Every distance row,
-in selection and in cosine_distance_matrix alike, comes from one einsum
-expression that does not call BLAS. Its value for a row does not depend
-on which other rows are computed with it, so the loop computes only the
-rows that the triangle inequality cannot rule out, and a recorded radius
-still equals coverage_radius of the same picks exactly.
+Selection operates on row-normalized embeddings under the cosine
+distance d(i, j) = 1 - <e_i, e_j>, clamped to [0, 2]. k-center greedy
+starts from k_init uniformly drawn items and then repeatedly adds the
+item whose minimum distance to the selected set is largest
+(farthest-point sampling), recording the coverage radius after every
+pick; random selection runs the same loop with every pick forced. One
+body builds both manifests and stamps k_init as the number of forced
+picks. Every distance row, in selection and in cosine_distance_matrix
+alike, comes from one einsum expression that does not call BLAS. Its
+value for a row does not depend on which other rows are computed with
+it, so the loop computes only the rows that the triangle inequality
+cannot rule out (a test solved on the picks' side against min_d, its one
+per-item distance array), and a recorded radius still equals
+coverage_radius of the same picks exactly.
 
 Randomness is pinned to the SplitMix64 generator documented in
 coreseg.rng, so a manifest is reproducible from (method, rng_seed,

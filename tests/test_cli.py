@@ -23,6 +23,7 @@ from coreseg.coreset import (
     write_selection_manifest,
 )
 from coreseg.coreset import EmbeddingMatrix
+from coreseg.errors import InternalError
 from coreseg.patch_grid import PatchId, patch_filename, read_grid_manifest, reassemble
 from coreseg.report import parse_metrics_csv
 from coreseg.volume_io import (
@@ -552,6 +553,27 @@ def test_select_fewer_ids_than_rows_is_input_error(capsys, tmp_path, demo_embedd
     )
     assert code == 3, err
     assert f"coreseg select: {ids}: 11 ids for 12 embedding rows\n" == err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("count, dim", [(0, 4), (12, 0)], ids=["count-0", "dim-0"])
+def test_select_empty_embedding_matrix_is_input_error(
+    capsys, tmp_path, demo_embeddings, count, dim
+):
+    # Both files agree with the metadata, so only the matrix check refuses.
+    stem, E = demo_embeddings
+    Path(f"{stem}.meta").write_text(f"count={count}\ndim={dim}\ndtype=f32le\n")
+    Path(f"{stem}.f32").write_bytes(b"")
+    Path(f"{stem}.ids").write_text("".join(f"{i}\n" for i in E.ids[:count]))
+    out_dir = tmp_path / "sel"
+    code, out, err = run(
+        capsys, "select", "--embeddings", stem, "--budget", "2", "--out-dir", out_dir,
+    )
+    assert code == 3, err
+    assert err == (
+        f"coreseg select: embedding matrix must be (N >= 1, Dim >= 1), got ({count}, {dim})\n"
+    )
     assert out == ""
     assert not out_dir.exists()
 
@@ -1623,3 +1645,22 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.startswith("coreseg ")
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (InternalError("greedy ran out"), "internal error: greedy ran out"),
+        (KeyError("slot"), "internal error: KeyError('slot')"),
+    ],
+    ids=["internal-error", "unexpected-exception"],
+)
+def test_internal_failure_of_a_command_exits_4(capsys, monkeypatch, exc, message):
+    def broken(cfg, force):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "report", broken)
+    code, out, err = run(capsys, "report")
+    assert code == 4
+    assert out == ""
+    assert err == f"coreseg report: {message}\n"

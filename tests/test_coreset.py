@@ -244,6 +244,11 @@ def test_coverage_radius_by_ids_and_indices():
         coverage_radius(D, ["nope"])
     with pytest.raises(SelectionError, match="outside"):
         coverage_radius(D, [99])
+    # Indices need no ids; names do.
+    bare = DistanceMatrix(size=D.size, entries=D.entries)
+    assert coverage_radius(bare, [0, 4]) == by_idx
+    with pytest.raises(SelectionError, match="carries no ids"):
+        coverage_radius(bare, ["i0", "i4"])
 
 
 def test_embeddings_round_trip(tmp_path):

@@ -313,6 +313,12 @@ def test_volume_equality():
     assert a != "not a volume"
 
 
+def test_volume_repr_names_shape_and_kind():
+    assert repr(new_volume(np.zeros((2, 3, 4), dtype=np.uint32), KIND_MASK)) == (
+        "LabelVolume(shape=(2, 3, 4), kind='binary_mask')"
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     arr=hnp.arrays(
