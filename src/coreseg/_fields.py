@@ -49,7 +49,7 @@ def split_fields(
 ) -> dict[str, str]:
     """Split key=value lines into one value per key of keys.
 
-    A line without "=", a repeated key, a missing key and an unknown key
+    A line without "=", a duplicate key, a missing key and an unknown key
     are each refused. With version, a format_version other than it is
     refused before the key set is checked.
     """
