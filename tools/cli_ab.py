@@ -56,9 +56,12 @@ SCRIPT = [
     ["cc", "--mask", "mask.vol3d", "--connectivity", "6", "--out", "cc/full26.vol3d",
      "--force"],
     ["cc", "--mask", "vol.vol3d", "--out", "cc/bad.vol3d"],  # not a mask: 3
+    ["cc", "--mask", "mask_last.vol3d", "--out", "cc/last.vol3d"],  # a 2 in the last plane: 3
     ["fuse", "--slices-dir", "slices", "--connectivity", "6", "--out", "fuse/face6.vol3d"],
     ["fuse", "--slices-dir", "slices", "--out", "fuse/full26.vol3d"],
     ["fuse", "--slices-dir", "cc", "--out", "fuse/bad.vol3d"],  # no numeric suffix: 3
+    ["fuse", "--slices-dir", "slices_thick", "--out", "fuse/thick.vol3d"],  # z = 2 midway: 3
+    ["fuse", "--slices-dir", "slices_wide", "--out", "fuse/wide.vol3d"],  # (y, x) differs: 3
     [*SEL, "--method", "coreset", "--budgets", "0,2,3,12", "--k-init", "2"],
     [*SEL, "--method", "random", "--budgets", "0,3,12"],
     [*SEL, "--method", "coreset", "--budgets", "3"],  # exists: 5
@@ -78,6 +81,8 @@ SCRIPT = [
     [*EVAL, "--budget", "2", "--iou-threshold", "0.4"],  # 2
     [*EVAL, "--budget", "8", "--iou-threshold", "0.75", "--out-dir", "metrics_75"],
     [*EVAL],  # no budget: 2
+    [*EVAL, "--budget", "3", "--gt", "gt_short.vol3d"],  # gt short by 3 bytes: 3
+    [*EVAL, "--budget", "3", "--gt", "gt_wide.vol3d"],  # shapes differ: 3
     REPORT,
     [*REPORT, "--fraction", "0.5"],  # exists: 5
     [*REPORT, "--fraction", "0.5", "--force"],
@@ -93,7 +98,8 @@ def write_inputs(into: Path) -> None:
     write_vol3d(into / "vol.vol3d", labels, KIND_INSTANCE)
     write_vol3d(into / "gt.vol3d", np.where(rng.random(labels.shape) < 0.8, labels, 0),
                 KIND_INSTANCE)
-    write_vol3d(into / "mask.vol3d", rng.random((6, 10, 12)) < 0.3, KIND_MASK)
+    mask = rng.random((6, 10, 12)) < 0.3
+    write_vol3d(into / "mask.vol3d", mask, KIND_MASK)
     (into / "slices").mkdir()
     for z in range(4):
         write_vol3d(into / "slices" / f"s{z}.vol3d", rng.random((1, 10, 12)) < 0.4, KIND_MASK)
@@ -107,6 +113,19 @@ def write_inputs(into: Path) -> None:
         "embeddings = emb\nmethod = random\nbudgets = 2,5\nrng_seed = 3\nout_dir = sel_cfg\n",
         encoding="ascii",
     )
+    # Bad inputs: a 2 in the mask's last plane, a gt 3 bytes short, a gt of
+    # another shape, and slice directories with a z = 2 slice midway and with
+    # a slice of another (y, x) shape.
+    mask = mask.astype(np.uint32)
+    mask[-1, 4, 5] = 2
+    write_vol3d(into / "mask_last.vol3d", mask, KIND_MASK)
+    (into / "gt_short.vol3d").write_bytes((into / "gt.vol3d").read_bytes()[:-3])
+    write_vol3d(into / "gt_wide.vol3d", rng.integers(0, 6, size=(5, 9, 12)), KIND_INSTANCE)
+    for name, shapes in (("slices_thick", [(1, 10, 12), (2, 10, 12), (1, 10, 12)]),
+                         ("slices_wide", [(1, 10, 12), (1, 10, 12), (1, 10, 13)])):
+        (into / name).mkdir()
+        for z, shape in enumerate(shapes):
+            write_vol3d(into / name / f"s{z}.vol3d", rng.random(shape) < 0.4, KIND_MASK)
 
 
 def _child(tree: Path, work: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
