@@ -248,6 +248,8 @@ def check_budget(n: int, budget: int, k_init: int | None = None) -> None:
         raise SelectionError(f"budget {budget} exceeds item count {n}")
     if k_init is not None and check_k_init(k_init, SelectionError) > budget:
         raise SelectionError(f"k_init {k_init} outside [1, budget={budget}]")
+    if budget < 0:
+        raise SelectionError(f"budget must be non-negative, got {budget}")
 
 
 # Rounding margin of the pruning test in _farthest_first. A row entry is a

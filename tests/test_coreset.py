@@ -230,6 +230,18 @@ def test_random_select_rejects_oversized_budget():
         random_select(["a"], 2)
 
 
+def test_negative_budget_is_a_selection_error():
+    # random_select once leaked SplitMix64.sample's ValueError; kcenter_greedy
+    # refuses the same budget through its k_init check, whose message stays.
+    with pytest.raises(SelectionError) as info:
+        random_select(["a", "b"], -1)
+    assert str(info.value) == "budget must be non-negative, got -1"
+    E = gaussian_embeddings(np.random.default_rng(17), 2, 3)
+    with pytest.raises(SelectionError) as info:
+        kcenter_greedy(E, -1, k_init=1)
+    assert str(info.value) == "k_init 1 outside [1, budget=-1]"
+
+
 def test_coverage_radius_by_ids_and_indices():
     rng = np.random.default_rng(16)
     E = normalize_rows(gaussian_embeddings(rng, 10, 3))
