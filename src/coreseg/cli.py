@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import os
 import re
 import sys
@@ -350,51 +351,59 @@ def _ordered_slices(slices_dir: Path) -> list[Path]:
     return [seen[num] for num in sorted(seen)]
 
 
-def _label(command, cfg, force, out, mask, inputs) -> int:
-    # Label mask's components, commit them to out, and return their count.
-    from .label_fusion import Connectivity, component_count, connected_components
-    from .volume_io import write_volume
+def _label(command, cfg, force, out, shape, planes, role, read) -> int:
+    # Label the components of the mask whose z-planes planes yields, commit
+    # them to out, and return their count. The planes are read to the end,
+    # and each of their digests appended to read, before the commit starts;
+    # the labeled planes are written as they are painted.
+    from .label_fusion import Connectivity, _label_planes
+    from .volume_io import KIND_INSTANCE, VolumeHeader, VolumePlanes, write_volume
 
-    labeled = connected_components(mask, Connectivity(cfg.connectivity))
-    writers = {out.name: lambda p: write_volume(labeled, p)}
+    count, labeled = _label_planes(shape, planes, Connectivity(cfg.connectivity))
+    header = VolumeHeader(shape=shape, value_kind=KIND_INSTANCE)
+    writers = {out.name: lambda p: write_volume(VolumePlanes(header, labeled), p)}
+    inputs = [(role, d) for d in read]
     _commit(command, cfg, force, out.parent, writers, f"{out.name}.run.txt", inputs)
-    return component_count(labeled)
+    return count
 
 
 def cmd_fuse(cfg: PipelineConfig, force: bool) -> int:
-    from .label_fusion import stack_slices
     from .volume_io import read_volume
 
     slices_dir = _input_dir(cfg, "slices_dir", "slice directory")
     out = Path(_require(cfg, "out", "output path"))
     files = _ordered_slices(slices_dir)
-    grids = []
     read: list[InputDigest] = []
-    for f in files:
+
+    def plane(f: Path, first: tuple[int, ...] | None):
+        # The one plane of slice f, whose (y, x) shape must be first's.
         v = read_volume(f, digests=read)
         z, y, x = v.header.shape
         if z != 1:
             raise FusionError(f"{f.name}: slice has z-size {z}, expected 1")
-        if grids and (y, x) != grids[0].shape:
-            raise FusionError(
-                f"{f.name}: slice shape {(y, x)} does not match first slice {grids[0].shape}"
-            )
-        grids.append(v.voxels[0])
-    mask = stack_slices(grids)
-    count = _label("fuse", cfg, force, out, mask, [("slice", d) for d in read])
-    z, y, x = mask.header.shape
-    print(f"components={count} slices={len(files)} shape={z},{y},{x}")
+        if first is not None and (y, x) != first:
+            raise FusionError(f"{f.name}: slice shape {(y, x)} does not match first slice {first}")
+        return v.voxels[0]
+
+    # The first slice fixes the shape; the rest are read as the labeler asks.
+    first = plane(files[0], None)
+    shape = (len(files), *first.shape)
+    planes = itertools.chain([first], (plane(f, shape[1:]) for f in files[1:]))
+    count = _label("fuse", cfg, force, out, shape, planes, "slice", read)
+    print(f"components={count} slices={len(files)} shape={shape[0]},{shape[1]},{shape[2]}")
     return EXIT_OK
 
 
 def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
-    from .volume_io import read_volume
+    from .label_fusion import _check_mask_kind
+    from .volume_io import _PlaneReader
 
     mask_path = _input_file(cfg, "mask", "input mask")
     out = Path(_require(cfg, "out", "output path"))
     read: list[InputDigest] = []
-    mask = read_volume(mask_path, digests=read)
-    print(f"components={_label('cc', cfg, force, out, mask, [('mask', d) for d in read])}")
+    with _PlaneReader(mask_path, read, before_payload=_check_mask_kind) as mask:
+        count = _label("cc", cfg, force, out, mask.header.shape, mask.planes(), "mask", read)
+    print(f"components={count}")
     return EXIT_OK
 
 
@@ -453,9 +462,9 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
-    from .instance_metrics import evaluate
+    from .instance_metrics import _evaluate_planes
     from .report import metrics_csv_text, metrics_kv_text
-    from .volume_io import read_volume
+    from .volume_io import _PlaneReader
 
     pred_path = _input_file(cfg, "pred", "prediction volume")
     gt_path = _input_file(cfg, "gt", "ground-truth volume")
@@ -463,9 +472,11 @@ def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
     if cfg.budget is None:
         raise ConfigError(f"evaluate requires {_named('budget', 'a budget')}")
     read: list[InputDigest] = []
-    pred = read_volume(pred_path, digests=read)
-    gt = read_volume(gt_path, digests=read)
-    record = evaluate(pred, gt, cfg.iou_threshold)
+    # Both headers are read, and the shapes compared, before either payload;
+    # the payloads are then read in lockstep, plane by plane.
+    with _PlaneReader(pred_path, read) as pred, _PlaneReader(gt_path, read) as gt:
+        pairs = zip(pred.planes(), gt.planes())
+        record = _evaluate_planes(pred.header.shape, gt.header.shape, pairs, cfg.iou_threshold)
     stem = f"metrics_b{cfg.budget}"
     writers = {
         f"{stem}.txt": _text(metrics_kv_text(record, cfg.budget, cfg.iou_threshold)),

@@ -64,8 +64,11 @@ def overlap_histogram(
 
     This is one of the two volume hot loops of the pipeline (component
     labeling in label_fusion is the other); it has one plain NumPy
-    implementation. It folds chunks' counts into the totals in groups, so
-    its scratch is a few chunks' keys.
+    implementation. It counts aligned z-plane pairs chunk by chunk and
+    folds the chunks' counts into the totals in groups, so its scratch is
+    a few chunks' keys; evaluate's command feeds it the planes of two
+    files as it reads them, so neither volume is ever whole. The counts
+    are exact integers, summed in ascending key order.
 
     Args:
         pred: Predicted instance volume.
@@ -82,20 +85,24 @@ def overlap_histogram(
     Raises:
         MetricsError: On a shape mismatch.
     """
-    if pred.voxels.shape != gt.voxels.shape:
+    return _overlaps(pred.voxels.shape, gt.voxels.shape, zip(pred.voxels, gt.voxels))
+
+
+def _overlaps(pred_shape, gt_shape, plane_pairs):
+    # overlap_histogram on volumes given as their shapes, checked before the
+    # first pair is drawn, and their (pred, gt) z-plane pairs in z order.
+    if tuple(pred_shape) != tuple(gt_shape):
         raise MetricsError(
-            f"pred shape {tuple(pred.voxels.shape)} does not match "
-            f"gt shape {tuple(gt.voxels.shape)}"
+            f"pred shape {tuple(pred_shape)} does not match gt shape {tuple(gt_shape)}"
         )
-    pred_flat = pred.voxels.ravel()
-    gt_flat = gt.voxels.ravel()
     parts = []
-    for i in range(0, pred_flat.size, _CHUNK_VOXELS):
-        stop = i + _CHUNK_VOXELS
-        parts.append(_chunk_counts(pred_flat[i:stop], gt_flat[i:stop]))
-        if len(parts) == _FOLD or stop >= pred_flat.size:
-            parts = [list(map(_merged_counts, zip(*parts)))]
-    (keys, counts), pred_totals, gt_totals = parts[0]
+    for pred_plane, gt_plane in plane_pairs:
+        p, g = pred_plane.ravel(), gt_plane.ravel()
+        for i in range(0, p.size, _CHUNK_VOXELS):
+            parts.append(_chunk_counts(p[i : i + _CHUNK_VOXELS], g[i : i + _CHUNK_VOXELS]))
+            if len(parts) == _FOLD:
+                parts = [list(map(_merged_counts, zip(*parts)))]
+    (keys, counts), pred_totals, gt_totals = map(_merged_counts, zip(*parts))
     pred_ids = (keys >> np.uint64(32)).tolist()
     gt_ids = (keys & np.uint64(0xFFFFFFFF)).tolist()
     pairs = dict(zip(zip(pred_ids, gt_ids), counts.tolist()))
@@ -147,8 +154,15 @@ def match_instances(
     Raises:
         MetricsError: On shape mismatch or a threshold outside [0.5, 1).
     """
+    return _match_planes(
+        pred.voxels.shape, gt.voxels.shape, zip(pred.voxels, gt.voxels), iou_threshold
+    )
+
+
+def _match_planes(pred_shape, gt_shape, plane_pairs, iou_threshold: float) -> MatchResult:
+    # match_instances on volumes given as _overlaps takes them.
     check_iou_threshold(iou_threshold, MetricsError)
-    pairs, pred_totals, gt_totals = overlap_histogram(pred, gt)
+    pairs, pred_totals, gt_totals = _overlaps(pred_shape, gt_shape, plane_pairs)
     matches: list[tuple[int, int, float]] = []
     matched_pred: set[int] = set()
     matched_gt: set[int] = set()
@@ -178,7 +192,14 @@ def evaluate(
     iou_threshold: float = 0.5,
 ) -> MetricsRecord:
     """Match instances by IoU and derive the metric suite from the matching."""
-    m = match_instances(pred, gt, iou_threshold)
+    return _evaluate_planes(
+        pred.voxels.shape, gt.voxels.shape, zip(pred.voxels, gt.voxels), iou_threshold
+    )
+
+
+def _evaluate_planes(pred_shape, gt_shape, plane_pairs, iou_threshold: float) -> MetricsRecord:
+    # evaluate on volumes given as _overlaps takes them.
+    m = _match_planes(pred_shape, gt_shape, plane_pairs, iou_threshold)
     return MetricsRecord.from_counts(
         tp=len(m.matches),
         fp=len(m.unmatched_pred),

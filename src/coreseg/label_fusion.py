@@ -14,7 +14,7 @@ in instance_metrics is the other); it joins x-runs, not voxels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,23 +69,27 @@ CONN_FULL26 = Connectivity("full26")
 _CHUNK = 1 << 16
 
 
-def _runs(mask: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _runs(
+    shape: tuple[int, int, int], planes: Iterable[np.ndarray], dtype: type
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Return the x-runs' first and last keys, and each row block's first run.
 
     A voxel's key is row * (X + 1) + x, with row = z * Y + y. No voxel has
     x = X, so a run that ends a row never abuts one that starts the next.
+    The planes are read in z order, and each is split into the same count
+    of row blocks.
     """
-    depth, height, width = mask.shape
-    rows = mask.reshape(depth * height, width)
-    step = max(1, _CHUNK // max(width, 1))
+    height, width = shape[1], shape[2]
+    step = max(1, _CHUNK // width)
     starts, ends, blocks = [np.empty(0, dtype)], [np.empty(0, dtype)], [0]
-    for r in range(0, rows.shape[0], step):
-        key = np.flatnonzero(rows[r : r + step] != 0).astype(dtype)
-        key += key // width + r * (width + 1)
-        first = np.diff(key, prepend=-2) != 1
-        starts.append(key[first])
-        ends.append(key[np.roll(first, -1)])
-        blocks.append(blocks[-1] + starts[-1].size)
+    for z, plane in enumerate(planes):
+        for r in range(0, height, step):
+            key = np.flatnonzero(plane[r : r + step] != 0).astype(dtype)
+            key += key // width + (z * height + r) * (width + 1)
+            first = np.diff(key, prepend=-2) != 1
+            starts.append(key[first])
+            ends.append(key[np.roll(first, -1)])
+            blocks.append(blocks[-1] + starts[-1].size)
     return np.concatenate(starts), np.concatenate(ends), blocks
 
 
@@ -149,6 +153,64 @@ def _union_round(parent: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> in
     return kept
 
 
+def _label_planes(
+    shape: tuple[int, int, int], planes: Iterable[np.ndarray], conn: Connectivity
+) -> tuple[int, Iterator[np.ndarray]]:
+    """Label the components of a mask given as its z-planes, one at a time.
+
+    The planes, nonzero = foreground, are read to the end and the runs
+    joined before this returns, so the mask need never be whole.
+
+    Returns:
+        The count of components, and a one-pass iterator over the labeled
+        z-planes, each painted into one reused uint32 buffer.
+    """
+    depth, height, width = shape
+    # _below doubles the keys.
+    dtype = np.int32 if depth * height * (width + 1) < 2**30 else np.int64
+    starts, ends, blocks = _runs(shape, planes, dtype)
+    parent = np.arange(starts.size, dtype=dtype)
+    # At most two edges per run in a row step.
+    a, b = np.empty((2, 2 * starts.size), dtype)
+    for row_step in _ROW_STEPS[conn.kind]:
+        k = 0
+        for ea, eb in _touching(starts, ends, parent, shape, row_step):
+            a[k : k + ea.size], b[k : k + ea.size] = ea, eb
+            k += ea.size
+        while k:
+            k = _union_round(parent, a, b, k)
+    del a, b
+    roots = int(np.count_nonzero(parent == np.arange(parent.size, dtype=dtype)))
+    return roots, _painted(shape, starts, ends, parent, blocks)
+
+
+def _painted(shape, starts, ends, parent, blocks):
+    """Yield the labeled z-planes, numbering the roots in scan order."""
+    depth, height, width = shape
+    plane = np.empty((height, width), np.uint32)
+    per_plane = (len(blocks) - 1) // depth
+    count = 0
+    for z in range(depth):
+        plane.fill(0)
+        bounds = blocks[z * per_plane : (z + 1) * per_plane + 1]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            # Number the roots in scan order, in place: an entry's root is
+            # smaller, so numbered before the entry reads it.
+            p = parent[lo:hi]
+            roots = p == np.arange(lo, hi, dtype=p.dtype)
+            found = int(np.count_nonzero(roots))
+            p[roots] = np.arange(count + 1, count + found + 1, dtype=p.dtype)
+            count += found
+            p[~roots] = parent[p[~roots]]
+            # A run's voxels: its first voxel's index in the plane plus 0, 1, ...
+            s = starts[lo:hi] - z * height * (width + 1)
+            length = ends[lo:hi] - starts[lo:hi] + 1
+            voxel = np.repeat(s - s // (width + 1) - np.cumsum(length) + length, length)
+            voxel += np.arange(voxel.size)
+            plane.reshape(-1)[voxel] = np.repeat(p.astype(np.uint32), length)
+        yield plane
+
+
 def label_components(mask: np.ndarray, conn: Connectivity) -> np.ndarray:
     """Canonically label the connected components of a 3D binary mask.
 
@@ -156,7 +218,10 @@ def label_components(mask: np.ndarray, conn: Connectivity) -> np.ndarray:
     the x-runs in scan order, as vectorised hook-and-shortcut rounds (Wu,
     Otoo & Suzuki, 2009). A run links to the runs it touches in each of
     conn's earlier rows; hooks point at smaller roots, so a component's
-    root is its first run, and roots are numbered in order.
+    root is its first run, and roots are numbered in order. The runs are
+    listed plane by plane and the labels painted plane by plane, so the
+    labeler's own state is the runs and a plane; the commands feed it the
+    planes as they read them and write the labeled planes as they come.
 
     Args:
         mask: 3D array, nonzero = foreground.
@@ -167,38 +232,10 @@ def label_components(mask: np.ndarray, conn: Connectivity) -> np.ndarray:
         ascending position of each component's first voxel in z-major scan
         order; background stays 0.
     """
-    depth, height, width = mask.shape
-    # _below doubles the keys.
-    dtype = np.int32 if depth * height * (width + 1) < 2**30 else np.int64
-    starts, ends, blocks = _runs(mask, dtype)
-    parent = np.arange(starts.size, dtype=dtype)
-    # At most two edges per run in a row step.
-    a, b = np.empty((2, 2 * starts.size), dtype)
-    for row_step in _ROW_STEPS[conn.kind]:
-        k = 0
-        for ea, eb in _touching(starts, ends, parent, mask.shape, row_step):
-            a[k : k + ea.size], b[k : k + ea.size] = ea, eb
-            k += ea.size
-        while k:
-            k = _union_round(parent, a, b, k)
-    del a, b
-    out = np.zeros(mask.shape, np.uint32)
-    count = 0
-    for lo, hi in zip(blocks[:-1], blocks[1:]):
-        # Number the roots in scan order, in place: an entry's root is
-        # smaller, so numbered before the entry reads it.
-        p = parent[lo:hi]
-        roots = p == np.arange(lo, hi, dtype=dtype)
-        found = int(np.count_nonzero(roots))
-        p[roots] = np.arange(count + 1, count + found + 1, dtype=dtype)
-        count += found
-        p[~roots] = parent[p[~roots]]
-        # A run's voxels: its first voxel's flat index plus 0, 1, ...
-        s = starts[lo:hi]
-        length = ends[lo:hi] - s + 1
-        voxel = np.repeat(s - s // (width + 1) - np.cumsum(length) + length, length)
-        voxel += np.arange(voxel.size)
-        out.reshape(-1)[voxel] = np.repeat(p.astype(np.uint32), length)
+    _, planes = _label_planes(mask.shape, mask, conn)
+    out = np.empty(mask.shape, np.uint32)
+    for z, plane in enumerate(planes):
+        out[z] = plane
     return out
 
 
@@ -237,6 +274,13 @@ def stack_slices(slices: Sequence[np.ndarray]) -> LabelVolume:
     )
 
 
+def _check_mask_kind(header: VolumeHeader) -> None:
+    if header.value_kind != KIND_MASK:
+        raise VolumeFormatError(
+            f"connected_components requires a binary_mask volume, got {header.value_kind!r}"
+        )
+
+
 def connected_components(
     vol: LabelVolume,
     conn: Connectivity = CONN_FULL26,
@@ -254,11 +298,7 @@ def connected_components(
     Raises:
         VolumeFormatError: If vol is not a valid binary mask.
     """
-    if vol.header.value_kind != KIND_MASK:
-        raise VolumeFormatError(
-            f"connected_components requires a binary_mask volume, got "
-            f"{vol.header.value_kind!r}"
-        )
+    _check_mask_kind(vol.header)
     vol.validate()
     labels = label_components(vol.voxels, conn)
     return LabelVolume(

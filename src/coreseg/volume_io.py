@@ -17,16 +17,17 @@ trips are byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ._fields import decode_lines, parse_ints, split_fields
 from .errors import VolumeFormatError
-from .provenance import InputDigest, record_digest
+from .provenance import InputDigest
 
 KIND_INSTANCE = "instance_labels"
 KIND_MASK = "binary_mask"
@@ -98,10 +99,7 @@ class LabelVolume:
                 f"voxel dtype must be uint32, got {self.voxels.dtype}"
             )
         if self.header.value_kind == KIND_MASK and self.voxels.size:
-            if int(self.voxels.max()) > 1:
-                raise VolumeFormatError(
-                    "binary_mask volume contains values greater than 1"
-                )
+            _check_mask_values(self.voxels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelVolume):
@@ -110,6 +108,11 @@ class LabelVolume:
 
     def __repr__(self) -> str:
         return f"LabelVolume(shape={self.header.shape}, kind={self.header.value_kind!r})"
+
+
+def _check_mask_values(voxels: np.ndarray) -> None:
+    if int(voxels.max()) > 1:
+        raise VolumeFormatError("binary_mask volume contains values greater than 1")
 
 
 def new_volume(voxels: np.ndarray, value_kind: str = KIND_INSTANCE) -> LabelVolume:
@@ -170,6 +173,95 @@ def _parse_header(raw: bytes, path: Path) -> VolumeHeader:
     return header
 
 
+class _PlaneReader:
+    """A .vol3d file opened to be read one z-plane at a time.
+
+    Opening reads the header from a small prefix, checks the file's size
+    against it and calls before_payload, if given, with the header; what
+    fails or raises closes the file and ends the read there. planes() then
+    reads the payload once, in file order. Use it as a context manager,
+    which closes the file.
+
+    Attributes:
+        header: The parsed, validated VolumeHeader.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        digests: list[InputDigest] | None = None,
+        before_payload: Callable[[VolumeHeader], object] | None = None,
+    ) -> None:
+        p = Path(path)
+        if not p.is_file():
+            raise FileNotFoundError(f"volume file not found: {p}")
+        # Unbuffered: a read buffer would be a second copy of a small volume.
+        f = p.open("rb", buffering=0)
+        try:
+            size = os.fstat(f.fileno()).st_size
+            head = f.read(_HEADER_PREFIX)
+            # A header longer than the prefix is read on in growing steps.
+            while (sep := head.find(b"\n\n")) < 0 and len(head) < size:
+                more = f.read(len(head) + _HEADER_PREFIX)
+                if not more:
+                    break
+                head += more
+            if sep < 0:
+                raise VolumeFormatError(f"{p}: malformed header: missing blank-line terminator")
+            self.header = _parse_header(head[:sep], p)
+            self._path = p
+            self._check_length(size - sep - 2)
+            if before_payload is not None:
+                before_payload(self.header)
+            f.seek(sep + 2)
+        except BaseException:
+            f.close()
+            raise
+        self._file = f
+        self._digests = digests
+        self._hash = None if digests is None else hashlib.sha256(head[: sep + 2])
+
+    def __enter__(self) -> "_PlaneReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def _check_length(self, found: int) -> None:
+        if found != self.header.payload_bytes:
+            raise VolumeFormatError(
+                f"{self._path}: payload length mismatch: expected "
+                f"{self.header.payload_bytes} bytes, found {found}"
+            )
+
+    def planes(self, volume: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """Yield the z-planes in file order, each read into volume[z] if
+        volume is given, else into one reused buffer.
+
+        Each plane is hashed as it is read and, for a binary_mask, checked
+        for values above 1. The SHA-256 of the whole file is appended to the
+        reader's digests once the last plane is read, before it is yielded.
+        """
+        depth, height, width = self.header.shape
+        buffer = np.empty((height, width), "<u4") if volume is None else None
+        for z in range(depth):
+            plane = buffer if volume is None else volume[z]
+            raw = plane.reshape(-1).view(np.uint8)
+            got = 0
+            while got < raw.size and (n := self._file.readinto(raw[got:])):
+                got += n
+            # Short only if the file shrank since its size was checked.
+            if got < raw.size:
+                self._check_length(z * raw.size + got)
+            if self.header.value_kind == KIND_MASK:
+                _check_mask_values(plane)
+            if self._hash is not None:
+                self._hash.update(plane)
+                if z == depth - 1:
+                    self._digests.append(InputDigest(self._path, self._hash.hexdigest()))
+            yield plane
+
+
 def read_volume(
     path: str | Path,
     *,
@@ -179,7 +271,9 @@ def read_volume(
     """Read a .vol3d file into a validated LabelVolume.
 
     The file is opened and read once: the header from a small prefix, the
-    payload straight into the voxel array, so memory peaks at one payload.
+    payload plane by plane straight into the voxel array, so memory peaks
+    at one payload. The commands that need no whole volume read their
+    inputs one plane at a time through the same reader.
 
     Args:
         path: File to read.
@@ -195,40 +289,11 @@ def read_volume(
         VolumeFormatError: On malformed header, payload length mismatch, or
             a binary_mask payload containing values above 1.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"volume file not found: {p}")
-    # Unbuffered: a read buffer would be a second copy of a small volume.
-    with p.open("rb", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(_HEADER_PREFIX)
-        # A header longer than the prefix is read on in growing steps.
-        while (sep := head.find(b"\n\n")) < 0 and len(head) < size:
-            more = f.read(len(head) + _HEADER_PREFIX)
-            if not more:
-                break
-            head += more
-        if sep < 0:
-            raise VolumeFormatError(f"{p}: malformed header: missing blank-line terminator")
-        header = _parse_header(head[:sep], p)
-        start = sep + 2
-        found = size - start
-        if found == header.payload_bytes:
-            if before_payload is not None:
-                before_payload(header)
-            f.seek(start)
-            voxels = np.fromfile(f, dtype="<u4", count=header.voxel_count)
-            # Shorter only if the file shrank since fstat.
-            found = voxels.nbytes
-        if found != header.payload_bytes:
-            raise VolumeFormatError(
-                f"{p}: payload length mismatch: expected {header.payload_bytes} bytes, "
-                f"found {found}"
-            )
-    record_digest(digests, p, head[:start], voxels)
-    vol = LabelVolume(header, voxels.reshape(header.shape).astype(np.uint32, copy=False))
-    vol.validate()
-    return vol
+    with _PlaneReader(path, digests, before_payload) as reader:
+        voxels = np.empty(reader.header.shape, "<u4")
+        for _ in reader.planes(voxels):
+            pass
+    return LabelVolume(reader.header, voxels.astype(np.uint32, copy=False))
 
 
 @dataclass(frozen=True)
