@@ -1,7 +1,7 @@
 """Fuse per-slice 2D masks into 3D instances via connected components.
 
 Stacks of 2D pseudo-label masks carry no cross-slice identity, so fusion
-first reduces them to foreground and stacks them along z, then
+reduces each slice to its foreground, one z-plane of a 3D mask, then
 partitions the foreground into 3D connected components. Components are
 numbered canonically: 1..C by ascending position of each component's
 first voxel in z-major scan order, so the labeling is a pure function of
@@ -69,6 +69,17 @@ CONN_FULL26 = Connectivity("full26")
 _CHUNK = 1 << 16
 
 
+def _blocking(shape: tuple[int, int, int]) -> tuple[int, int]:
+    """Return the rows per block and the z-planes per group.
+
+    Runs are listed, and labels painted, a block of rows at a time. Planes
+    of at most half a chunk are taken a group at a time, as one block;
+    larger planes are taken one at a time, as one block or more.
+    """
+    step = max(1, _CHUNK // shape[2])
+    return step, max(1, step // shape[1])
+
+
 def _runs(
     shape: tuple[int, int, int], planes: Iterable[np.ndarray], dtype: type
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -76,16 +87,21 @@ def _runs(
 
     A voxel's key is row * (X + 1) + x, with row = z * Y + y. No voxel has
     x = X, so a run that ends a row never abuts one that starts the next.
-    The planes are read in z order, and each is split into the same count
-    of row blocks.
+    The planes are read in z order; every group of them is split into the
+    same count of row blocks.
     """
-    height, width = shape[1], shape[2]
-    step = max(1, _CHUNK // width)
+    depth, height, width = shape
+    step, group = _blocking(shape)
+    foreground = np.empty((group, height, width), bool)
     starts, ends, blocks = [np.empty(0, dtype)], [np.empty(0, dtype)], [0]
     for z, plane in enumerate(planes):
-        for r in range(0, height, step):
-            key = np.flatnonzero(plane[r : r + step] != 0).astype(dtype)
-            key += key // width + (z * height + r) * (width + 1)
+        np.not_equal(plane, 0, out=foreground[z % group])
+        if z % group < group - 1 and z < depth - 1:
+            continue
+        rows = foreground[: z % group + 1].reshape(-1, width)
+        for r in range(0, rows.shape[0], step):
+            key = np.flatnonzero(rows[r : r + step]).astype(dtype)
+            key += key // width + ((z - z % group) * height + r) * (width + 1)
             first = np.diff(key, prepend=-2) != 1
             starts.append(key[first])
             ends.append(key[np.roll(first, -1)])
@@ -187,12 +203,13 @@ def _label_planes(
 def _painted(shape, starts, ends, parent, blocks):
     """Yield the labeled z-planes, numbering the roots in scan order."""
     depth, height, width = shape
-    plane = np.empty((height, width), np.uint32)
-    per_plane = (len(blocks) - 1) // depth
+    step, group = _blocking(shape)
+    per_group = -(-group * height // step)
+    planes = np.empty((group, height, width), np.uint32)
     count = 0
-    for z in range(depth):
-        plane.fill(0)
-        bounds = blocks[z * per_plane : (z + 1) * per_plane + 1]
+    for g, z in enumerate(range(0, depth, group)):
+        planes.fill(0)
+        bounds = blocks[g * per_group : (g + 1) * per_group + 1]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             # Number the roots in scan order, in place: an entry's root is
             # smaller, so numbered before the entry reads it.
@@ -202,13 +219,13 @@ def _painted(shape, starts, ends, parent, blocks):
             p[roots] = np.arange(count + 1, count + found + 1, dtype=p.dtype)
             count += found
             p[~roots] = parent[p[~roots]]
-            # A run's voxels: its first voxel's index in the plane plus 0, 1, ...
+            # A run's voxels: its first voxel's index in the group plus 0, 1, ...
             s = starts[lo:hi] - z * height * (width + 1)
             length = ends[lo:hi] - starts[lo:hi] + 1
             voxel = np.repeat(s - s // (width + 1) - np.cumsum(length) + length, length)
             voxel += np.arange(voxel.size)
-            plane.reshape(-1)[voxel] = np.repeat(p.astype(np.uint32), length)
-        yield plane
+            planes.reshape(-1)[voxel] = np.repeat(p.astype(np.uint32), length)
+        yield from planes[: depth - z]
 
 
 def label_components(mask: np.ndarray, conn: Connectivity) -> np.ndarray:
@@ -219,9 +236,10 @@ def label_components(mask: np.ndarray, conn: Connectivity) -> np.ndarray:
     Otoo & Suzuki, 2009). A run links to the runs it touches in each of
     conn's earlier rows; hooks point at smaller roots, so a component's
     root is its first run, and roots are numbered in order. The runs are
-    listed plane by plane and the labels painted plane by plane, so the
-    labeler's own state is the runs and a plane; the commands feed it the
-    planes as they read them and write the labeled planes as they come.
+    listed, and the labels painted, one z-plane at a time, so the
+    labeler's own state is the runs and a plane: cc and fuse stream their
+    planes through it, and this function gathers the labeled planes into
+    the array it returns.
 
     Args:
         mask: 3D array, nonzero = foreground.

@@ -128,10 +128,10 @@ def test_refused_tile_rerun_reads_only_the_header(capsys, tmp_path, demo_volume,
     args = ("tile", "--volume", vol_path, "--patch", "2,4,4", "--out-dir", out_dir)
     assert run(capsys, *args)[0] == 0
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-    # Payloads are read by np.fromfile, so a payload read now ends in an
-    # internal error (exit 4). The patch names follow from the header, and
-    # the refusal comes first.
-    monkeypatch.setattr(np, "fromfile", None)
+    # Payloads are read by the reader's planes(), so a payload read now ends
+    # in an internal error (exit 4). The patch names follow from the header,
+    # and the refusal comes first.
+    monkeypatch.setattr(volume_io._PlaneReader, "planes", None)
     code, out, err = run(capsys, *args)
     assert code == 5, err
     assert "exists" in err and out == ""
@@ -385,6 +385,23 @@ def test_cc_header_shape_of_5000_digits_is_input_error(capsys, tmp_path):
     assert code == 3, err
     assert f"{path}: malformed header shape '111" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cc_mask_value_in_the_last_plane_leaves_no_output(capsys, tmp_path):
+    # The mask is read plane by plane; the bad plane is found only after the
+    # others are labeled, and still before anything is written.
+    vox = np.zeros((3, 4, 4), dtype=np.uint32)
+    vox[0, 0, 0] = 1
+    vox[2, 3, 3] = 2
+    path = tmp_path / "m.vol3d"
+    path.write_bytes(
+        b"shape=3,4,4\nkind=binary_mask\nwidth=4\norder=zyx\n\n" + vox.astype("<u4").tobytes()
+    )
+    code, out, err = run(capsys, "cc", "--mask", path, "--out", tmp_path / "out" / "l.vol3d")
+    assert code == 3
+    assert err == "coreseg cc: binary_mask volume contains values greater than 1\n"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cc_rejects_unknown_connectivity_flag(capsys, tmp_path):
@@ -805,6 +822,34 @@ def test_evaluate_rejects_out_of_range_threshold(capsys, tmp_path, bad):
     assert "iou_threshold" in err
 
 
+@pytest.mark.parametrize("bad", ["short", "shape"])
+def test_evaluate_refusal_of_a_bad_gt_leaves_no_output(capsys, tmp_path, monkeypatch, bad):
+    # Both headers and sizes are checked, and the shapes compared, before
+    # either payload is read.
+    gt, _ = labeled_pair(tmp_path)
+    bad_gt = tmp_path / "bad.vol3d"
+    if bad == "short":
+        bad_gt.write_bytes(gt.read_bytes()[:-3])
+        message = f"{bad_gt}: payload length mismatch: expected 72 bytes, found 69"
+    else:
+        write_instance(bad_gt, np.zeros((2, 3, 4), dtype=np.uint32))
+        message = "pred shape (2, 3, 3) does not match gt shape (2, 3, 4)"
+
+    def unread(self, volume=None):
+        raise AssertionError("a payload was read")
+        yield
+
+    monkeypatch.setattr(volume_io._PlaneReader, "planes", unread)
+    code, out, err = run(
+        capsys, "evaluate", "--pred", gt, "--gt", bad_gt, "--budget", "8",
+        "--out-dir", tmp_path / "out",
+    )
+    assert code == 3
+    assert err == f"coreseg evaluate: {message}\n"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_refuses_overwrite_without_force(capsys, tmp_path):
     gt, _ = labeled_pair(tmp_path)
     out_dir = tmp_path / "metrics"
@@ -1010,7 +1055,7 @@ def test_bad_config_value_exits_2_from_every_command(
     # use included, so the run stops before its first read. The message says
     # where the bad value is: file, line and key.
     args, _ = command_case(capsys, tmp_path, command)
-    for reader in ("volume_io.read_volume", "coreset.read_embeddings", "provenance.read_digested"):
+    for reader in ("volume_io._PlaneReader", "coreset.read_embeddings", "provenance.read_digested"):
         monkeypatch.setattr(f"coreseg.{reader}", None)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# bad value on line 2\n{line}\n", encoding="ascii")
@@ -1028,7 +1073,7 @@ def test_repeated_config_key_exits_2_from_every_command(
     # A repeated key is refused even when both lines agree, as in every
     # other coreseg text format, and before the command's first read.
     args, _ = command_case(capsys, tmp_path, command)
-    for reader in ("volume_io.read_volume", "coreset.read_embeddings", "provenance.read_digested"):
+    for reader in ("volume_io._PlaneReader", "coreset.read_embeddings", "provenance.read_digested"):
         monkeypatch.setattr(f"coreseg.{reader}", None)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("patch_shape=2,4,4\n# again\npatch_shape=2,4,4\n", encoding="ascii")
@@ -1167,24 +1212,25 @@ def test_each_input_is_opened_once(capsys, tmp_path, monkeypatch, command):
 
 @pytest.mark.parametrize(
     "command, step, role",
-    [("cc", "connected_components", "mask"), ("evaluate", "evaluate", "gt")],
+    [("cc", "_label_planes", "mask"), ("evaluate", "_evaluate_planes", "gt")],
 )
 def test_run_manifest_hashes_the_bytes_read_not_a_swapped_file(
     capsys, tmp_path, monkeypatch, command, step, role
 ):
-    # The input is replaced while the command computes; the manifest must
-    # still describe the bytes the command read and used.
+    # The input is replaced once the command has read it, while it computes;
+    # the manifest must still describe the bytes the command read and used.
     args, run_name = command_case(capsys, tmp_path, command)
     path = Path(args[args.index(f"--{role}") + 1])
     original = hashlib.sha256(path.read_bytes()).hexdigest()
     home = {"cc": label_fusion, "evaluate": instance_metrics}[command]
     real = getattr(home, step)
 
-    def swap_then_compute(*a, **kw):
+    def compute_then_swap(*a, **kw):
+        result = real(*a, **kw)
         path.write_bytes(b"replaced while the run was computing")
-        return real(*a, **kw)
+        return result
 
-    monkeypatch.setattr(home, step, swap_then_compute)
+    monkeypatch.setattr(home, step, compute_then_swap)
     assert run(capsys, *args)[0] == 0
     [digest] = [d for r, _, d in manifest_inputs(tmp_path / "out" / run_name) if r == role]
     assert digest == original
@@ -1447,7 +1493,7 @@ def test_undecodable_argv_byte_is_usage_error(capsys, tmp_path, monkeypatch):
     # hold; the run stops before its first read.
     mask = Path(os.fsdecode(bytes(tmp_path / "m") + b"\xff.vol3d"))
     corner_mask(tmp_path).replace(mask)
-    monkeypatch.setattr(volume_io, "read_volume", None)
+    monkeypatch.setattr(volume_io, "_PlaneReader", None)
     code, stdout, err = run(capsys, "cc", "--mask", mask, "--out", tmp_path / "out" / "c.vol3d")
     assert code == 2, err
     assert "argument --mask: not UTF-8: " in err and stdout == ""

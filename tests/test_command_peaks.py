@@ -1,4 +1,4 @@
-"""Peak memory of the tile, cc and evaluate commands, measured on child processes.
+"""Peak memory of the tile, fuse, cc and evaluate commands, measured on child processes.
 
 Each command runs as a child of a small `python -S` spawner, which reads
 the child's peak RSS from os.wait4. A child spawned straight from pytest
@@ -26,6 +26,10 @@ MIB = 1 << 20
 # and the allocator's slack.
 SCRATCH_MIB = 4
 SHAPE = (16, 512, 512)  # 16 MiB of uint32 payload per volume
+PLANE_MIB = 4 * SHAPE[1] * SHAPE[2] / MIB
+# The labeler's state per x-run: two int32 keys, a parent and two edge ends
+# (4 bytes each), plus up to two more edge ends per row step.
+RUN_BYTES = 28
 
 SPAWN = """\
 import json, os, sys
@@ -108,3 +112,61 @@ def test_cc_holds_the_mask_and_the_labels(tmp_path, volumes):
     )
     peak = peak_mib(tmp_path, "cc", "--mask", str(mask), "--out", str(tmp_path / "cc.vol3d"))
     assert peak - base <= 2 * 4 * np.prod(SHAPE) / MIB + SCRATCH_MIB, (base, peak)
+
+
+def runs_mib(mask: np.ndarray) -> float:
+    return RUN_BYTES * np.count_nonzero(np.diff(mask, prepend=0, axis=2) == 1) / MIB
+
+
+@pytest.fixture(scope="module")
+def mask(volumes):
+    path = volumes / "mask.vol3d"
+    write_volume(new_volume(read_volume(volumes / "gt.vol3d").voxels > 0, KIND_MASK), path)
+    return path
+
+
+# The streaming commands below hold the runs and a few planes, not a
+# volume: each bound is far below one 16 MiB payload.
+
+
+def test_cc_streams_the_mask_and_the_labels(tmp_path, volumes, mask):
+    # The mask is read, and the labels written, one plane at a time.
+    base = peak_mib(
+        tmp_path, "cc", "--mask", str(volumes / "tiny" / "mask.vol3d"), "--out",
+        str(tmp_path / "base.vol3d"),
+    )
+    peak = peak_mib(tmp_path, "cc", "--mask", str(mask), "--out", str(tmp_path / "cc.vol3d"))
+    runs = runs_mib(read_volume(mask).voxels)
+    assert peak - base <= 3 * PLANE_MIB + runs + SCRATCH_MIB, (base, peak, runs)
+
+
+def test_fuse_streams_the_slices_and_the_labels(tmp_path, volumes):
+    # Each slice is read as the labeler asks for it.
+    gt = read_volume(volumes / "gt.vol3d").voxels
+    for name, planes in (("tiny", gt[:1, :1, :1]), ("slices", gt)):
+        (tmp_path / name).mkdir()
+        for z, plane in enumerate(planes):
+            write_volume(new_volume(plane[None]), tmp_path / name / f"s{z}.vol3d")
+    base = peak_mib(
+        tmp_path, "fuse", "--slices-dir", str(tmp_path / "tiny"), "--out",
+        str(tmp_path / "base.vol3d"),
+    )
+    peak = peak_mib(
+        tmp_path, "fuse", "--slices-dir", str(tmp_path / "slices"), "--out",
+        str(tmp_path / "fused.vol3d"),
+    )
+    runs = runs_mib(gt > 0)
+    assert peak - base <= 3 * PLANE_MIB + runs + SCRATCH_MIB, (base, peak, runs)
+
+
+def test_evaluate_streams_both_volumes(tmp_path, volumes):
+    # pred and gt are read in lockstep, a plane of each at a time.
+    base = peak_mib(
+        tmp_path, "evaluate", "--pred", str(volumes / "tiny" / "pred.vol3d"), "--gt",
+        str(volumes / "tiny" / "gt.vol3d"), "--budget", "8", "--out-dir", str(tmp_path / "base"),
+    )
+    peak = peak_mib(
+        tmp_path, "evaluate", "--pred", str(volumes / "pred.vol3d"), "--gt",
+        str(volumes / "gt.vol3d"), "--budget", "8", "--out-dir", str(tmp_path / "out"),
+    )
+    assert peak - base <= 3 * PLANE_MIB + SCRATCH_MIB, (base, peak)

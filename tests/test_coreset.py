@@ -231,8 +231,8 @@ def test_random_select_rejects_oversized_budget():
 
 
 def test_negative_budget_is_a_selection_error():
-    # random_select once leaked SplitMix64.sample's ValueError; kcenter_greedy
-    # refuses the same budget through its k_init check, whose message stays.
+    # kcenter_greedy meets its k_init check first, so its message is that
+    # check's.
     with pytest.raises(SelectionError) as info:
         random_select(["a", "b"], -1)
     assert str(info.value) == "budget must be non-negative, got -1"

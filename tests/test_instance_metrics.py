@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coreseg import instance_metrics
 from coreseg.errors import MetricsError
 from coreseg.instance_metrics import MatchResult, evaluate, match_instances, overlap_histogram
 from coreseg.report import (
@@ -108,6 +109,18 @@ def test_overlap_histogram_rejects_shape_mismatch():
     b = instance_volume(np.zeros((2, 2, 3), dtype=np.uint32))
     with pytest.raises(MetricsError, match="does not match"):
         overlap_histogram(a, b)
+
+
+def test_shape_mismatch_is_refused_before_the_first_plane_pair():
+    # evaluate's command feeds the pairs as it reads them, so a mismatch
+    # must be refused before either payload is read.
+    def pairs():
+        raise AssertionError("a plane pair was drawn")
+        yield
+
+    with pytest.raises(MetricsError) as info:
+        instance_metrics._overlaps((2, 2, 2), (2, 2, 3), pairs())
+    assert str(info.value) == "pred shape (2, 2, 2) does not match gt shape (2, 2, 3)"
 
 
 def test_overlap_histogram_pairs_sorted_and_background_free():

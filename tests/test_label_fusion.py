@@ -333,3 +333,24 @@ def test_stack_slices_holds_only_the_mask():
         tracemalloc.stop()
     np.testing.assert_array_equal(vol.voxels, (np.stack(grids) > 0).astype(np.uint32))
     assert peak <= 1.1 * vol.voxels.nbytes, peak / vol.voxels.nbytes
+
+
+@pytest.mark.parametrize("conn", [CONN_FACE6, CONN_FULL26], ids=["face6", "full26"])
+def test_planes_are_read_to_the_end_before_the_labels(conn):
+    # The commands commit nothing until every input plane is read, so the
+    # labeler must take them all before it returns; it then paints the
+    # labels plane by plane into one reused buffer.
+    mask = (np.random.default_rng(3).random((5, 7, 9)) < 0.4).astype(np.uint32)
+    taken = []
+
+    def planes():
+        for plane in mask:
+            taken.append(plane)
+            yield plane
+
+    count, labeled = label_fusion._label_planes(mask.shape, planes(), conn)
+    assert len(taken) == mask.shape[0]
+    out = [plane.copy() for plane in labeled]
+    expected = bfs_label(mask, conn.kind)
+    np.testing.assert_array_equal(np.stack(out), expected)
+    assert count == int(expected.max())

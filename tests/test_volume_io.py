@@ -155,6 +155,93 @@ def test_read_records_digest_of_the_file_bytes(tmp_path):
     assert digests[0].sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_plane_reader_records_the_digest_of_the_file_bytes(tmp_path):
+    path = tmp_path / "v.vol3d"
+    write_volume(small_volume(), path)
+    digests = []
+    with volume_io._PlaneReader(path, digests) as reader:
+        planes = [plane.copy() for plane in reader.planes()]
+    np.testing.assert_array_equal(np.stack(planes), small_volume().voxels)
+    read_volume(path, digests=digests)
+    assert [d.sha256 for d in digests] == [hashlib.sha256(path.read_bytes()).hexdigest()] * 2
+
+
+def test_plane_reader_appends_the_digest_with_the_last_plane(tmp_path):
+    # A lockstep consumer (zip) may never ask past the last plane.
+    path = tmp_path / "v.vol3d"
+    write_volume(small_volume(), path)
+    digests = []
+    with volume_io._PlaneReader(path, digests) as reader:
+        planes = reader.planes()
+        next(planes)
+        assert digests == []
+        next(planes)
+        assert len(digests) == 1
+
+
+def mask_with_two_in_last_plane(path):
+    voxels = np.zeros((3, 4, 5), dtype="<u4")
+    voxels[-1, 3, 4] = 2
+    path.write_bytes(b"shape=3,4,5\nkind=binary_mask\nwidth=4\norder=zyx\n\n" + voxels.tobytes())
+
+
+def test_mask_value_in_the_last_plane_is_refused_there(tmp_path):
+    path = tmp_path / "m.vol3d"
+    mask_with_two_in_last_plane(path)
+    digests = []
+    with volume_io._PlaneReader(path, digests) as reader:
+        planes = reader.planes()
+        next(planes), next(planes)
+        with pytest.raises(VolumeFormatError) as info:
+            next(planes)
+    assert str(info.value) == "binary_mask volume contains values greater than 1"
+    assert digests == []
+    with pytest.raises(VolumeFormatError) as info:
+        read_volume(path, digests=digests)
+    assert str(info.value) == "binary_mask volume contains values greater than 1"
+    assert digests == []
+
+
+def shrink(path, size):
+    # Truncate path once its size has been checked, so that the payload
+    # read comes up short.
+    def truncate(header):
+        with open(path, "r+b") as f:
+            f.truncate(len(MASK_HEADER) + size)
+
+    return truncate
+
+
+def test_a_file_that_shrinks_after_its_size_check_is_refused(tmp_path):
+    path = tmp_path / "m.vol3d"
+    path.write_bytes(MASK_HEADER + b"\x00" * 96)
+    message = f"{path}: payload length mismatch: expected 96 bytes, found 50"
+    with pytest.raises(VolumeFormatError) as info:
+        read_volume(path, before_payload=shrink(path, 50))
+    assert str(info.value) == message
+    path.write_bytes(MASK_HEADER + b"\x00" * 96)
+    with volume_io._PlaneReader(path, [], before_payload=shrink(path, 50)) as reader:
+        planes = reader.planes()
+        assert not next(planes).any()  # the first plane is whole
+        with pytest.raises(VolumeFormatError) as info:
+            next(planes)
+    assert str(info.value) == message
+
+
+def test_plane_reader_holds_one_plane(tmp_path):
+    vol = new_volume(np.arange(16 * 256 * 256, dtype=np.uint32).reshape(16, 256, 256))
+    path = tmp_path / "big.vol3d"
+    write_volume(vol, path)
+
+    def stream():
+        with volume_io._PlaneReader(path, []) as reader:
+            for _ in reader.planes():
+                pass
+
+    plane_bytes = vol.header.payload_bytes // 16
+    assert traced_peak(stream) <= 1.1 * plane_bytes
+
+
 def traced_peak(fn, *args, **kwargs):
     tracemalloc.start()
     try:
