@@ -64,11 +64,11 @@ def overlap_histogram(
 
     This is one of the two volume hot loops of the pipeline (component
     labeling in label_fusion is the other); it has one plain NumPy
-    implementation. It counts aligned z-plane pairs chunk by chunk and
-    folds the chunks' counts into the totals in groups, so its scratch is
-    a few chunks' keys; evaluate's command feeds it the planes of two
-    files as it reads them, so neither volume is ever whole. The counts
-    are exact integers, summed in ascending key order.
+    implementation. It takes the volumes as aligned z-plane pairs, counts
+    them chunk by chunk and folds the chunks' counts into the totals in
+    groups, so its scratch is a few chunks' keys; evaluate's command feeds
+    it the planes of two files as it reads them, so neither volume is ever
+    whole. The counts are exact integers, summed in ascending key order.
 
     Args:
         pred: Predicted instance volume.
@@ -96,17 +96,39 @@ def _overlaps(pred_shape, gt_shape, plane_pairs):
             f"pred shape {tuple(pred_shape)} does not match gt shape {tuple(gt_shape)}"
         )
     parts = []
-    for pred_plane, gt_plane in plane_pairs:
-        p, g = pred_plane.ravel(), gt_plane.ravel()
-        for i in range(0, p.size, _CHUNK_VOXELS):
-            parts.append(_chunk_counts(p[i : i + _CHUNK_VOXELS], g[i : i + _CHUNK_VOXELS]))
-            if len(parts) == _FOLD:
-                parts = [list(map(_merged_counts, zip(*parts)))]
+    for p, g in _chunks(plane_pairs, pred_shape[1] * pred_shape[2]):
+        parts.append(_chunk_counts(p, g))
+        if len(parts) == _FOLD:
+            parts = [list(map(_merged_counts, zip(*parts)))]
     (keys, counts), pred_totals, gt_totals = map(_merged_counts, zip(*parts))
     pred_ids = (keys >> np.uint64(32)).tolist()
     gt_ids = (keys & np.uint64(0xFFFFFFFF)).tolist()
     pairs = dict(zip(zip(pred_ids, gt_ids), counts.tolist()))
     return pairs, _as_dict(*pred_totals), _as_dict(*gt_totals)
+
+
+def _chunks(plane_pairs, plane_voxels: int):
+    # Cut the plane pairs into chunk pairs of at most _CHUNK_VOXELS voxels,
+    # in scan order: a large plane into chunks of its own, and small planes
+    # gathered, as many as fit, into one reused buffer.
+    group = _CHUNK_VOXELS // plane_voxels
+    if group < 2:
+        for pred_plane, gt_plane in plane_pairs:
+            p, g = pred_plane.ravel(), gt_plane.ravel()
+            for i in range(0, p.size, _CHUNK_VOXELS):
+                yield p[i : i + _CHUNK_VOXELS], g[i : i + _CHUNK_VOXELS]
+        return
+    buffer = np.empty((2, group * plane_voxels), np.uint32)
+    n = 0
+    for pred_plane, gt_plane in plane_pairs:
+        buffer[0, n : n + plane_voxels] = pred_plane.ravel()
+        buffer[1, n : n + plane_voxels] = gt_plane.ravel()
+        n += plane_voxels
+        if n == buffer.shape[1]:
+            yield buffer[0], buffer[1]
+            n = 0
+    if n:
+        yield buffer[0, :n], buffer[1, :n]
 
 
 def _chunk_counts(p: np.ndarray, g: np.ndarray) -> list[_Counts]:

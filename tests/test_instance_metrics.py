@@ -111,6 +111,17 @@ def test_overlap_histogram_rejects_shape_mismatch():
         overlap_histogram(a, b)
 
 
+@pytest.mark.parametrize("chunk", [4, 15, 32, 1 << 16])
+def test_overlap_histogram_counts_across_chunk_and_plane_borders(monkeypatch, chunk):
+    # 3x5 planes: chunks within a plane (4), one plane each (15), planes
+    # gathered two at a time with a last chunk of one plane (32), and all
+    # seven planes in one chunk.
+    monkeypatch.setattr(instance_metrics, "_CHUNK_VOXELS", chunk)
+    rng = np.random.default_rng(9)
+    pred, gt = random_labels(rng, (7, 3, 5)), random_labels(rng, (7, 3, 5))
+    assert overlap_histogram(pred, gt) == naive_histogram(pred, gt)
+
+
 def test_shape_mismatch_is_refused_before_the_first_plane_pair():
     # evaluate's command feeds the pairs as it reads them, so a mismatch
     # must be refused before either payload is read.
