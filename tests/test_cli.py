@@ -1213,6 +1213,7 @@ def test_each_input_is_opened_once(capsys, tmp_path, monkeypatch, command):
 @pytest.mark.parametrize(
     "command, step, role",
     [("cc", "_label_planes", "mask"), ("evaluate", "_evaluate_planes", "gt")],
+    ids=["cc-mask", "evaluate-gt"],
 )
 def test_run_manifest_hashes_the_bytes_read_not_a_swapped_file(
     capsys, tmp_path, monkeypatch, command, step, role
