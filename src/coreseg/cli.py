@@ -209,13 +209,17 @@ def _commit(
 ) -> None:
     """Write a command's outputs and its run manifest, all of them or none.
 
-    writers maps each output file name to a function that writes that
-    output to the path it is given; inputs pairs each input's role with
-    the digest its reader recorded. Every target, and its ``<name>.part``
-    and ``<name>.prev``, is checked before anything is written: one that
-    exists is refused unless force is set, and one that is not a regular
-    file is refused even then. Each output, and then the run manifest, is
-    written to its ``<name>.part``. Only when all of them are written is
+    writers maps each tuple of output file names to a function that writes
+    those outputs, called with their paths in the same order; a writer of
+    one file is given one path. inputs pairs each input's role with the
+    digest its reader recorded; it is iterated when the run manifest is
+    written, after every output, so a writer may read the inputs it
+    records. Every target, and its ``<name>.part`` and ``<name>.prev``, is
+    checked before anything is written: one that exists is refused unless
+    force is set, and one that is not a regular file is refused even then.
+    Each output, and then the run manifest, is written to its
+    ``<name>.part``; all of a writer's ``.part`` paths are taken out on a
+    failure, those it had not yet made too. Only when all of them are written is
     each existing target moved aside to ``<name>.prev``, the old run
     manifest first, and the new files renamed onto their final names, the
     run manifest last, so a run manifest marks a complete output set. On
@@ -229,11 +233,13 @@ def _commit(
     at ``<run_name>.prev``, so its outputs count too. Only plain names of
     regular files in out_dir are deleted.
     """
+    outputs = [name for names in writers for name in names]
     steps = {
         **writers,
-        run_name: lambda p: _write_run_manifest(p, command, cfg, inputs, list(writers)),
+        (run_name,): lambda p: _write_run_manifest(p, command, cfg, list(inputs), outputs),
     }
-    _check_targets(out_dir, steps, force)
+    targets = [*outputs, run_name]
+    _check_targets(out_dir, targets, force)
     # Outputs listed by the run manifest this run replaces. tile and report
     # both name theirs run_manifest.txt, so the command must match too.
     replaced: set[str] = set()
@@ -247,14 +253,15 @@ def _commit(
     moved: list[str] = []
     placed: list[str] = []
     try:
-        for name, write in steps.items():
-            made.append(out_dir / f"{name}.part")
-            write(made[-1])
-        for name in (run_name, *writers):
+        for names, write in steps.items():
+            parts = [out_dir / f"{name}.part" for name in names]
+            made += parts
+            write(*parts)
+        for name in (run_name, *outputs):
             if (out_dir / name).is_file():
                 (out_dir / name).replace(out_dir / f"{name}.prev")
                 moved.append(name)
-        for name, tmp in zip(steps, made):
+        for name, tmp in zip(targets, made):
             tmp.replace(out_dir / name)
             placed.append(name)
     except BaseException:
@@ -267,9 +274,9 @@ def _commit(
             if tmp.is_file():
                 tmp.unlink()
         raise
-    for name in steps:
+    for name in targets:
         (out_dir / f"{name}.prev").unlink(missing_ok=True)
-    for name in replaced - steps.keys():
+    for name in replaced - set(targets):
         if "/" not in name and name not in (".", ".."):
             for stale in (out_dir / name, out_dir / f"{name}.part", out_dir / f"{name}.prev"):
                 if stale.is_file():
@@ -282,10 +289,10 @@ def _text(content: str):
 
 def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
     from .patch_grid import (
-        PatchSpec, check_volume_name, patch_filename, patch_ids, patch_planes, plan_grid,
+        PatchSpec, _scatter_planes, check_volume_name, patch_filename, patch_ids, plan_grid,
         write_grid_manifest,
     )
-    from .volume_io import VolumeHeader, read_volume, write_volume
+    from .volume_io import VolumeHeader, _PlaneReader, write_header, write_plane
 
     vol_path = _input_file(cfg, "volume", "input volume")
     out_dir = Path(_require(cfg, "out_dir", "output directory"))
@@ -294,7 +301,7 @@ def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
 
     # Patch names depend only on the header's shape, so the grid is planned
     # and the targets checked before the payload is read: a refused rerun
-    # reads the header alone. Cached, so the payload's header reuses it.
+    # reads the header alone. Cached, so the commit's writer reuses it.
     @functools.cache
     def plan(header: VolumeHeader) -> PatchSpec:
         spec = plan_grid(header.shape, cfg.patch_shape, cfg.pad_mode)
@@ -303,16 +310,27 @@ def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
         return spec
 
     read: list[InputDigest] = []
-    vol = read_volume(vol_path, digests=read, before_payload=plan)
-    spec = plan(vol.header)
-    # Each writer fills its patch plane by plane, so one plane is held at a time.
-    writers = {
-        patch_filename(pid): lambda p, pid=pid: write_volume(patch_planes(vol, spec, pid), p)
-        for pid in patch_ids(spec, name)
-    }
-    writers["grid_manifest.txt"] = lambda p: write_grid_manifest(spec, name, p)
-    inputs = [("volume", d) for d in read]
-    _commit("tile", cfg, force, out_dir, writers, run_name, inputs)
+    with _PlaneReader(vol_path, read, before_payload=plan) as reader:
+        spec = plan(reader.header)
+        pids = patch_ids(spec, name)
+        header = VolumeHeader(shape=spec.patch_shape, value_kind=reader.header.value_kind)
+
+        def write_patches(*paths: Path) -> None:
+            # One pass over the volume's planes writes every patch: each
+            # patch plane goes to its offset in its patch file as it is filled.
+            files = dict(zip(pids, paths))
+            for path in paths:
+                write_header(header, path)
+            for pid, k, plane in _scatter_planes(spec, reader.planes(), pids):
+                write_plane(header, k, plane, files[pid])
+
+        writers = {
+            tuple(patch_filename(pid) for pid in pids): write_patches,
+            ("grid_manifest.txt",): lambda p: write_grid_manifest(spec, name, p),
+        }
+        # The volume is read inside the commit; its digest is taken after.
+        inputs = (("volume", d) for d in read)
+        _commit("tile", cfg, force, out_dir, writers, run_name, inputs)
     nz, ny, nx = spec.grid_dims
     print(
         f"patches={spec.patch_count} grid={nz},{ny},{nx} "
@@ -361,7 +379,7 @@ def _label(command, cfg, force, out, shape, planes, role, read) -> int:
 
     count, labeled = _label_planes(shape, planes, Connectivity(cfg.connectivity))
     header = VolumeHeader(shape=shape, value_kind=KIND_INSTANCE)
-    writers = {out.name: lambda p: write_volume(VolumePlanes(header, labeled), p)}
+    writers = {(out.name,): lambda p: write_volume(VolumePlanes(header, labeled), p)}
     inputs = [(role, d) for d in read]
     _commit(command, cfg, force, out.parent, writers, f"{out.name}.run.txt", inputs)
     return count
@@ -445,7 +463,7 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
         write_selection_manifest(prefix, path)
 
     writers = {
-        f"selection_{cfg.method}_b{b}.txt": lambda p, b=b: write_selection(b, p)
+        (f"selection_{cfg.method}_b{b}.txt",): lambda p, b=b: write_selection(b, p)
         for b in budgets
         if b > 0
     }
@@ -479,8 +497,8 @@ def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
         record = _evaluate_planes(pred.header.shape, gt.header.shape, pairs, cfg.iou_threshold)
     stem = f"metrics_b{cfg.budget}"
     writers = {
-        f"{stem}.txt": _text(metrics_kv_text(record, cfg.budget, cfg.iou_threshold)),
-        f"{stem}.csv": _text(metrics_csv_text(record, cfg.budget, cfg.iou_threshold)),
+        (f"{stem}.txt",): _text(metrics_kv_text(record, cfg.budget, cfg.iou_threshold)),
+        (f"{stem}.csv",): _text(metrics_csv_text(record, cfg.budget, cfg.iou_threshold)),
     }
     # Manifest name carries the budget so one metrics directory can
     # accumulate every budget of a learning curve.
@@ -520,9 +538,9 @@ def cmd_report(cfg: PipelineConfig, force: bool) -> int:
     curve = build_curve(records)
     surpass_text = surpass_summary(curve, cfg.surpass_fraction)
     writers = {
-        "curve.csv": _text(percent_csv(curve)),
-        "curve_table.txt": _text(render_curve_table(curve)),
-        "surpass.txt": _text(surpass_text),
+        ("curve.csv",): _text(percent_csv(curve)),
+        ("curve_table.txt",): _text(render_curve_table(curve)),
+        ("surpass.txt",): _text(surpass_text),
     }
     inputs = [("metrics", d) for d in read]
     _commit("report", cfg, force, out_dir, writers, "run_manifest.txt", inputs)

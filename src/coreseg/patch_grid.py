@@ -14,31 +14,36 @@ Padding modes:
 
 Both modes fill a patch by one copy path, without gathering voxel by
 voxel. On each axis the window splits into (patch slice, source slice)
-runs: zero padding's is the in-bounds run alone, over a zeroed block;
+runs: zero padding's is the in-bounds run alone, its margin left at 0;
 reflect's are the maximal runs stepping +1 or -1 through the mirrored
-index map, a mirrored run read through a negative-step view. A patch is
-produced plane by plane (patch_planes): its z runs name each plane's
-source plane, and one reused plane buffer is filled by one basic-slice
-copy per (y, x) run pair. Writing a patch so holds one plane, and
-extract_patch, which copies each plane into its block, the patch plus
-one plane. Every window starts inside the axis, as the pad is shorter
-than a patch. reassemble copies each patch's in-bounds run straight into
-one volume of the original shape, and holds no more.
+index map, a mirrored run read through a negative-step view. Patches
+are filled by one scatter (_scatter_planes) that takes the source
+z-planes once, in file order: each source plane is copied, per (y, x)
+cell of the grid, into one reused plane buffer by one basic-slice copy
+per (y, x) run pair, and handed on as plane k of every patch whose z
+runs map k to it. A reflect run can map several k of one patch, or of
+two patches, to the same source plane. So `tile` writes every patch
+file from one read of the volume holding two planes, extract_patch
+holds the patch plus one plane, and tile() the patches plus one plane.
+Every window starts inside the axis, as the pad is shorter than a
+patch. reassemble copies each patch's in-bounds run straight into one
+volume of the original shape, and holds no more.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ._fields import decode_lines, parse_ints, split_fields
 from .errors import CoresegError, GridError
-from .volume_io import LabelVolume, VolumeHeader, VolumePlanes
+from .volume_io import LabelVolume, VolumeHeader
 
 PAD_ZERO = "zero"
 PAD_REFLECT = "reflect"
@@ -154,35 +159,36 @@ def patch_ids(spec: PatchSpec, volume_name: str) -> list[PatchId]:
     return [PatchId(volume_name, idx) for idx in np.ndindex(*spec.grid_dims)]
 
 
-def _axis_runs(spec: PatchSpec, pid: PatchId, pad_mode: str) -> list[list[tuple[slice, slice]]]:
-    """Return, per axis, the (patch slice, source slice) runs of pid's window.
+def _runs(spec: PatchSpec, axis: int, i: int, pad_mode: str) -> list[tuple[slice, slice]]:
+    """Return the (patch slice, source slice) runs of window i on one axis.
 
     Zero padding gives the in-bounds run alone. Reflect padding splits
     numpy's "reflect" map into maximal +1/-1 runs covering the window; a
     length-1 axis maps every position to 0, in single-element runs.
     """
-    axes = []
-    for length, padded, p, i in zip(
-        spec.original_shape, spec.padded_shape, spec.patch_shape, pid.grid_index
-    ):
-        start = int(i) * p
-        if pad_mode == PAD_ZERO:
-            end = min(start + p, length)
-            axes.append([(slice(0, end - start), slice(start, end))])
-            continue
-        m = np.pad(np.arange(length), (0, padded - length), mode="reflect")
-        m = m[start : start + p].tolist()
-        runs, j = [], 0
-        while j < p:
-            step = -1 if j + 1 < p and m[j + 1] < m[j] else 1
-            k = j + 1
-            while k < p and m[k] - m[k - 1] == step:
-                k += 1
-            end = m[k - 1] + step
-            runs.append((slice(j, k), slice(m[j], end if end >= 0 else None, step)))
-            j = k
-        axes.append(runs)
-    return axes
+    length, padded, p = (shape[axis] for shape in (
+        spec.original_shape, spec.padded_shape, spec.patch_shape))
+    start = int(i) * p
+    if pad_mode == PAD_ZERO:
+        end = min(start + p, length)
+        return [(slice(0, end - start), slice(start, end))]
+    m = np.pad(np.arange(length), (0, padded - length), mode="reflect")
+    m = m[start : start + p].tolist()
+    runs, j = [], 0
+    while j < p:
+        step = -1 if j + 1 < p and m[j + 1] < m[j] else 1
+        k = j + 1
+        while k < p and m[k] - m[k - 1] == step:
+            k += 1
+        end = m[k - 1] + step
+        runs.append((slice(j, k), slice(m[j], end if end >= 0 else None, step)))
+        j = k
+    return runs
+
+
+def _axis_runs(spec: PatchSpec, pid: PatchId, pad_mode: str) -> list[list[tuple[slice, slice]]]:
+    """Return, per axis, the (patch slice, source slice) runs of pid's window."""
+    return [_runs(spec, axis, i, pad_mode) for axis, i in enumerate(pid.grid_index)]
 
 
 def _check_id(spec: PatchSpec, pid: PatchId) -> None:
@@ -193,49 +199,78 @@ def _check_id(spec: PatchSpec, pid: PatchId) -> None:
         raise GridError(f"grid index {tuple(idx)} outside grid dims {spec.grid_dims}")
 
 
-def patch_planes(vol: LabelVolume, spec: PatchSpec, pid: PatchId) -> VolumePlanes:
-    """Return one patch as its header and its z-planes, produced in order.
-
-    The patch's z runs are expanded to source planes (a mirrored run steps
-    downwards), and each plane is filled from its source plane by the
-    (y, x) run pairs into one reused plane buffer; a zero-padded plane
-    past the volume is zeroed. So write_volume writes the patch holding
-    one plane, not the patch.
-
-    Raises:
-        GridError: On an out-of-range id or shape mismatch.
-    """
-    _check_id(spec, pid)
+def _check_shape(vol: LabelVolume, spec: PatchSpec) -> None:
     if tuple(vol.voxels.shape) != spec.original_shape:
         raise GridError(
             f"volume shape {tuple(vol.voxels.shape)} does not match "
             f"spec original shape {spec.original_shape}"
         )
-    z_runs, y_runs, x_runs = _axis_runs(spec, pid, spec.pad_mode)
-    sources = [z for _, sz in z_runs for z in range(spec.original_shape[0])[sz]]
-    yx_runs = list(itertools.product(y_runs, x_runs))
 
-    def planes() -> Iterator[np.ndarray]:
-        # Reflect runs cover the whole plane; zero runs leave its margin at 0.
-        new = np.zeros if spec.pad_mode == PAD_ZERO else np.empty
-        plane = new(spec.patch_shape[1:], dtype=np.uint32)
-        for z in sources:
-            for (dy, sy), (dx, sx) in yx_runs:
-                plane[dy, dx] = vol.voxels[z, sy, sx]
-            yield plane
-        if len(sources) < spec.patch_shape[0]:
-            plane.fill(0)
-            for _ in range(spec.patch_shape[0] - len(sources)):
-                yield plane
 
+def _scatter_planes(
+    spec: PatchSpec, planes: Iterable[np.ndarray], pids: Sequence[PatchId]
+) -> Iterator[tuple[PatchId, int, np.ndarray]]:
+    """Yield (pid, k, plane) once for each plane k of each patch in pids.
+
+    planes yields the source volume's spec.original_shape[0] z-planes in
+    order, and is read to its end, one plane at a time. Each source plane
+    is copied, per (y, x) cell, into one reused plane buffer and yielded
+    for every (pid, k) of that cell whose z runs map k to it; a
+    zero-padded cell's margin is zeroed for each cell. The planes past a
+    zero-padded volume follow, as zeros, once the source is read. Every
+    plane yielded is that buffer, so use it before asking for the next.
+    """
+    mode = spec.pad_mode
+    depth, span = spec.original_shape[0], range(spec.patch_shape[0])
+    z_runs = functools.cache(lambda iz: _runs(spec, 0, iz, mode))
+    # For each source plane, the (pid, k) it fills, grouped by (y, x) cell;
+    # each cell's (y, x) run pairs, and the extent they fill; and the
+    # zero-padded (pid, k) past the volume.
+    uses: list[dict[tuple[int, int], list]] = [{} for _ in range(depth)]
+    cells = {}
+    blank = []
+    for pid in pids:
+        iz, iy, ix = pid.grid_index
+        for dz, sz in z_runs(iz):
+            for k, z in zip(span[dz], range(depth)[sz]):
+                uses[z].setdefault((iy, ix), []).append((pid, k))
+        blank += [(pid, k) for k in span[z_runs(iz)[-1][0].stop :]]
+        if (iy, ix) not in cells:
+            y_runs, x_runs = _runs(spec, 1, iy, mode), _runs(spec, 2, ix, mode)
+            pairs = list(itertools.product(y_runs, x_runs))
+            cells[iy, ix] = pairs, y_runs[-1][0].stop, x_runs[-1][0].stop
+    buffer = np.empty(spec.patch_shape[1:], dtype=np.uint32)
+    for z, source in enumerate(planes):
+        for cell, takers in uses[z].items():
+            pairs, height, width = cells[cell]
+            for (dy, sy), (dx, sx) in pairs:
+                buffer[dy, dx] = source[sy, sx]
+            # Reflect runs fill the plane; zero runs leave a margin to clear.
+            buffer[height:] = 0
+            buffer[:height, width:] = 0
+            for pid, k in takers:
+                yield pid, k, buffer
+    buffer.fill(0)
+    for pid, k in blank:
+        yield pid, k, buffer
+
+
+def _patches(
+    vol: LabelVolume, spec: PatchSpec, pids: Sequence[PatchId]
+) -> dict[PatchId, LabelVolume]:
+    # Fill the patches of pids from one pass over vol's planes.
+    _check_shape(vol, spec)
+    blocks = {pid: np.empty(spec.patch_shape, dtype=np.uint32) for pid in pids}
+    for pid, k, plane in _scatter_planes(spec, vol.voxels, pids):
+        blocks[pid][k] = plane
     header = VolumeHeader(shape=spec.patch_shape, value_kind=vol.header.value_kind)
-    return VolumePlanes(header, planes())
+    return {pid: LabelVolume(header, block) for pid, block in blocks.items()}
 
 
 def extract_patch(vol: LabelVolume, spec: PatchSpec, pid: PatchId) -> LabelVolume:
     """Extract one patch, padding margins according to spec.pad_mode.
 
-    The patch is filled plane by plane from patch_planes, so extraction
+    The patch is filled plane by plane by _scatter_planes, so extraction
     holds the patch plus one plane.
 
     Args:
@@ -251,17 +286,17 @@ def extract_patch(vol: LabelVolume, spec: PatchSpec, pid: PatchId) -> LabelVolum
     Raises:
         GridError: On an out-of-range id or shape mismatch.
     """
-    patch = patch_planes(vol, spec, pid)
-    block = np.empty(spec.patch_shape, dtype=np.uint32)
-    for k, plane in enumerate(patch.planes):
-        block[k] = plane
-    return LabelVolume(patch.header, block)
+    _check_id(spec, pid)
+    return _patches(vol, spec, [pid])[pid]
 
 
 def tile(
     vol: LabelVolume, spec: PatchSpec, volume_name: str
 ) -> dict[PatchId, LabelVolume]:
     """Extract every patch of the grid in z-major grid order.
+
+    The patches are filled by _scatter_planes from one pass over vol's
+    planes, so tiling holds the patches plus one plane.
 
     Args:
         vol: Source volume matching spec.original_shape.
@@ -270,8 +305,11 @@ def tile(
 
     Returns:
         Mapping from PatchId to patch volume, one entry per grid cell.
+
+    Raises:
+        GridError: On a shape mismatch.
     """
-    return {pid: extract_patch(vol, spec, pid) for pid in patch_ids(spec, volume_name)}
+    return _patches(vol, spec, patch_ids(spec, volume_name))
 
 
 def reassemble(patches: Mapping[PatchId, LabelVolume], spec: PatchSpec) -> LabelVolume:

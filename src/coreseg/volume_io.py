@@ -348,3 +348,42 @@ def write_volume(vol: LabelVolume | VolumePlanes, path: str | Path) -> None:
             count += 1
     if count != shape[0]:
         raise VolumeFormatError(f"{count} planes written for volume shape {shape}")
+
+
+def write_header(header: VolumeHeader, path: str | Path) -> None:
+    """Start a .vol3d file at path that holds header's bytes alone.
+
+    write_plane then writes each of the volume's planes into it, in any
+    order; once every plane is written, the file is the one write_volume
+    writes.
+    """
+    header.validate()
+    Path(path).write_bytes(_header_bytes(header))
+
+
+def write_plane(header: VolumeHeader, z: int, plane: np.ndarray, path: str | Path) -> None:
+    """Write plane z of the volume with header into path, in place.
+
+    The plane's bytes go at their offset in the file, past the header, so
+    the planes of many files can be written in any order. The file is
+    opened for this one write and closed again, so writing into any number
+    of files holds one descriptor.
+
+    Raises:
+        VolumeFormatError: If z or the plane's shape does not fit header.
+        OSError: If path is missing or unwritable.
+    """
+    shape = header.shape
+    if not 0 <= z < shape[0] or plane.shape != shape[1:]:
+        raise VolumeFormatError(
+            f"plane {z} of shape {plane.shape} does not fit volume shape {shape}"
+        )
+    data = memoryview(np.ascontiguousarray(plane, dtype="<u4")).cast("B")
+    offset = len(_header_bytes(header)) + z * data.nbytes
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        while data:
+            written = os.pwrite(fd, data, offset)
+            data, offset = data[written:], offset + written
+    finally:
+        os.close(fd)

@@ -12,6 +12,7 @@ from collections import deque
 
 import numpy as np
 
+from coreseg import volume_io
 from coreseg.coreset import EmbeddingMatrix, _distance_row, normalize_rows
 from coreseg.report import LearningCurve, MetricsRecord, build_curve
 from coreseg.rng import SplitMix64
@@ -99,6 +100,21 @@ def random_mask(rng: np.random.Generator, max_edge: int = 16) -> LabelVolume:
     shape = tuple(int(rng.integers(1, max_edge + 1)) for _ in range(3))
     density = float(rng.uniform(0.15, 0.7))
     return mask_volume(rng.random(shape) < density)
+
+
+def shrink(path, size):
+    """Return a before_payload hook that cuts path's payload to size bytes.
+
+    The hook runs once the file's size has been checked against its
+    header, so the payload read that follows comes up short. path must
+    hold the header that write_volume writes.
+    """
+
+    def truncate(header):
+        with open(path, "r+b") as f:
+            f.truncate(len(volume_io._header_bytes(header)) + size)
+
+    return truncate
 
 
 # ---------------------------------------------------------------------------

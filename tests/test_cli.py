@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coreseg import cli, coreset, instance_metrics, label_fusion, provenance, volume_io
+import coreseg
+from coreseg import (
+    cli,
+    coreset,
+    instance_metrics,
+    label_fusion,
+    patch_grid,
+    provenance,
+    volume_io,
+)
 from coreseg.cli import main as cli_main
 from coreseg.config import PipelineConfig, resolved_lines
 from coreseg.coreset import (
@@ -33,6 +44,8 @@ from coreseg.volume_io import (
     read_volume,
     write_volume,
 )
+
+from helpers import shrink
 
 
 def run(capsys, *args):
@@ -195,6 +208,93 @@ def test_tile_missing_input_leaves_no_outputs(capsys, tmp_path):
     assert code == 3
     assert "absent.vol3d" in err
     assert not out_dir.exists()
+
+
+def value_in_last_plane(path, monkeypatch):
+    # A 2 in the mask's last voxel, found as the last plane is read.
+    data = bytearray(path.read_bytes())
+    data[-4] = 2
+    path.write_bytes(data)
+
+
+def shrinks_after_size_check(path, monkeypatch):
+    # The file is cut to 50 payload bytes once tile has checked its size and
+    # targets, so the second plane's read comes up short.
+    real = volume_io._PlaneReader
+
+    def shrinking(p, digests=None, before_payload=None):
+        def check_then_shrink(header):
+            before_payload(header)
+            shrink(p, 50)(header)
+
+        return real(p, digests, check_then_shrink)
+
+    monkeypatch.setattr(volume_io, "_PlaneReader", shrinking)
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (value_in_last_plane, "binary_mask volume contains values greater than 1"),
+        (shrinks_after_size_check, "payload length mismatch: expected 96 bytes, found 50"),
+    ],
+    ids=["value-in-last-plane", "shrinks-after-size-check"],
+)
+def test_tile_failing_mid_read_leaves_nothing_behind(
+    capsys, tmp_path, monkeypatch, breakage, message
+):
+    # tile reads its volume inside its commit, as it writes the patches: a
+    # read that fails after some patch planes are written must leave no
+    # output and no .part, and must leave an earlier run's outputs intact.
+    vol = tmp_path / "m.vol3d"
+    args = ["tile", "--volume", vol, "--patch", "1,2,2", "--out-dir", tmp_path / "out"]
+    write_mask(vol, np.arange(24).reshape(2, 3, 4) % 2)
+    breakage(vol, monkeypatch)
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (3, ""), err
+    assert message in err
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["m.vol3d"]
+    monkeypatch.undo()
+    # The same failure on a forced rerun over an earlier run's 8 patches.
+    write_mask(vol, np.arange(24).reshape(2, 3, 4) % 2)
+    assert run(capsys, *args)[0] == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert len(before) == 10
+    breakage(vol, monkeypatch)
+    code, out, err = run(capsys, *args, "--force")
+    assert (code, out) == (3, ""), err
+    assert message in err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+    assert list(tmp_path.rglob("*.part")) == []
+
+
+def test_tile_holds_a_bounded_number_of_descriptors(capsys, tmp_path):
+    # 256 one-voxel patches, tiled by a child that may hold 32 descriptors:
+    # each patch file is opened for one write at a time. The outputs match
+    # an unlimited run's byte for byte.
+    vol = tmp_path / "v.vol3d"
+    write_instance(vol, np.arange(256).reshape(4, 8, 8))
+    out_dir = tmp_path / "out"
+    args = ["tile", "--volume", str(vol), "--patch", "1,1,1", "--out-dir", str(out_dir)]
+    assert run(capsys, *args)[0] == 0
+    unlimited = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(unlimited) == 256 + 2
+    for p in out_dir.iterdir():
+        p.unlink()
+    limited = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (32, hard))\n"
+        "from coreseg.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(coreseg.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", limited, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == unlimited
 
 
 def test_tile_rejects_malformed_patch_flag(capsys, tmp_path, demo_volume):
@@ -1212,8 +1312,13 @@ def test_each_input_is_opened_once(capsys, tmp_path, monkeypatch, command):
 
 @pytest.mark.parametrize(
     "command, step, role",
-    [("cc", "_label_planes", "mask"), ("evaluate", "_evaluate_planes", "gt")],
-    ids=["cc-mask", "evaluate-gt"],
+    [
+        ("cc", "_label_planes", "mask"),
+        ("evaluate", "_evaluate_planes", "gt"),
+        # tile reads as it writes the patches; the grid manifest comes after.
+        ("tile", "write_grid_manifest", "volume"),
+    ],
+    ids=["cc-mask", "evaluate-gt", "tile-volume"],
 )
 def test_run_manifest_hashes_the_bytes_read_not_a_swapped_file(
     capsys, tmp_path, monkeypatch, command, step, role
@@ -1223,7 +1328,7 @@ def test_run_manifest_hashes_the_bytes_read_not_a_swapped_file(
     args, run_name = command_case(capsys, tmp_path, command)
     path = Path(args[args.index(f"--{role}") + 1])
     original = hashlib.sha256(path.read_bytes()).hexdigest()
-    home = {"cc": label_fusion, "evaluate": instance_metrics}[command]
+    home = {"cc": label_fusion, "evaluate": instance_metrics, "tile": patch_grid}[command]
     real = getattr(home, step)
 
     def compute_then_swap(*a, **kw):
@@ -1240,7 +1345,8 @@ def test_run_manifest_hashes_the_bytes_read_not_a_swapped_file(
 @pytest.mark.parametrize(
     "command, writer, failing_call",
     [
-        ("tile", "write_volume", 2),
+        # The fifth of 16 patch-plane writes: all 8 patch files are begun.
+        ("tile", "write_plane", 5),
         ("fuse", "_write_run_manifest", 1),
         ("cc", "write_volume", 1),
         ("select", "write_selection_manifest", 2),
@@ -1252,18 +1358,24 @@ def test_failed_write_leaves_nothing_behind(
     capsys, tmp_path, monkeypatch, command, writer, failing_call
 ):
     args, _ = command_case(capsys, tmp_path, command)
-    home = {"write_volume": volume_io, "write_selection_manifest": coreset}.get(writer, cli)
+    home = {
+        "write_volume": volume_io, "write_plane": volume_io, "write_selection_manifest": coreset,
+    }.get(writer, cli)
     real = getattr(home, writer)
     calls = []
+    parts = []
 
     def write_then_fail(*a, **kw):
         real(*a, **kw)
         calls.append(a)
         if len(calls) == failing_call:
+            parts.extend(tmp_path.rglob("*.part"))
             raise OSError("injected write failure")
 
     monkeypatch.setattr(home, writer, write_then_fail)
     code, out, err = run(capsys, *args)
+    # Each failure fires with .part files on disk; tile's with all 8 patches'.
+    assert len(parts) >= (8 if command == "tile" else 1)
     assert code == 3
     assert "injected write failure" in err
     assert out == ""

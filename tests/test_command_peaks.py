@@ -129,6 +129,22 @@ def mask(volumes):
 # volume: each bound is far below one 16 MiB payload.
 
 
+def test_tile_streams_the_volume(tmp_path, volumes):
+    # Patches of 12x320x320 pad every axis by reflection, so mirrored runs
+    # reuse source planes; each source plane is read once, in file order,
+    # and scattered into the patches that take it. A command that held the
+    # volume would exceed the bound by about 10 MiB.
+    base = peak_mib(
+        tmp_path, "tile", "--volume", str(volumes / "tiny" / "gt.vol3d"), "--out-dir",
+        str(tmp_path / "base"), "--patch", "1,1,1",
+    )
+    peak = peak_mib(
+        tmp_path, "tile", "--volume", str(volumes / "gt.vol3d"), "--out-dir",
+        str(tmp_path / "out"), "--patch", "12,320,320",
+    )
+    assert peak - base <= 2 * PLANE_MIB + SCRATCH_MIB, (base, peak)
+
+
 def test_cc_streams_the_mask_and_the_labels(tmp_path, volumes, mask):
     # The mask is read, and the labels written, one plane at a time.
     base = peak_mib(

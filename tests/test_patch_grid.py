@@ -12,18 +12,26 @@ from coreseg.patch_grid import (
     PAD_REFLECT,
     PAD_ZERO,
     PatchId,
+    _scatter_planes,
     check_volume_name,
     extract_patch,
     patch_filename,
     patch_ids,
-    patch_planes,
     plan_grid,
     read_grid_manifest,
     reassemble,
     tile,
     write_grid_manifest,
 )
-from coreseg.volume_io import KIND_INSTANCE, KIND_MASK, new_volume, write_volume
+from coreseg.volume_io import (
+    KIND_INSTANCE,
+    KIND_MASK,
+    VolumeHeader,
+    new_volume,
+    write_header,
+    write_plane,
+    write_volume,
+)
 
 from helpers import instance_volume
 
@@ -331,20 +339,24 @@ def test_reflect_extraction_holds_no_more_than_the_patch(pad_mode):
 
 @pytest.mark.parametrize("pad_mode", [PAD_ZERO, PAD_REFLECT])
 def test_patch_written_plane_by_plane_holds_one_plane(tmp_path, pad_mode):
-    # A patch written from patch_planes fills one reused plane buffer, so
-    # the write's allocation peak stays within 10 % of one plane's bytes
-    # for every cell: (0,0,0) needs no padding, the others mirror or zero
-    # one, two or all three axes, and z runs past the volume's last plane.
+    # A patch written plane by plane from _scatter_planes fills one reused
+    # plane buffer, so the write's allocation peak stays within 10 % of one
+    # plane's bytes for every cell: (0,0,0) needs no padding, the others
+    # mirror or zero one, two or all three axes, and z runs past the
+    # volume's last plane.
     rng = np.random.default_rng(6)
     shape, patch = (6, 300, 290), (4, 256, 256)
     vol = instance_volume(rng.integers(0, 9, size=shape, dtype=np.uint32))
     spec = plan_grid(shape, patch, pad_mode)
     plane_bytes = 4 * patch[1] * patch[2]
+    header = VolumeHeader(shape=patch, value_kind=KIND_INSTANCE)
     for pid in patch_ids(spec, "v"):
         path = tmp_path / patch_filename(pid)
         tracemalloc.start()
         try:
-            write_volume(patch_planes(vol, spec, pid), path)
+            write_header(header, path)
+            for _, k, plane in _scatter_planes(spec, vol.voxels, [pid]):
+                write_plane(header, k, plane, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

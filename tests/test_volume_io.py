@@ -22,6 +22,8 @@ from coreseg.volume_io import (
     write_volume,
 )
 
+from helpers import shrink
+
 
 def small_volume() -> LabelVolume:
     data = np.arange(24, dtype=np.uint32).reshape(2, 3, 4)
@@ -200,16 +202,6 @@ def test_mask_value_in_the_last_plane_is_refused_there(tmp_path):
         read_volume(path, digests=digests)
     assert str(info.value) == "binary_mask volume contains values greater than 1"
     assert digests == []
-
-
-def shrink(path, size):
-    # Truncate path once its size has been checked, so that the payload
-    # read comes up short.
-    def truncate(header):
-        with open(path, "r+b") as f:
-            f.truncate(len(MASK_HEADER) + size)
-
-    return truncate
 
 
 def test_a_file_that_shrinks_after_its_size_check_is_refused(tmp_path):

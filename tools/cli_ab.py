@@ -50,6 +50,12 @@ SCRIPT = [
     [*TILE, "--patch", "3,5,5", "--force"],  # fewer patches; the old ones go
     ["tile", "--volume", "vol.vol3d", "--patch", "0,4,4", "--out-dir", "t"],  # 2
     ["tile", "--volume", "gone.vol3d", "--out-dir", "t"],  # 3
+    # A reflect pad longer than its axis: 2 planes padded to 9.
+    ["tile", "--volume", "thin.vol3d", "--patch", "9,4,4", "--out-dir", "tiles_thin"],
+    ["tile", "--volume", "vol.vol3d", "--patch", "2,3,5", "--pad-mode", "zero",
+     "--out-dir", "tiles_zero_333"],  # a 3x3x3 grid
+    ["tile", "--volume", "mask_last.vol3d", "--patch", "2,4,4",
+     "--out-dir", "tiles_last"],  # a 2 in the last plane: 3
     ["cc", "--mask", "mask.vol3d", "--connectivity", "6", "--out", "cc/face6.vol3d"],
     ["cc", "--mask", "mask.vol3d", "--connectivity", "26", "--out", "cc/full26.vol3d"],
     ["cc", "--mask", "mask.vol3d", "--out", "cc/full26.vol3d"],  # 5
@@ -96,6 +102,7 @@ def write_inputs(into: Path) -> None:
     rng = np.random.default_rng(21)
     labels = rng.integers(0, 6, size=(5, 9, 11))
     write_vol3d(into / "vol.vol3d", labels, KIND_INSTANCE)
+    write_vol3d(into / "thin.vol3d", labels[:2], KIND_INSTANCE)
     write_vol3d(into / "gt.vol3d", np.where(rng.random(labels.shape) < 0.8, labels, 0),
                 KIND_INSTANCE)
     mask = rng.random((6, 10, 12)) < 0.3
