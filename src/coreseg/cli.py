@@ -34,6 +34,7 @@ import re
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 # No coreseg path calls BLAS, so OpenBLAS need start no thread pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -205,7 +206,7 @@ def _commit(
     out_dir: Path,
     writers: dict,
     run_name: str,
-    inputs: list[tuple[str, InputDigest]],
+    inputs: Iterable[tuple[str, InputDigest]],
 ) -> None:
     """Write a command's outputs and its run manifest, all of them or none.
 
@@ -218,9 +219,9 @@ def _commit(
     checked before anything is written: one that exists is refused unless
     force is set, and one that is not a regular file is refused even then.
     Each output, and then the run manifest, is written to its
-    ``<name>.part``; all of a writer's ``.part`` paths are taken out on a
-    failure, those it had not yet made too. Only when all of them are written is
-    each existing target moved aside to ``<name>.prev``, the old run
+    ``<name>.part``, and a writer's ``.part`` paths are all marked for
+    removal before it starts. Only when all of them are written is each
+    existing target moved aside to ``<name>.prev``, the old run
     manifest first, and the new files renamed onto their final names, the
     run manifest last, so a run manifest marks a complete output set. On
     any failure the new files are taken out, the moved targets are moved
@@ -313,16 +314,16 @@ def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
     with _PlaneReader(vol_path, read, before_payload=plan) as reader:
         spec = plan(reader.header)
         pids = patch_ids(spec, name)
-        header = VolumeHeader(shape=spec.patch_shape, value_kind=reader.header.value_kind)
+        patch = VolumeHeader(shape=spec.patch_shape, value_kind=reader.header.value_kind)
 
         def write_patches(*paths: Path) -> None:
             # One pass over the volume's planes writes every patch: each
             # patch plane goes to its offset in its patch file as it is filled.
             files = dict(zip(pids, paths))
             for path in paths:
-                write_header(header, path)
+                write_header(patch, path)
             for pid, k, plane in _scatter_planes(spec, reader.planes(), pids):
-                write_plane(header, k, plane, files[pid])
+                write_plane(patch, k, plane, files[pid])
 
         writers = {
             tuple(patch_filename(pid) for pid in pids): write_patches,

@@ -214,9 +214,9 @@ def _scatter_planes(
 
     planes yields the source volume's spec.original_shape[0] z-planes in
     order, and is read to its end, one plane at a time. Each source plane
-    is copied, per (y, x) cell, into one reused plane buffer and yielded
-    for every (pid, k) of that cell whose z runs map k to it; a
-    zero-padded cell's margin is zeroed for each cell. The planes past a
+    is copied, per (y, x) cell, into one reused plane buffer, whose margin
+    past a zero-padded cell's runs is cleared, and yielded for every
+    (pid, k) of that cell whose z runs map k to it. The planes past a
     zero-padded volume follow, as zeros, once the source is read. Every
     plane yielded is that buffer, so use it before asking for the next.
     """

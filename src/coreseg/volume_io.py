@@ -272,8 +272,9 @@ def read_volume(
 
     The file is opened and read once: the header from a small prefix, the
     payload plane by plane straight into the voxel array, so memory peaks
-    at one payload. The commands that need no whole volume read their
-    inputs one plane at a time through the same reader.
+    at one payload. Of the commands, only fuse, whose slices are one plane
+    each, reads a volume whole; the others read theirs one plane at a time
+    through the same reader.
 
     Args:
         path: File to read.
