@@ -19,6 +19,8 @@ from coreseg.volume_io import (
     VolumePlanes,
     new_volume,
     read_volume,
+    write_header,
+    write_plane,
     write_volume,
 )
 
@@ -279,6 +281,30 @@ def test_planes_must_fit_the_header(tmp_path, planes):
     header = VolumeHeader(shape=(2, 3, 4), value_kind=KIND_INSTANCE)
     with pytest.raises(VolumeFormatError, match="planes? "):
         write_volume(VolumePlanes(header, iter(planes)), tmp_path / "v.vol3d")
+
+
+def test_planes_written_in_place_in_any_order_make_the_volume(tmp_path):
+    vol = small_volume()
+    write_volume(vol, tmp_path / "whole.vol3d")
+    path = tmp_path / "scattered.vol3d"
+    write_header(vol.header, path)
+    for z in reversed(range(vol.header.shape[0])):
+        write_plane(vol.header, z, vol.voxels[z], path)
+    assert path.read_bytes() == (tmp_path / "whole.vol3d").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "z, shape",
+    [(-1, (3, 4)), (2, (3, 4)), (0, (4, 3))],
+    ids=["below", "past-the-end", "shape"],
+)
+def test_a_plane_written_in_place_must_fit_the_header(tmp_path, z, shape):
+    header = VolumeHeader(shape=(2, 3, 4), value_kind=KIND_INSTANCE)
+    path = tmp_path / "v.vol3d"
+    write_header(header, path)
+    with pytest.raises(VolumeFormatError, match=f"plane {z} of shape"):
+        write_plane(header, z, np.zeros(shape, np.uint32), path)
+    assert path.read_bytes() == volume_io._header_bytes(header)
 
 
 def test_read_rejects_missing_blank_line(tmp_path):
