@@ -199,14 +199,6 @@ def _check_id(spec: PatchSpec, pid: PatchId) -> None:
         raise GridError(f"grid index {tuple(idx)} outside grid dims {spec.grid_dims}")
 
 
-def _check_shape(vol: LabelVolume, spec: PatchSpec) -> None:
-    if tuple(vol.voxels.shape) != spec.original_shape:
-        raise GridError(
-            f"volume shape {tuple(vol.voxels.shape)} does not match "
-            f"spec original shape {spec.original_shape}"
-        )
-
-
 def _scatter_planes(
     spec: PatchSpec, planes: Iterable[np.ndarray], pids: Sequence[PatchId]
 ) -> Iterator[tuple[PatchId, int, np.ndarray]]:
@@ -231,10 +223,11 @@ def _scatter_planes(
     blank = []
     for pid in pids:
         iz, iy, ix = pid.grid_index
-        for dz, sz in z_runs(iz):
+        runs = z_runs(iz)
+        for dz, sz in runs:
             for k, z in zip(span[dz], range(depth)[sz]):
                 uses[z].setdefault((iy, ix), []).append((pid, k))
-        blank += [(pid, k) for k in span[z_runs(iz)[-1][0].stop :]]
+        blank += [(pid, k) for k in span[runs[-1][0].stop :]]
         if (iy, ix) not in cells:
             y_runs, x_runs = _runs(spec, 1, iy, mode), _runs(spec, 2, ix, mode)
             pairs = list(itertools.product(y_runs, x_runs))
@@ -259,7 +252,11 @@ def _patches(
     vol: LabelVolume, spec: PatchSpec, pids: Sequence[PatchId]
 ) -> dict[PatchId, LabelVolume]:
     # Fill the patches of pids from one pass over vol's planes.
-    _check_shape(vol, spec)
+    if tuple(vol.voxels.shape) != spec.original_shape:
+        raise GridError(
+            f"volume shape {tuple(vol.voxels.shape)} does not match "
+            f"spec original shape {spec.original_shape}"
+        )
     blocks = {pid: np.empty(spec.patch_shape, dtype=np.uint32) for pid in pids}
     for pid, k, plane in _scatter_planes(spec, vol.voxels, pids):
         blocks[pid][k] = plane
