@@ -225,8 +225,10 @@ def _commit(
     manifest first, and the new files renamed onto their final names, the
     run manifest last, so a run manifest marks a complete output set. On
     any failure the new files are taken out, the moved targets are moved
-    back and the error is re-raised, so the directory holds what it held
-    before the run; only a killed run leaves a ``.part`` or ``.prev``. On
+    back, the directories the run made are removed while they are empty,
+    deepest first, and the error is re-raised, so the directory holds what
+    it held before the run, or is gone again if the run made it; only a
+    killed run leaves a ``.part`` or ``.prev``. On
     success every ``<name>.prev`` is deleted, and so are the outputs that
     the replaced run manifest of the same command listed and this run did
     not write, with their ``.part`` and ``.prev``, so no output outlives
@@ -249,11 +251,13 @@ def _commit(
             lines = manifest.read_text(encoding="utf-8", errors="replace").splitlines()
             if f"command={command}" in lines:
                 replaced |= {x.removeprefix("output=") for x in lines if x.startswith("output=")}
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # The directories the run makes, deepest first.
+    new_dirs = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     made: list[Path] = []
     moved: list[str] = []
     placed: list[str] = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for names, write in steps.items():
             parts = [out_dir / f"{name}.part" for name in names]
             made += parts
@@ -274,6 +278,11 @@ def _commit(
         for tmp in made:
             if tmp.is_file():
                 tmp.unlink()
+        for d in new_dirs:
+            try:
+                d.rmdir()
+            except OSError:  # not empty, or not made after all
+                break
         raise
     for name in targets:
         (out_dir / f"{name}.prev").unlink(missing_ok=True)
@@ -290,7 +299,7 @@ def _text(content: str):
 
 def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
     from .patch_grid import (
-        PatchSpec, _scatter_planes, check_volume_name, patch_filename, patch_ids, plan_grid,
+        _scatter_planes, check_volume_name, patch_filename, patch_ids, plan_grid,
         write_grid_manifest,
     )
     from .volume_io import VolumeHeader, _PlaneReader, write_header, write_plane
@@ -300,19 +309,12 @@ def cmd_tile(cfg: PipelineConfig, force: bool) -> int:
     name = cfg.volume_name or check_volume_name(vol_path.stem, GridError)
     run_name = "run_manifest.txt"
 
-    # Patch names depend only on the header's shape, so the grid is planned
-    # and the targets checked before the payload is read: a refused rerun
-    # reads the header alone. Cached, so the commit's writer reuses it.
-    @functools.cache
-    def plan(header: VolumeHeader) -> PatchSpec:
-        spec = plan_grid(header.shape, cfg.patch_shape, cfg.pad_mode)
-        names = [patch_filename(pid) for pid in patch_ids(spec, name)]
-        _check_targets(out_dir, [*names, "grid_manifest.txt", run_name], force)
-        return spec
-
     read: list[InputDigest] = []
-    with _PlaneReader(vol_path, read, before_payload=plan) as reader:
-        spec = plan(reader.header)
+    with _PlaneReader(vol_path, read) as reader:
+        # Patch names depend only on the header's shape, and the payload is
+        # read only by the commit's writer, after its target checks: a
+        # refused rerun reads the header alone.
+        spec = plan_grid(reader.header.shape, cfg.patch_shape, cfg.pad_mode)
         pids = patch_ids(spec, name)
         patch = VolumeHeader(shape=spec.patch_shape, value_kind=reader.header.value_kind)
 
@@ -376,11 +378,17 @@ def _label(command, cfg, force, out, shape, planes, role, read) -> int:
     # and each of their digests appended to read, before the commit starts;
     # the labeled planes are written as they are painted.
     from .label_fusion import Connectivity, _label_planes
-    from .volume_io import KIND_INSTANCE, VolumeHeader, VolumePlanes, write_volume
+    from .volume_io import KIND_INSTANCE, VolumeHeader, write_header, write_plane
 
     count, labeled = _label_planes(shape, planes, Connectivity(cfg.connectivity))
     header = VolumeHeader(shape=shape, value_kind=KIND_INSTANCE)
-    writers = {(out.name,): lambda p: write_volume(VolumePlanes(header, labeled), p)}
+
+    def write_labels(path: Path) -> None:
+        write_header(header, path)
+        for z, plane in enumerate(labeled):
+            write_plane(header, z, plane, path)
+
+    writers = {(out.name,): write_labels}
     inputs = [(role, d) for d in read]
     _commit(command, cfg, force, out.parent, writers, f"{out.name}.run.txt", inputs)
     return count
@@ -420,7 +428,8 @@ def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
     mask_path = _input_file(cfg, "mask", "input mask")
     out = Path(_require(cfg, "out", "output path"))
     read: list[InputDigest] = []
-    with _PlaneReader(mask_path, read, before_payload=_check_mask_kind) as mask:
+    with _PlaneReader(mask_path, read) as mask:
+        _check_mask_kind(mask.header)
         count = _label("cc", cfg, force, out, mask.header.shape, mask.planes(), "mask", read)
     print(f"components={count}")
     return EXIT_OK
@@ -481,7 +490,7 @@ def cmd_select(cfg: PipelineConfig, force: bool) -> int:
 
 
 def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
-    from .instance_metrics import _evaluate_planes
+    from .instance_metrics import evaluate
     from .report import metrics_csv_text, metrics_kv_text
     from .volume_io import _PlaneReader
 
@@ -494,8 +503,7 @@ def cmd_evaluate(cfg: PipelineConfig, force: bool) -> int:
     # Both headers are read, and the shapes compared, before either payload;
     # the payloads are then read in lockstep, plane by plane.
     with _PlaneReader(pred_path, read) as pred, _PlaneReader(gt_path, read) as gt:
-        pairs = zip(pred.planes(), gt.planes())
-        record = _evaluate_planes(pred.header.shape, gt.header.shape, pairs, cfg.iou_threshold)
+        record = evaluate(pred, gt, cfg.iou_threshold)
     stem = f"metrics_b{cfg.budget}"
     writers = {
         (f"{stem}.txt",): _text(metrics_kv_text(record, cfg.budget, cfg.iou_threshold)),

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import InternalError, MetricsError
 from .report import MetricsRecord, check_iou_threshold
-from .volume_io import LabelVolume
 
 # overlap_histogram's chunk (a 256 x 256 plane), chunks per fold.
 _CHUNK_VOXELS, _FOLD = 1 << 16, 16
@@ -58,17 +57,20 @@ class MatchResult:
 
 
 def overlap_histogram(
-    pred: LabelVolume, gt: LabelVolume
+    pred, gt
 ) -> tuple[dict[tuple[int, int], int], dict[int, int], dict[int, int]]:
     """Count overlap voxels per (pred_id, gt_id) pair plus per-id totals.
 
     This is one of the two volume hot loops of the pipeline (component
     labeling in label_fusion is the other); it has one plain NumPy
-    implementation. It takes the volumes as aligned z-plane pairs, counts
-    them chunk by chunk and folds the chunks' counts into the totals in
-    groups, so its scratch is a few chunks' keys; evaluate's command feeds
-    it the planes of two files as it reads them, so neither volume is ever
-    whole. The counts are exact integers, summed in ascending key order.
+    implementation. A volume here is anything with a ``.header`` and a
+    ``planes()`` that yields its z-planes in z order: a LabelVolume, or a
+    volume_io reader open on a file, whose planes are read as they are
+    drawn. The shapes are compared, from the headers, before the first
+    plane is drawn. The aligned plane pairs are counted chunk by chunk and
+    the chunks' counts folded into the totals in groups, so the scratch is
+    a few chunks' keys and an open reader's volume is never whole. The
+    counts are exact integers, summed in ascending key order.
 
     Args:
         pred: Predicted instance volume.
@@ -85,18 +87,11 @@ def overlap_histogram(
     Raises:
         MetricsError: On a shape mismatch.
     """
-    return _overlaps(pred.voxels.shape, gt.voxels.shape, zip(pred.voxels, gt.voxels))
-
-
-def _overlaps(pred_shape, gt_shape, plane_pairs):
-    # overlap_histogram on volumes given as their shapes, checked before the
-    # first pair is drawn, and their (pred, gt) z-plane pairs in z order.
-    if tuple(pred_shape) != tuple(gt_shape):
-        raise MetricsError(
-            f"pred shape {tuple(pred_shape)} does not match gt shape {tuple(gt_shape)}"
-        )
+    shape = pred.header.shape
+    if shape != gt.header.shape:
+        raise MetricsError(f"pred shape {shape} does not match gt shape {gt.header.shape}")
     parts = []
-    for p, g in _chunks(plane_pairs, pred_shape[1] * pred_shape[2]):
+    for p, g in _chunks(zip(pred.planes(), gt.planes()), shape[1] * shape[2]):
         parts.append(_chunk_counts(p, g))
         if len(parts) == _FOLD:
             parts = [list(map(_merged_counts, zip(*parts)))]
@@ -157,16 +152,13 @@ def _as_dict(keys: np.ndarray, counts: np.ndarray) -> dict[int, int]:
     return dict(zip(keys.tolist(), counts.tolist()))
 
 
-def match_instances(
-    pred: LabelVolume,
-    gt: LabelVolume,
-    iou_threshold: float = 0.5,
-) -> MatchResult:
+def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
     """Match instances across volumes by strict IoU > iou_threshold.
 
     Args:
-        pred: Predicted instance volume.
-        gt: Ground-truth instance volume of the same shape.
+        pred: Predicted instance volume: a ``.header`` plus ``planes()`` in
+            z order, as overlap_histogram takes it.
+        gt: Ground-truth instance volume of the same shape, likewise.
         iou_threshold: Strict threshold in [0.5, 1); 0.5 guarantees a
             unique matching.
 
@@ -176,15 +168,8 @@ def match_instances(
     Raises:
         MetricsError: On shape mismatch or a threshold outside [0.5, 1).
     """
-    return _match_planes(
-        pred.voxels.shape, gt.voxels.shape, zip(pred.voxels, gt.voxels), iou_threshold
-    )
-
-
-def _match_planes(pred_shape, gt_shape, plane_pairs, iou_threshold: float) -> MatchResult:
-    # match_instances on volumes given as _overlaps takes them.
     check_iou_threshold(iou_threshold, MetricsError)
-    pairs, pred_totals, gt_totals = _overlaps(pred_shape, gt_shape, plane_pairs)
+    pairs, pred_totals, gt_totals = overlap_histogram(pred, gt)
     matches: list[tuple[int, int, float]] = []
     matched_pred: set[int] = set()
     matched_gt: set[int] = set()
@@ -208,20 +193,13 @@ def _match_planes(pred_shape, gt_shape, plane_pairs, iou_threshold: float) -> Ma
     )
 
 
-def evaluate(
-    pred: LabelVolume,
-    gt: LabelVolume,
-    iou_threshold: float = 0.5,
-) -> MetricsRecord:
-    """Match instances by IoU and derive the metric suite from the matching."""
-    return _evaluate_planes(
-        pred.voxels.shape, gt.voxels.shape, zip(pred.voxels, gt.voxels), iou_threshold
-    )
+def evaluate(pred, gt, iou_threshold: float = 0.5) -> MetricsRecord:
+    """Match instances by IoU and derive the metric suite from the matching.
 
-
-def _evaluate_planes(pred_shape, gt_shape, plane_pairs, iou_threshold: float) -> MetricsRecord:
-    # evaluate on volumes given as _overlaps takes them.
-    m = _match_planes(pred_shape, gt_shape, plane_pairs, iou_threshold)
+    pred and gt are volumes as overlap_histogram takes them: a ``.header``
+    plus ``planes()`` in z order, so a LabelVolume or an open reader.
+    """
+    m = match_instances(pred, gt, iou_threshold)
     return MetricsRecord.from_counts(
         tp=len(m.matches),
         fp=len(m.unmatched_pred),

@@ -21,7 +21,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -101,6 +101,10 @@ class LabelVolume:
         if self.header.value_kind == KIND_MASK and self.voxels.size:
             _check_mask_values(self.voxels)
 
+    def planes(self) -> Iterator[np.ndarray]:
+        """Yield the z-planes in z order, as a _PlaneReader's planes() does."""
+        return iter(self.voxels)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelVolume):
             return NotImplemented
@@ -176,11 +180,11 @@ def _parse_header(raw: bytes, path: Path) -> VolumeHeader:
 class _PlaneReader:
     """A .vol3d file opened to be read one z-plane at a time.
 
-    Opening reads the header from a small prefix, checks the file's size
-    against it and calls before_payload, if given, with the header; what
-    fails or raises closes the file and ends the read there. planes() then
-    reads the payload once, in file order. Use it as a context manager,
-    which closes the file.
+    Opening reads the header from a small prefix and checks the file's
+    size against it; what fails closes the file. No payload byte is read
+    until planes() is iterated, so a caller can refuse a request on the
+    header alone. planes() reads the payload once, in file order. Use it
+    as a context manager, which closes the file.
 
     Attributes:
         header: The parsed, validated VolumeHeader.
@@ -190,7 +194,6 @@ class _PlaneReader:
         self,
         path: str | Path,
         digests: list[InputDigest] | None = None,
-        before_payload: Callable[[VolumeHeader], object] | None = None,
     ) -> None:
         p = Path(path)
         if not p.is_file():
@@ -211,8 +214,6 @@ class _PlaneReader:
             self.header = _parse_header(head[:sep], p)
             self._path = p
             self._check_length(size - sep - 2)
-            if before_payload is not None:
-                before_payload(self.header)
             f.seek(sep + 2)
         except BaseException:
             f.close()
@@ -262,68 +263,41 @@ class _PlaneReader:
             yield plane
 
 
-def read_volume(
-    path: str | Path,
-    *,
-    digests: list[InputDigest] | None = None,
-    before_payload: Callable[[VolumeHeader], object] | None = None,
-) -> LabelVolume:
+def read_volume(path: str | Path, *, digests: list[InputDigest] | None = None) -> LabelVolume:
     """Read a .vol3d file into a validated LabelVolume.
 
     The file is opened and read once: the header from a small prefix, the
     payload plane by plane straight into the voxel array, so memory peaks
     at one payload. Of the commands, only fuse, whose slices are one plane
     each, reads a volume whole; the others read theirs one plane at a time
-    through the same reader.
+    through the same reader, which a caller that needs the header alone
+    can open itself.
 
     Args:
         path: File to read.
         digests: If given, the SHA-256 of the bytes parsed (header, blank
             line and payload, i.e. the whole file) is appended to it.
-        before_payload: If given, called with the header once the header
-            is parsed and the file's size checked against it, before the
-            payload is read. What it raises ends the read, so a caller can
-            refuse a request having read the header alone.
 
     Raises:
         FileNotFoundError: If path does not exist.
         VolumeFormatError: On malformed header, payload length mismatch, or
             a binary_mask payload containing values above 1.
     """
-    with _PlaneReader(path, digests, before_payload) as reader:
+    with _PlaneReader(path, digests) as reader:
         voxels = np.empty(reader.header.shape, "<u4")
         for _ in reader.planes(voxels):
             pass
     return LabelVolume(reader.header, voxels.astype(np.uint32, copy=False))
 
 
-@dataclass(frozen=True)
-class VolumePlanes:
-    """A volume produced one z-plane at a time, for write_volume.
-
-    Attributes:
-        header: The volume's header; its shape fixes the planes' count and
-            shape.
-        planes: A one-pass iterable of header.shape[0] arrays of shape
-            header.shape[1:] with values in [0, 2^32), in z order. Each is
-            written before the next is asked for, so all of them may be
-            one reused buffer.
-    """
-
-    header: VolumeHeader
-    planes: Iterable[np.ndarray]
-
-
-def write_volume(vol: LabelVolume | VolumePlanes, path: str | Path) -> None:
+def write_volume(vol: LabelVolume, path: str | Path) -> None:
     """Write a volume to path in .vol3d format, one z-plane at a time.
 
     Output bytes are a pure function of the volume, so identical volumes
-    produce identical files. A LabelVolume is validated before any write,
-    so an invalid one leaves no partial file behind, and its planes are
-    written straight from the voxel array, without a copy. A VolumePlanes
-    is written as its planes are produced, so the write holds one plane
-    rather than the payload; each plane's shape, and their count, are
-    checked against the header as they come.
+    produce identical files. The volume is validated before any write, so
+    an invalid one leaves no partial file behind. The file is written as
+    write_header and write_plane write it, plane by plane straight from
+    the voxel array, without a copy.
 
     Args:
         vol: Volume to store.
@@ -333,30 +307,18 @@ def write_volume(vol: LabelVolume | VolumePlanes, path: str | Path) -> None:
         VolumeFormatError: If vol violates an invariant.
         OSError: If the destination is unwritable.
     """
-    if isinstance(vol, LabelVolume):
-        vol.validate()
-        vol = VolumePlanes(vol.header, vol.voxels)
-    shape = vol.header.shape
-    count = 0
-    with Path(path).open("wb") as f:
-        f.write(_header_bytes(vol.header))
-        for plane in vol.planes:
-            if count == shape[0] or plane.shape != shape[1:]:
-                raise VolumeFormatError(
-                    f"plane {count} of shape {plane.shape} does not fit volume shape {shape}"
-                )
-            f.write(np.ascontiguousarray(plane, dtype="<u4"))
-            count += 1
-    if count != shape[0]:
-        raise VolumeFormatError(f"{count} planes written for volume shape {shape}")
+    vol.validate()
+    write_header(vol.header, path)
+    for z, plane in enumerate(vol.voxels):
+        write_plane(vol.header, z, plane, path)
 
 
 def write_header(header: VolumeHeader, path: str | Path) -> None:
     """Start a .vol3d file at path that holds header's bytes alone.
 
     write_plane then writes each of the volume's planes into it, in any
-    order; once every plane is written, the file is the one write_volume
-    writes.
+    order; once every plane is written, the file holds the volume. This
+    pair is the one payload writer: write_volume writes through it too.
     """
     header.validate()
     Path(path).write_bytes(_header_bytes(header))

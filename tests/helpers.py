@@ -102,19 +102,22 @@ def random_mask(rng: np.random.Generator, max_edge: int = 16) -> LabelVolume:
     return mask_volume(rng.random(shape) < density)
 
 
-def shrink(path, size):
-    """Return a before_payload hook that cuts path's payload to size bytes.
+def shrink(monkeypatch, path, size):
+    """Make each volume reader opened from now on cut path's payload to
+    size bytes right after it opens.
 
-    The hook runs once the file's size has been checked against its
-    header, so the payload read that follows comes up short. path must
-    hold the header that write_volume writes.
+    _PlaneReader.__init__ has checked the file's size against its header
+    by then, and read no payload, so the payload read that follows comes
+    up short. path must hold the header that write_volume writes.
     """
+    real = volume_io._PlaneReader.__init__
 
-    def truncate(header):
+    def open_then_truncate(reader, *args, **kwargs):
+        real(reader, *args, **kwargs)
         with open(path, "r+b") as f:
-            f.truncate(len(volume_io._header_bytes(header)) + size)
+            f.truncate(len(volume_io._header_bytes(reader.header)) + size)
 
-    return truncate
+    monkeypatch.setattr(volume_io._PlaneReader, "__init__", open_then_truncate)
 
 
 # ---------------------------------------------------------------------------

@@ -218,18 +218,9 @@ def value_in_last_plane(path, monkeypatch):
 
 
 def shrinks_after_size_check(path, monkeypatch):
-    # The file is cut to 50 payload bytes once tile has checked its size and
-    # targets, so the second plane's read comes up short.
-    real = volume_io._PlaneReader
-
-    def shrinking(p, digests=None, before_payload=None):
-        def check_then_shrink(header):
-            before_payload(header)
-            shrink(p, 50)(header)
-
-        return real(p, digests, check_then_shrink)
-
-    monkeypatch.setattr(volume_io, "_PlaneReader", shrinking)
+    # The file is cut to 50 payload bytes once tile's reader has checked its
+    # size, so the second plane's read comes up short.
+    shrink(monkeypatch, path, 50)
 
 
 @pytest.mark.parametrize(
@@ -254,6 +245,7 @@ def test_tile_failing_mid_read_leaves_nothing_behind(
     assert (code, out) == (3, ""), err
     assert message in err
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["m.vol3d"]
+    assert not (tmp_path / "out").exists()
     monkeypatch.undo()
     # The same failure on a forced rerun over an earlier run's 8 patches.
     write_mask(vol, np.arange(24).reshape(2, 3, 4) % 2)
@@ -1314,7 +1306,7 @@ def test_each_input_is_opened_once(capsys, tmp_path, monkeypatch, command):
     "command, step, role",
     [
         ("cc", "_label_planes", "mask"),
-        ("evaluate", "_evaluate_planes", "gt"),
+        ("evaluate", "evaluate", "gt"),
         # tile reads as it writes the patches; the grid manifest comes after.
         ("tile", "write_grid_manifest", "volume"),
     ],
@@ -1342,13 +1334,31 @@ def test_run_manifest_hashes_the_bytes_read_not_a_swapped_file(
     assert digest == original
 
 
+def test_evaluate_calls_the_metrics_through_their_module(capsys, tmp_path, monkeypatch):
+    # A wrapper set on instance_metrics, as a tracer sets one, sees each
+    # metric layer that evaluate runs, once.
+    args, _ = command_case(capsys, tmp_path, "evaluate")
+    calls = []
+    for name in ("match_instances", "overlap_histogram"):
+        real = getattr(instance_metrics, name)
+
+        def counted(*a, real=real, name=name, **kw):
+            calls.append(name)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(instance_metrics, name, counted)
+    assert run(capsys, *args)[0] == 0
+    assert calls == ["match_instances", "overlap_histogram"]
+
+
 @pytest.mark.parametrize(
     "command, writer, failing_call",
     [
         # The fifth of 16 patch-plane writes: all 8 patch files are begun.
         ("tile", "write_plane", 5),
         ("fuse", "_write_run_manifest", 1),
-        ("cc", "write_volume", 1),
+        # The second of cc's two labeled-plane writes.
+        ("cc", "write_plane", 2),
         ("select", "write_selection_manifest", 2),
         ("evaluate", "_write_run_manifest", 1),
         ("report", "_write_run_manifest", 1),
@@ -1358,9 +1368,7 @@ def test_failed_write_leaves_nothing_behind(
     capsys, tmp_path, monkeypatch, command, writer, failing_call
 ):
     args, _ = command_case(capsys, tmp_path, command)
-    home = {
-        "write_volume": volume_io, "write_plane": volume_io, "write_selection_manifest": coreset,
-    }.get(writer, cli)
+    home = {"write_plane": volume_io, "write_selection_manifest": coreset}.get(writer, cli)
     real = getattr(home, writer)
     calls = []
     parts = []
@@ -1379,7 +1387,7 @@ def test_failed_write_leaves_nothing_behind(
     assert code == 3
     assert "injected write failure" in err
     assert out == ""
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
     assert list(tmp_path.rglob("*.part")) == []
     # Nothing was left behind, so the corrected rerun needs no --force.
     monkeypatch.undo()

@@ -50,6 +50,9 @@ def test_each_difference_is_named(monkeypatch, capsys):
             (work / "same.txt").write_text("x")
             (work / "bytes.txt").write_text("new" if change else "old")
             (work / f"{tree.name}_only.txt").write_text("x")
+            # An empty directory is a difference too, a shared one is not.
+            (work / f"{tree.name}_dir").mkdir()
+            (work / "shared_dir").mkdir()
             return 0, b"", b""
         if argv == cli_ab.SCRIPT[1]:
             return (3 if change else 0), b"", (b"boom\n" if change else b"")
@@ -62,15 +65,17 @@ def test_each_difference_is_named(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     call2 = f"call 2 ({' '.join(cli_ab.SCRIPT[1])})"
     call3 = f"call 3 ({' '.join(cli_ab.SCRIPT[2])})"
-    assert [line for line in lines if line.startswith(("call ", "file "))] == [
+    assert [line for line in lines if line.startswith(("call ", "file ", "directory "))] == [
         f"{call2}: exit code differs: 0 != 3",
         f"{call2}: stderr differs: b'' != b'boom\\n'",
         f"{call3}: stdout differs: b'radius=1\\n' != b'radius=2\\n'",
         "file base_only.txt: only in base",
         "file bytes.txt: bytes differ",
         "file change_only.txt: only in change",
+        "directory base_dir/: only in base",
+        "directory change_dir/: only in change",
     ]
-    assert lines[-1].startswith("6 differences")
+    assert lines[-1].startswith("8 differences")
 
 
 def test_inputs_are_the_same_on_every_call(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for overlap counting, IoU matching, and the metric suite."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from coreseg import instance_metrics
 from coreseg.errors import MetricsError
 from coreseg.instance_metrics import MatchResult, evaluate, match_instances, overlap_histogram
+from coreseg.provenance import InputDigest
 from coreseg.report import (
     CSV_COLUMNS,
     MetricsRecord,
@@ -17,6 +19,7 @@ from coreseg.report import (
     metrics_kv_text,
     parse_metrics_csv,
 )
+from coreseg.volume_io import KIND_INSTANCE, VolumeHeader, _PlaneReader, read_volume, write_volume
 
 from helpers import instance_volume
 
@@ -123,15 +126,33 @@ def test_overlap_histogram_counts_across_chunk_and_plane_borders(monkeypatch, ch
 
 
 def test_shape_mismatch_is_refused_before_the_first_plane_pair():
-    # evaluate's command feeds the pairs as it reads them, so a mismatch
-    # must be refused before either payload is read.
-    def pairs():
-        raise AssertionError("a plane pair was drawn")
-        yield
+    # An open reader reads its payload as its planes are drawn, so a
+    # mismatch must be refused, from the headers, before either is drawn.
+    class Unread:
+        def __init__(self, shape):
+            self.header = VolumeHeader(shape=shape, value_kind=KIND_INSTANCE)
 
-    with pytest.raises(MetricsError) as info:
-        instance_metrics._overlaps((2, 2, 2), (2, 2, 3), pairs())
-    assert str(info.value) == "pred shape (2, 2, 2) does not match gt shape (2, 2, 3)"
+        def planes(self):
+            raise AssertionError("a plane was drawn")
+
+    for score in (overlap_histogram, match_instances, evaluate):
+        with pytest.raises(MetricsError) as info:
+            score(Unread((2, 2, 2)), Unread((2, 2, 3)))
+        assert str(info.value) == "pred shape (2, 2, 2) does not match gt shape (2, 2, 3)"
+
+
+@pytest.mark.parametrize("score", [overlap_histogram, match_instances, evaluate])
+def test_open_readers_score_as_the_volumes_read_from_them(tmp_path, score):
+    pred, gt = blob_pair(np.random.default_rng(4), (6, 40, 50), 60)
+    paths = [tmp_path / "pred.vol3d", tmp_path / "gt.vol3d"]
+    for vol, path in zip((pred, gt), paths):
+        write_volume(vol, path)
+    expected = score(*map(read_volume, paths))
+    assert expected == score(pred, gt)
+    digests = []
+    with _PlaneReader(paths[0], digests) as p, _PlaneReader(paths[1], digests) as g:
+        assert score(p, g) == expected
+    assert digests == [InputDigest(x, hashlib.sha256(x.read_bytes()).hexdigest()) for x in paths]
 
 
 def test_overlap_histogram_pairs_sorted_and_background_free():

@@ -12,9 +12,10 @@ them. Each tree then runs the same fixed script (SCRIPT) of
 tree after the other, so every path that a message or a manifest holds
 reads alike. The script covers every command: both pad modes, both
 connectivities, both methods, refused and forced reruns, and calls that
-exit 2, 3 and 5. Every file the script leaves, and each call's stdout,
-stderr and exit code, are compared. The check prints each difference and
-exits 1, or exits 0 when there is none.
+exit 2, 3 and 5. Every file and every directory the script leaves (an
+empty one too), and each call's stdout, stderr and exit code, are
+compared. The check prints each difference and exits 1, or exits 0 when
+there is none.
 """
 
 from __future__ import annotations
@@ -149,19 +150,19 @@ def _child(tree: Path, work: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
 def run_script(tree: Path, inputs: Path, work: Path) -> dict:
     """Run SCRIPT with tree's CLI in a fresh copy of inputs at work.
 
-    Returns each call's (exit code, stdout, stderr) and every file left in
-    work by relative path, and removes work again.
+    Returns each call's (exit code, stdout, stderr), every file left in
+    work by relative path and the set of directories left there, and
+    removes work again.
     """
     shutil.copytree(inputs, work)
     try:
         runs = [_child(tree, work, argv) for argv in SCRIPT]
-        files = {
-            p.relative_to(work).as_posix(): p.read_bytes()
-            for p in sorted(work.rglob("*")) if p.is_file()
-        }
+        left = sorted(work.rglob("*"))
+        files = {p.relative_to(work).as_posix(): p.read_bytes() for p in left if p.is_file()}
+        dirs = {p.relative_to(work).as_posix() for p in left if p.is_dir()}
     finally:
         shutil.rmtree(work)
-    return {"runs": runs, "files": files}
+    return {"runs": runs, "files": files, "dirs": dirs}
 
 
 def compare(base: dict, change: dict) -> list[str]:
@@ -178,6 +179,9 @@ def compare(base: dict, change: dict) -> list[str]:
             diffs.append(f"file {name}: only in change")
         elif base["files"][name] != change["files"][name]:
             diffs.append(f"file {name}: bytes differ")
+    for name in sorted(base["dirs"] ^ change["dirs"]):
+        side = "base" if name in base["dirs"] else "change"
+        diffs.append(f"directory {name}/: only in {side}")
     return diffs
 
 
@@ -203,7 +207,8 @@ def main(argv=None) -> int:
     codes = " ".join(str(run[0]) for run in results["base"]["runs"])
     print(f"base exit codes, call by call: {codes}")
     files = len(results["base"]["files"].keys() | results["change"]["files"].keys())
-    print(f"{len(diffs)} differences in {len(SCRIPT)} calls and {files} files")
+    dirs = len(results["base"]["dirs"] | results["change"]["dirs"])
+    print(f"{len(diffs)} differences in {len(SCRIPT)} calls, {files} files and {dirs} directories")
     return 1 if diffs else 0
 
 
