@@ -1394,6 +1394,22 @@ def test_failed_write_leaves_nothing_behind(
     assert run(capsys, *args)[0] == 0
 
 
+def test_failed_commit_removes_only_the_directories_it_made(capsys, tmp_path, monkeypatch):
+    # The output's two new directories go, deepest first; "keep", which was
+    # there before the run, stays.
+    (tmp_path / "keep").mkdir()
+    args = ["cc", "--mask", corner_mask(tmp_path), "--out", tmp_path / "keep/a/b/c.vol3d"]
+
+    def fail(*a, **kw):
+        raise OSError("injected write failure")
+
+    monkeypatch.setattr(volume_io, "write_plane", fail)
+    code, _, err = run(capsys, *args)
+    assert code == 3 and "injected write failure" in err
+    assert (tmp_path / "keep").is_dir()
+    assert not (tmp_path / "keep" / "a").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, first_value, renames",
     [
