@@ -199,6 +199,25 @@ def _check_targets(out_dir: Path, names, force: bool) -> None:
                     raise OverwriteRefused(f"output exists: {target} (use --force to overwrite)")
 
 
+def _make_dirs(path: Path, made: list[Path], parents: bool = True) -> None:
+    # Path.mkdir(parents=True, exist_ok=True) step for step, so its errors
+    # read the same, appending each directory to made as it is made. The
+    # directories are made, and recorded, one level at a time, so a ".."
+    # in path cannot make a directory of the user's look like one made here.
+    try:
+        os.mkdir(path)
+    except FileNotFoundError:
+        if not parents or path.parent == path:
+            raise
+        _make_dirs(path.parent, made)
+        _make_dirs(path, made, parents=False)
+    except OSError:
+        if not path.is_dir():
+            raise
+    else:
+        made.append(path)
+
+
 def _commit(
     command: str,
     cfg: PipelineConfig,
@@ -225,10 +244,10 @@ def _commit(
     manifest first, and the new files renamed onto their final names, the
     run manifest last, so a run manifest marks a complete output set. On
     any failure the new files are taken out, the moved targets are moved
-    back, the directories the run made are removed while they are empty,
-    deepest first, and the error is re-raised, so the directory holds what
-    it held before the run, or is gone again if the run made it; only a
-    killed run leaves a ``.part`` or ``.prev``. On
+    back, each directory the run made, as recorded when it was made, is
+    removed if it is empty, deepest first, and the error is re-raised, so
+    the directory holds what it held before the run, or is gone again if
+    the run made it; only a killed run leaves a ``.part`` or ``.prev``. On
     success every ``<name>.prev`` is deleted, and so are the outputs that
     the replaced run manifest of the same command listed and this run did
     not write, with their ``.part`` and ``.prev``, so no output outlives
@@ -251,13 +270,12 @@ def _commit(
             lines = manifest.read_text(encoding="utf-8", errors="replace").splitlines()
             if f"command={command}" in lines:
                 replaced |= {x.removeprefix("output=") for x in lines if x.startswith("output=")}
-    # The directories the run makes, deepest first.
-    new_dirs = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
+    new_dirs: list[Path] = []
     made: list[Path] = []
     moved: list[str] = []
     placed: list[str] = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_dirs(out_dir, new_dirs)
         for names, write in steps.items():
             parts = [out_dir / f"{name}.part" for name in names]
             made += parts
@@ -278,11 +296,11 @@ def _commit(
         for tmp in made:
             if tmp.is_file():
                 tmp.unlink()
-        for d in new_dirs:
+        for d in reversed(new_dirs):
             try:
                 d.rmdir()
-            except OSError:  # not empty, or not made after all
-                break
+            except OSError:  # not empty: something else was put there
+                pass
         raise
     for name in targets:
         (out_dir / f"{name}.prev").unlink(missing_ok=True)
@@ -437,15 +455,16 @@ def cmd_cc(cfg: PipelineConfig, force: bool) -> int:
 
 def cmd_select(cfg: PipelineConfig, force: bool) -> int:
     from .coreset import (
-        METHOD_CORESET, check_budget, kcenter_greedy, normalize_rows, random_select,
+        METHOD_CORESET, _normalize_in_place, check_budget, kcenter_greedy, random_select,
         read_embeddings, write_selection_manifest,
     )
 
     stem = _require(cfg, "embeddings", "embedding stem")
     out_dir = Path(_require(cfg, "out_dir", "output directory"))
     read: list[InputDigest] = []
-    E = read_embeddings(stem, digests=read)
-    En = normalize_rows(E)
+    # read_embeddings has validated the matrix, so it is normalized where it
+    # lies: the command holds one float64 matrix, not a raw and a unit one.
+    En = _normalize_in_place(read_embeddings(stem, digests=read))
     budgets = (cfg.budget,) if cfg.budget is not None else cfg.budgets
     # Every budget is checked before the first selection is computed, so an
     # infeasible budget late in the list fails at once.

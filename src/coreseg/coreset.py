@@ -22,6 +22,7 @@ k_init, budget) on any platform.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,11 +32,13 @@ import numpy as np
 
 from ._fields import decode_lines, parse_float, parse_ints, split_fields
 from .errors import CoresegError, InternalError, SelectionError
-from .provenance import InputDigest, read_digested, record_digest
+from .provenance import InputDigest, read_digested
 from .rng import SplitMix64
 
 SELECTION_MANIFEST_VERSION = 1
 _SELECTION_KEYS = ("format_version", "method", "rng_seed", "k_init", "budget", "radius_trace")
+# Elements of the .f32 payload read per chunk: 256 KiB of float32.
+_READ_CHUNK = 1 << 16
 
 METHOD_CORESET = "coreset"
 METHOD_RANDOM = "random"
@@ -173,11 +176,37 @@ class SelectionManifest:
                     raise SelectionError("coreset radius trace is not non-increasing")
 
 
+# Bytes of float64 rows per block of _normalize_in_place, so a block and
+# the squares that np.linalg.norm takes of it stay within about 1 MiB each.
+_NORM_BLOCK_BYTES = 1 << 20
+
+
+def _normalize_in_place(E: EmbeddingMatrix) -> EmbeddingMatrix:
+    # Scale E.values' rows to unit L2 norm in place, a block of rows at a
+    # time, set the normalized flag and return E. A row's norm and quotient
+    # do not depend on which rows share its block, so the bits equal
+    # values / np.linalg.norm(values, axis=1)[:, None].
+    values = E.values
+    step = max(1, _NORM_BLOCK_BYTES // (8 * values.shape[1]))
+    for start in range(0, values.shape[0], step):
+        block = values[start : start + step]
+        norms = np.linalg.norm(block, axis=1)
+        bad = np.flatnonzero(norms < 1e-12)
+        if bad.size:
+            raise SelectionError(
+                f"zero-norm embedding row for id {E.ids[start + int(bad[0])]!r}"
+            )
+        block /= norms[:, None]
+    E.normalized = True
+    return E
+
+
 def normalize_rows(E: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale every embedding row to unit L2 norm.
 
     Args:
-        E: Source matrix; rows with norm below 1e-12 are rejected.
+        E: Source matrix; rows with norm below 1e-12 are rejected. It is
+            left as it was.
 
     Returns:
         A new EmbeddingMatrix with the normalized flag set and ids
@@ -187,16 +216,8 @@ def normalize_rows(E: EmbeddingMatrix) -> EmbeddingMatrix:
         SelectionError: On a zero or near-zero row, reported with its id.
     """
     E.validate()
-    values = np.ascontiguousarray(E.values, dtype=np.float64)
-    norms = np.linalg.norm(values, axis=1)
-    bad = np.flatnonzero(norms < 1e-12)
-    if bad.size:
-        raise SelectionError(
-            f"zero-norm embedding row for id {E.ids[int(bad[0])]!r}"
-        )
-    return EmbeddingMatrix(
-        ids=list(E.ids), values=values / norms[:, None], normalized=True
-    )
+    values = np.array(E.values, dtype=np.float64, order="C")
+    return _normalize_in_place(EmbeddingMatrix(ids=list(E.ids), values=values))
 
 
 def _distance_row(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -264,6 +285,10 @@ def check_budget(n: int, budget: int, k_init: int | None = None) -> None:
 # changes no bit of the output.
 _PRUNE_MARGIN = 1e-5
 
+# Rows per block when _farthest_first computes the rows that qualify: the
+# block's gathered copy stays at 1 MiB for D = 128, whatever the count.
+_GATHER_ROWS = 1024
+
 
 def _farthest_first(
     values: np.ndarray, forced: Sequence[int], budget: int
@@ -304,7 +329,10 @@ def _farthest_first(
             row = row[closer]
         else:
             idx = np.flatnonzero(near)
-            row = _distance_row(values[idx], v)
+            row = np.empty(idx.size, dtype=np.float64)
+            for start in range(0, idx.size, _GATHER_ROWS):
+                part = idx[start : start + _GATHER_ROWS]
+                row[start : start + part.size] = _distance_row(values[part], v)
             keep = row < min_d[idx]
             closer = idx[keep]
             row = row[keep]
@@ -466,8 +494,10 @@ def read_embeddings(
 ) -> EmbeddingMatrix:
     """Read an embedding set written by write_embeddings.
 
-    Each of the three files is read once. If digests is given, the SHA-256
-    of the bytes parsed from each is appended to it (.meta, .f32, .ids).
+    Each of the three files is read once; the .f32 payload is read in
+    chunks, each converted into its place in the one float64 matrix. If
+    digests is given, the SHA-256 of the bytes parsed from each file is
+    appended to it (.meta, .f32, .ids).
 
     Returns:
         An EmbeddingMatrix with float64 values and normalized = False.
@@ -491,18 +521,36 @@ def read_embeddings(
     dtype = fields["dtype"]
     if dtype != "f32le":
         raise SelectionError(f"{meta_path}: unsupported dtype {dtype!r}")
-    with payload_path.open("rb") as f:
+    expected = count * dim * 4
+    h = None if digests is None else hashlib.sha256()
+    # Unbuffered: each chunk is read straight into one reused buffer, hashed
+    # and converted into its place in values, so the float32 payload is
+    # never held whole.
+    with payload_path.open("rb", buffering=0) as f:
         found = os.fstat(f.fileno()).st_size
-        if found == count * dim * 4:
-            raw = np.fromfile(f, dtype="<f4", count=count * dim)
-            # Shorter only if the file shrank since fstat.
-            found = raw.nbytes
-    if found != count * dim * 4:
+        if found == expected:
+            values = np.empty((count, dim), dtype=np.float64)
+            flat = values.reshape(-1)
+            buffer = np.empty(_READ_CHUNK, dtype="<f4")
+            for start in range(0, flat.size, _READ_CHUNK):
+                chunk = buffer[: flat.size - start]
+                raw = chunk.view(np.uint8)
+                got = 0
+                while got < raw.size and (n := f.readinto(raw[got:])):
+                    got += n
+                # Short only if the file shrank since fstat.
+                if got < raw.size:
+                    found = 4 * start + got
+                    break
+                if h is not None:
+                    h.update(chunk)
+                flat[start : start + chunk.size] = chunk
+    if found != expected:
         raise SelectionError(
-            f"{payload_path}: payload holds {found} bytes, expected {count * dim * 4}"
+            f"{payload_path}: payload holds {found} bytes, expected {expected}"
         )
-    record_digest(digests, payload_path, raw)
-    values = raw.reshape(count, dim).astype(np.float64)
+    if h is not None:
+        digests.append(InputDigest(payload_path, h.hexdigest()))
     ids = decode_lines(
         read_digested(ids_path, digests), SelectionError, f"{ids_path}: malformed ids", "utf-8"
     )

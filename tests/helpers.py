@@ -8,11 +8,12 @@ rescans instead of incremental minima) so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import deque
 
 import numpy as np
 
-from coreseg import volume_io
+from coreseg import coreset, volume_io
 from coreseg.coreset import EmbeddingMatrix, _distance_row, normalize_rows
 from coreseg.report import LearningCurve, MetricsRecord, build_curve
 from coreseg.rng import SplitMix64
@@ -118,6 +119,24 @@ def shrink(monkeypatch, path, size):
             f.truncate(len(volume_io._header_bytes(reader.header)) + size)
 
     monkeypatch.setattr(volume_io._PlaneReader, "__init__", open_then_truncate)
+
+
+def shrink_payload(monkeypatch, path, size):
+    """Make coreset.read_embeddings cut path, an .f32 payload, to size bytes
+    right after it has checked the file's size.
+
+    The check passes on the whole file, so the read that follows comes up
+    short, in whichever chunk holds byte size.
+    """
+    real = os.fstat
+
+    def fstat_then_truncate(fd):
+        found = real(fd)
+        if os.path.samestat(found, os.stat(path)):
+            os.truncate(path, size)
+        return found
+
+    monkeypatch.setattr(coreset.os, "fstat", fstat_then_truncate)
 
 
 # ---------------------------------------------------------------------------

@@ -1410,6 +1410,51 @@ def test_failed_commit_removes_only_the_directories_it_made(capsys, tmp_path, mo
     assert not (tmp_path / "keep" / "a").exists()
 
 
+def test_failed_commit_removes_the_directories_it_made_past_a_dotdot(
+    capsys, tmp_path, monkeypatch
+):
+    # The output path climbs out of the new "x" with "..": the run makes x
+    # and E/c, and a failed run removes those two and nothing else. E, an
+    # empty directory of the user's, stays.
+    (tmp_path / "w").mkdir()
+    (tmp_path / "E").mkdir()
+    args = ["cc", "--mask", corner_mask(tmp_path), "--out",
+            tmp_path / "w" / "x" / ".." / ".." / "E" / "c" / "out.vol3d"]
+
+    def fail(*a, **kw):
+        raise OSError("injected write failure")
+
+    monkeypatch.setattr(volume_io, "write_plane", fail)
+    code, _, err = run(capsys, *args)
+    assert code == 3 and "injected write failure" in err
+    assert not (tmp_path / "w" / "x").exists()
+    assert not (tmp_path / "E" / "c").exists()
+    assert (tmp_path / "E").is_dir()
+
+
+@pytest.mark.parametrize("blocked", ["parent", "ancestor"])
+def test_output_directory_that_cannot_be_made_reads_as_mkdir_says(
+    capsys, tmp_path, blocked
+):
+    # A file where the output's directory, or one above it, would go: the
+    # message is Path.mkdir's own, and the run exits 3 with nothing made.
+    (tmp_path / "f").write_text("")
+    out_dir = tmp_path / "f" if blocked == "parent" else tmp_path / "new" / "f" / "sub"
+    if blocked == "ancestor":
+        (tmp_path / "new").mkdir()
+        (tmp_path / "new" / "f").write_text("")
+    with pytest.raises(OSError) as want:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    args = ["cc", "--mask", corner_mask(tmp_path), "--out", out_dir / "c.vol3d"]
+    code, out, err = run(capsys, *args)
+    assert code == 3
+    assert err == f"coreseg cc: {want.value}\n"
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+        ["f", "corner.vol3d"] + (["new", "f"] if blocked == "ancestor" else [])
+    )
+
+
 @pytest.mark.parametrize(
     "command, flag, first_value, renames",
     [

@@ -1,12 +1,13 @@
-"""Peak memory of the tile, fuse, cc and evaluate commands, measured on child processes.
+"""Peak memory of the tile, fuse, cc, evaluate and select commands, measured on child processes.
 
 Each command runs as a child of a small `python -S` spawner, which reads
 the child's peak RSS from os.wait4. A child spawned straight from pytest
 could report pytest's own peak instead: Linux carries the peak RSS of the
 address space a program is exec'ed from into the new program's
 ru_maxrss. Each command's baseline is the same command on one-voxel
-inputs, which loads the same modules (a command loads only its own, and
-numpy); what a command holds beyond it is its inputs plus its scratch.
+inputs (select's, on a 2x2 embedding set), which loads the same modules
+(a command loads only its own, and numpy); what a command holds beyond
+it is its inputs plus its scratch.
 """
 
 import json
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import coreseg
+from coreseg.coreset import EmbeddingMatrix, write_embeddings
 from coreseg.volume_io import KIND_MASK, new_volume, read_volume, write_volume
 
 MIB = 1 << 20
@@ -30,6 +32,11 @@ PLANE_MIB = 4 * SHAPE[1] * SHAPE[2] / MIB
 # The labeler's state per x-run: two int32 keys, a parent and two edge ends
 # (4 bytes each), plus up to two more edge ends per row step.
 RUN_BYTES = 28
+ROWS, DIM = 20000, 128  # 19.5 MiB of float64 embeddings
+# What select holds per id: the str and its list slot (about 72 bytes for
+# the 10-character ids below), and while validation runs, its share of
+# the set that checks uniqueness (about 130 bytes).
+ID_BYTES = 256
 
 SPAWN = """\
 import json, os, sys
@@ -186,3 +193,26 @@ def test_evaluate_streams_both_volumes(tmp_path, volumes):
         str(volumes / "gt.vol3d"), "--budget", "8", "--out-dir", str(tmp_path / "out"),
     )
     assert peak - base <= 3 * PLANE_MIB + SCRATCH_MIB, (base, peak)
+
+
+@pytest.mark.parametrize("method", ["coreset", "random"])
+def test_select_holds_one_float64_matrix(tmp_path, method):
+    # The select-sweep embeddings: 64 clusters, default budgets. The float32
+    # payload beside its float64 copy, a second, normalized matrix, or the
+    # greedy's gather of a quarter of the rows would exceed the bound by
+    # 4.9 to 19.5 MiB each.
+    rng = np.random.default_rng(11)
+    centers = rng.normal(size=(64, DIM))
+    values = centers[rng.integers(0, 64, ROWS)] + 0.35 * rng.normal(size=(ROWS, DIM))
+    write_embeddings(EmbeddingMatrix([f"item{i:06d}" for i in range(ROWS)], values), tmp_path / "e")
+    write_embeddings(EmbeddingMatrix(["a", "b"], np.eye(2)), tmp_path / "tiny")
+    base = peak_mib(
+        tmp_path, "select", "--embeddings", str(tmp_path / "tiny"), "--method", method,
+        "--budget", "2", "--k-init", "1", "--out-dir", str(tmp_path / "base"),
+    )
+    peak = peak_mib(
+        tmp_path, "select", "--embeddings", str(tmp_path / "e"), "--method", method,
+        "--out-dir", str(tmp_path / "out"),
+    )
+    held = (8 * ROWS * DIM + ID_BYTES * ROWS) / MIB
+    assert peak - base <= held + SCRATCH_MIB, (base, peak, held)

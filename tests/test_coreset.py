@@ -26,7 +26,7 @@ from coreseg.coreset import (
 from coreseg.errors import SelectionError
 from coreseg.rng import SplitMix64
 
-from helpers import brute_greedy, full_row_farthest_first, optimal_radius
+from helpers import brute_greedy, full_row_farthest_first, optimal_radius, shrink_payload
 
 
 def gaussian_embeddings(rng, n, dim):
@@ -47,6 +47,30 @@ def test_normalize_rows_unit_norm():
 def test_normalize_rows_rejects_zero_row():
     E = EmbeddingMatrix(ids=["a", "b"], values=np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SelectionError, match="'b'"):
+        normalize_rows(E)
+
+
+# Rows per normalization block at dim 128.
+NORM_BLOCK = coreset._NORM_BLOCK_BYTES // (8 * 128)
+
+
+@pytest.mark.parametrize("n", [1, NORM_BLOCK - 1, NORM_BLOCK, NORM_BLOCK + 1])
+def test_normalize_rows_in_blocks_is_bit_identical_to_whole_matrix(n):
+    values = np.random.default_rng(n).normal(size=(n, 128))
+    kept = values.copy()
+    En = normalize_rows(EmbeddingMatrix([f"i{j}" for j in range(n)], values))
+    want = values / np.linalg.norm(values, axis=1)[:, None]
+    assert En.values.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    # The argument is left as it was.
+    assert np.array_equal(values, kept)
+    assert not np.shares_memory(En.values, values)
+
+
+def test_normalize_rows_names_a_zero_row_in_a_later_block():
+    values = np.random.default_rng(5).normal(size=(2 * NORM_BLOCK, 128))
+    values[NORM_BLOCK + 3] = 0.0
+    E = EmbeddingMatrix([f"i{j}" for j in range(len(values))], values)
+    with pytest.raises(SelectionError, match=f"'i{NORM_BLOCK + 3}'"):
         normalize_rows(E)
 
 
@@ -313,6 +337,54 @@ def test_read_embeddings_records_digest_of_each_file(tmp_path):
     assert [d.sha256 for d in digests] == [
         hashlib.sha256(f.read_bytes()).hexdigest() for f in files
     ]
+
+
+def multi_chunk_embeddings(stem):
+    # 2.5 read chunks of payload, in rows of 8.
+    n = 5 * coreset._READ_CHUNK // 16
+    E = gaussian_embeddings(np.random.default_rng(29), n, 8)
+    write_embeddings(E, stem)
+    return E
+
+
+def test_read_embeddings_streams_a_payload_of_several_chunks(tmp_path):
+    stem = tmp_path / "emb"
+    E = multi_chunk_embeddings(stem)
+    digests = []
+    back = read_embeddings(stem, digests=digests)
+    assert np.array_equal(back.values, E.values.astype("<f4").astype(np.float64))
+    payload = (tmp_path / "emb.f32").read_bytes()
+    assert digests[1].path == tmp_path / "emb.f32"
+    assert digests[1].sha256 == hashlib.sha256(payload).hexdigest()
+
+
+def test_read_embeddings_refuses_a_payload_that_shrinks_mid_read(tmp_path, monkeypatch):
+    # The file passes the size check, then loses its tail: the second chunk
+    # comes up short by a part of a float, and no payload digest is kept.
+    stem = tmp_path / "emb"
+    multi_chunk_embeddings(stem)
+    payload = tmp_path / "emb.f32"
+    expected = payload.stat().st_size
+    cut = 4 * coreset._READ_CHUNK + 6
+    shrink_payload(monkeypatch, payload, cut)
+    digests = []
+    with pytest.raises(SelectionError) as exc:
+        read_embeddings(stem, digests=digests)
+    assert str(exc.value) == f"{payload}: payload holds {cut} bytes, expected {expected}"
+    assert [d.path for d in digests] == [tmp_path / "emb.meta"]
+
+
+@pytest.mark.parametrize("count, dim", [(0, 4), (3, 0)], ids=["count-0", "dim-0"])
+def test_read_embeddings_of_an_empty_matrix_keeps_its_message(tmp_path, count, dim):
+    stem = tmp_path / "emb"
+    (tmp_path / "emb.meta").write_text(f"count={count}\ndim={dim}\ndtype=f32le\n")
+    (tmp_path / "emb.f32").write_bytes(b"")
+    (tmp_path / "emb.ids").write_text("".join(f"i{j}\n" for j in range(count)))
+    digests = []
+    with pytest.raises(SelectionError) as exc:
+        read_embeddings(stem, digests=digests)
+    assert str(exc.value) == f"embedding matrix must be (N >= 1, Dim >= 1), got ({count}, {dim})"
+    assert digests[1].sha256 == hashlib.sha256(b"").hexdigest()
 
 
 def test_read_embeddings_rejects_ids_that_are_not_utf8(tmp_path):
@@ -613,6 +685,29 @@ def test_distance_row_is_stable_under_row_subsets(n, dim, seed):
         rng.shuffle(idx)
         sub = coreset._distance_row(values[idx], v)
         assert sub.view(np.uint64).tolist() == full[idx].view(np.uint64).tolist()
+
+
+def test_pruned_loop_in_gather_blocks_is_bit_identical_to_full_rows(monkeypatch):
+    # Blocks of 7 rows, so most pruned picks gather several blocks.
+    monkeypatch.setattr(coreset, "_GATHER_ROWS", 7)
+    real = coreset._distance_row
+    sizes = []
+
+    def counted(rows, v):
+        sizes.append(len(rows))
+        return real(rows, v)
+
+    monkeypatch.setattr(coreset, "_distance_row", counted)
+    values = _rows_of_kind("clustered", 400, 16, np.random.default_rng(30))
+    for forced in ([5], [int(i) for i in np.random.default_rng(31).permutation(400)[:120]]):
+        sizes.clear()
+        got = coreset._farthest_first(values, forced, 120)
+        want = full_row_farthest_first(values, forced, 120)
+        assert got[0] == want[0]
+        assert [r.hex() for r in got[1]] == [r.hex() for r in want[1]]
+        # One call per pick against the picks, and more than one item-row
+        # call per pick: some picks gathered several blocks.
+        assert len(sizes) - 120 > 120, len(sizes)
 
 
 def test_pruning_skips_most_rows_on_clustered_data(monkeypatch):

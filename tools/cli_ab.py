@@ -12,7 +12,9 @@ them. Each tree then runs the same fixed script (SCRIPT) of
 tree after the other, so every path that a message or a manifest holds
 reads alike. The script covers every command: both pad modes, both
 connectivities, both methods, refused and forced reruns, and calls that
-exit 2, 3 and 5. Every file and every directory the script leaves (an
+exit 2, 3 and 5. Both methods also run on an embedding set larger than
+one read chunk and one normalization block of coreseg.coreset, so that
+the chunk and block boundaries are crossed. Every file and every directory the script leaves (an
 empty one too), and each call's stdout, stderr and exit code, are
 compared. The check prints each difference and exits 1, or exits 0 when
 there is none.
@@ -64,6 +66,7 @@ SCRIPT = [
      "--force"],
     ["cc", "--mask", "vol.vol3d", "--out", "cc/bad.vol3d"],  # not a mask: 3
     ["cc", "--mask", "mask_last.vol3d", "--out", "cc/last.vol3d"],  # a 2 in the last plane: 3
+    ["cc", "--mask", "mask.vol3d", "--out", "vol.vol3d/x/c.vol3d"],  # a file above: 3
     ["fuse", "--slices-dir", "slices", "--connectivity", "6", "--out", "fuse/face6.vol3d"],
     ["fuse", "--slices-dir", "slices", "--out", "fuse/full26.vol3d"],
     ["fuse", "--slices-dir", "cc", "--out", "fuse/bad.vol3d"],  # no numeric suffix: 3
@@ -81,6 +84,12 @@ SCRIPT = [
     ["select", "--embeddings", "zero", "--budget", "2", "--out-dir", "sel_zero"],  # 3
     ["select", "--embeddings", "empty", "--budget", "2", "--out-dir", "sel_empty"],  # 3
     ["select", "--config", "select.cfg"],
+    # 20000x8: 2.4 read chunks, 1.2 normalization blocks, and picks that
+    # gather several blocks of rows.
+    ["select", "--embeddings", "big", "--method", "coreset", "--budgets", "8,300",
+     "--k-init", "2", "--seed", "7", "--out-dir", "sel_big"],
+    ["select", "--embeddings", "big", "--method", "random", "--budgets", "8,300",
+     "--seed", "7", "--out-dir", "sel_big"],
     [*EVAL, "--budget", "2"],
     ["evaluate", "--pred", "gt.vol3d", "--gt", "vol.vol3d", "--out-dir", "metrics",
      "--budget", "4"],
@@ -117,6 +126,8 @@ def write_inputs(into: Path) -> None:
     values[3] = 0.0
     write_embeddings(into / "zero", ids, values)
     write_embeddings(into / "empty", [], np.zeros((0, 4)))
+    write_embeddings(into / "big", [f"big{i:05d}" for i in range(20000)],
+                     np.random.default_rng(22).normal(size=(20000, 8)))
     (into / "select.cfg").write_text(
         "embeddings = emb\nmethod = random\nbudgets = 2,5\nrng_seed = 3\nout_dir = sel_cfg\n",
         encoding="ascii",
