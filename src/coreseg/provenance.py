@@ -32,22 +32,10 @@ class InputDigest:
         return os.fspath(self.path)
 
 
-def record_digest(digests: list[InputDigest] | None, path: str | Path, *chunks) -> None:
-    """Append the SHA-256 of chunks, read from path, to digests if given.
-
-    Each chunk is any C-contiguous buffer (bytes, a NumPy array); nothing
-    is copied, and nothing is hashed when digests is None.
-    """
-    if digests is None:
-        return
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    digests.append(InputDigest(Path(path), h.hexdigest()))
-
-
 def read_digested(path: str | Path, digests: list[InputDigest] | None) -> bytes:
-    """Read a whole file once and record the digest of what was read."""
+    """Read a whole file once and, if digests is given, append the SHA-256
+    of what was read to it."""
     data = Path(path).read_bytes()
-    record_digest(digests, path, data)
+    if digests is not None:
+        digests.append(InputDigest(Path(path), hashlib.sha256(data).hexdigest()))
     return data
