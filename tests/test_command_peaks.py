@@ -204,7 +204,8 @@ def test_select_holds_one_float64_matrix(tmp_path, method):
     rng = np.random.default_rng(11)
     centers = rng.normal(size=(64, DIM))
     values = centers[rng.integers(0, 64, ROWS)] + 0.35 * rng.normal(size=(ROWS, DIM))
-    write_embeddings(EmbeddingMatrix([f"item{i:06d}" for i in range(ROWS)], values), tmp_path / "e")
+    ids = [f"item{i:06d}" for i in range(ROWS)]
+    write_embeddings(EmbeddingMatrix(ids, values), tmp_path / "e")
     write_embeddings(EmbeddingMatrix(["a", "b"], np.eye(2)), tmp_path / "tiny")
     base = peak_mib(
         tmp_path, "select", "--embeddings", str(tmp_path / "tiny"), "--method", method,

@@ -14,9 +14,9 @@ reads alike. The script covers every command: both pad modes, both
 connectivities, both methods, refused and forced reruns, and calls that
 exit 2, 3 and 5. Both methods also run on an embedding set larger than
 one read chunk and one normalization block of coreseg.coreset, so that
-the chunk and block boundaries are crossed. Every file and every directory the script leaves (an
-empty one too), and each call's stdout, stderr and exit code, are
-compared. The check prints each difference and exits 1, or exits 0 when
+the chunk and block boundaries are crossed. Every file and every
+directory the script leaves (an empty one too), and each call's stdout,
+stderr and exit code, are compared. The check prints each difference and exits 1, or exits 0 when
 there is none.
 """
 
