@@ -48,12 +48,9 @@ _EXPORTS = {
     "CONN_FACE6": "label_fusion",
     "CONN_FULL26": "label_fusion",
     "Connectivity": "label_fusion",
-    "component_count": "label_fusion",
     "connected_components": "label_fusion",
-    "stack_slices": "label_fusion",
     "PatchId": "patch_grid",
     "PatchSpec": "patch_grid",
-    "extract_patch": "patch_grid",
     "plan_grid": "patch_grid",
     "reassemble": "patch_grid",
     "tile": "patch_grid",

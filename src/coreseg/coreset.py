@@ -529,6 +529,10 @@ def read_embeddings(
     with payload_path.open("rb", buffering=0) as f:
         found = os.fstat(f.fileno()).st_size
         if found == expected:
+            # The payload's size bounds count * dim, not one axis when the
+            # other is 0; numpy refuses a float64 axis past intp's bytes.
+            if max(count, dim) > np.iinfo(np.intp).max // 8:
+                raise SelectionError(f"{context}: shape ({count}, {dim}) is too large")
             values = np.empty((count, dim), dtype=np.float64)
             flat = values.reshape(-1)
             buffer = np.empty(_READ_CHUNK, dtype="<f4")

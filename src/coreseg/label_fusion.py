@@ -14,7 +14,7 @@ in instance_metrics is the other); it joins x-runs, not voxels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,11 +53,6 @@ class Connectivity:
     def __post_init__(self) -> None:
         if self.kind not in _ROW_STEPS:
             raise FusionError(f"unknown connectivity {self.kind!r}")
-
-    @staticmethod
-    def from_flag(flag: str) -> "Connectivity":
-        """Map a CLI flag ("6", "26", "face6", "full26") to a Connectivity."""
-        return Connectivity(connectivity_kind(flag, FusionError))
 
 
 CONN_FACE6 = Connectivity("face6")
@@ -257,41 +252,6 @@ def label_components(mask: np.ndarray, conn: Connectivity) -> np.ndarray:
     return out
 
 
-def stack_slices(slices: Sequence[np.ndarray]) -> LabelVolume:
-    """Stack 2D label grids along z into one binary mask volume.
-
-    Per-slice instance identities are discarded: an output voxel is 1 iff
-    the corresponding 2D pixel has any label > 0.
-
-    Args:
-        slices: Ordered 2D integer arrays, all of the same (y, x) shape.
-
-    Returns:
-        A binary_mask LabelVolume of shape (len(slices), y, x).
-
-    Raises:
-        FusionError: On an empty list, a slice that is not 2D, or
-            inconsistent slice shapes.
-    """
-    if not slices:
-        raise FusionError("stack_slices requires at least one slice")
-    grids = [np.asarray(item) for item in slices]
-    shape = grids[0].shape
-    for i, arr in enumerate(grids):
-        if arr.ndim != 2:
-            raise FusionError(f"slice {i} is {arr.ndim}D, expected 2D")
-        if arr.shape != shape:
-            raise FusionError(
-                f"slice {i} shape {arr.shape} does not match slice 0 shape {shape}"
-            )
-    stacked = np.empty((len(grids), *shape), np.uint32)
-    for z, arr in enumerate(grids):
-        np.greater(arr, 0, out=stacked[z])
-    return LabelVolume(
-        VolumeHeader(shape=tuple(stacked.shape), value_kind=KIND_MASK), stacked
-    )
-
-
 def _check_mask_kind(header: VolumeHeader) -> None:
     if header.value_kind != KIND_MASK:
         raise VolumeFormatError(
@@ -322,8 +282,3 @@ def connected_components(
     return LabelVolume(
         VolumeHeader(shape=vol.header.shape, value_kind=KIND_INSTANCE), labels
     )
-
-
-def component_count(vol: LabelVolume) -> int:
-    """Return the number of instances in a canonical instance volume."""
-    return int(vol.voxels.max()) if vol.voxels.size else 0

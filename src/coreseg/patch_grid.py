@@ -23,8 +23,8 @@ cell of the grid, into one reused plane buffer by one basic-slice copy
 per (y, x) run pair, and handed on as plane k of every patch whose z
 runs map k to it. A reflect run can map several k of one patch, or of
 two patches, to the same source plane. So `tile` writes every patch
-file from one read of the volume holding two planes, extract_patch
-holds the patch plus one plane, and tile() the patches plus one plane.
+file from one read of the volume holding two planes, and tile() holds
+the patches plus one plane.
 Every window starts inside the axis, as the pad is shorter than a
 patch. reassemble copies each patch's in-bounds run straight into one
 volume of the original shape, and holds no more.
@@ -191,14 +191,6 @@ def _axis_runs(spec: PatchSpec, pid: PatchId, pad_mode: str) -> list[list[tuple[
     return [_runs(spec, axis, i, pad_mode) for axis, i in enumerate(pid.grid_index)]
 
 
-def _check_id(spec: PatchSpec, pid: PatchId) -> None:
-    idx = pid.grid_index
-    if len(idx) != 3 or any(int(i) < 0 for i in idx):
-        raise GridError(f"grid index must be three non-negative integers, got {idx}")
-    if any(int(i) >= d for i, d in zip(idx, spec.grid_dims)):
-        raise GridError(f"grid index {tuple(idx)} outside grid dims {spec.grid_dims}")
-
-
 def _scatter_planes(
     spec: PatchSpec, planes: Iterable[np.ndarray], pids: Sequence[PatchId]
 ) -> Iterator[tuple[PatchId, int, np.ndarray]]:
@@ -248,45 +240,6 @@ def _scatter_planes(
         yield pid, k, buffer
 
 
-def _patches(
-    vol: LabelVolume, spec: PatchSpec, pids: Sequence[PatchId]
-) -> dict[PatchId, LabelVolume]:
-    # Fill the patches of pids from one pass over vol's planes.
-    if tuple(vol.voxels.shape) != spec.original_shape:
-        raise GridError(
-            f"volume shape {tuple(vol.voxels.shape)} does not match "
-            f"spec original shape {spec.original_shape}"
-        )
-    blocks = {pid: np.empty(spec.patch_shape, dtype=np.uint32) for pid in pids}
-    for pid, k, plane in _scatter_planes(spec, vol.voxels, pids):
-        blocks[pid][k] = plane
-    header = VolumeHeader(shape=spec.patch_shape, value_kind=vol.header.value_kind)
-    return {pid: LabelVolume(header, block) for pid, block in blocks.items()}
-
-
-def extract_patch(vol: LabelVolume, spec: PatchSpec, pid: PatchId) -> LabelVolume:
-    """Extract one patch, padding margins according to spec.pad_mode.
-
-    The patch is filled plane by plane by _scatter_planes, so extraction
-    holds the patch plus one plane.
-
-    Args:
-        vol: Source volume; shape must equal spec.original_shape.
-        spec: Tiling geometry.
-        pid: Which grid cell to extract.
-
-    Returns:
-        A LabelVolume of spec.patch_shape with vol's value kind. Voxels
-        inside the original extent copy the source; margin voxels follow
-        the pad mode.
-
-    Raises:
-        GridError: On an out-of-range id or shape mismatch.
-    """
-    _check_id(spec, pid)
-    return _patches(vol, spec, [pid])[pid]
-
-
 def tile(
     vol: LabelVolume, spec: PatchSpec, volume_name: str
 ) -> dict[PatchId, LabelVolume]:
@@ -306,7 +259,17 @@ def tile(
     Raises:
         GridError: On a shape mismatch.
     """
-    return _patches(vol, spec, patch_ids(spec, volume_name))
+    if tuple(vol.voxels.shape) != spec.original_shape:
+        raise GridError(
+            f"volume shape {tuple(vol.voxels.shape)} does not match "
+            f"spec original shape {spec.original_shape}"
+        )
+    pids = patch_ids(spec, volume_name)
+    blocks = {pid: np.empty(spec.patch_shape, dtype=np.uint32) for pid in pids}
+    for pid, k, plane in _scatter_planes(spec, vol.voxels, pids):
+        blocks[pid][k] = plane
+    header = VolumeHeader(shape=spec.patch_shape, value_kind=vol.header.value_kind)
+    return {pid: LabelVolume(header, block) for pid, block in blocks.items()}
 
 
 def reassemble(patches: Mapping[PatchId, LabelVolume], spec: PatchSpec) -> LabelVolume:

@@ -98,7 +98,8 @@ def parse_metrics_csv(text: str, source: str = "<metrics>") -> tuple[int, Metric
     """Parse a single-row metrics CSV back into (budget, record, threshold).
 
     Raises:
-        MetricsError: On missing header, wrong columns, or a malformed row.
+        MetricsError: On missing header, wrong columns, or a malformed row,
+            among them a score that is not finite or lies outside [0, 1].
     """
     lines = [line for line in text.splitlines() if line]
     if len(lines) != 2 or lines[0] != ",".join(CSV_COLUMNS):
@@ -111,6 +112,9 @@ def parse_metrics_csv(text: str, source: str = "<metrics>") -> tuple[int, Metric
         *scores, threshold = (
             parse_float(c, MetricsError, "score or threshold") for c in cells[4:]
         )
+        for name, score in zip(CSV_COLUMNS[4:], scores):
+            if not 0.0 <= score <= 1.0:
+                raise MetricsError(f"{name} must lie in [0, 1], got {score}")
         check_iou_threshold(threshold, MetricsError)
     except MetricsError as exc:
         raise MetricsError(f"{source}: malformed metrics row: {exc}") from exc

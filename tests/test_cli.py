@@ -687,6 +687,32 @@ def test_select_empty_embedding_matrix_is_input_error(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "count, dim", [(10**19, 0), (0, 10**19)], ids=["count-huge", "dim-huge"]
+)
+def test_select_unallocatable_empty_shape_is_input_error(
+    capsys, tmp_path, demo_embeddings, count, dim
+):
+    # An axis of 10**19 beside an axis of 0 matches an empty payload, and
+    # numpy refused the shape with a ValueError, exit 4.
+    stem, _ = demo_embeddings
+    meta = Path(f"{stem}.meta")
+    meta.write_text(f"count={count}\ndim={dim}\ndtype=f32le\n")
+    Path(f"{stem}.f32").write_bytes(b"")
+    Path(f"{stem}.ids").write_bytes(b"")
+    out_dir = tmp_path / "sel"
+    code, out, err = run(
+        capsys, "select", "--embeddings", stem, "--budget", "2", "--out-dir", out_dir,
+    )
+    assert code == 3, err
+    assert err == (
+        f"coreseg select: {meta}: malformed embedding metadata: "
+        f"shape ({count}, {dim}) is too large\n"
+    )
+    assert out == ""
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("method", ["coreset", "random"])
 def test_select_infeasible_budget_in_list_writes_nothing(
     capsys, tmp_path, demo_embeddings, method
@@ -1024,21 +1050,25 @@ def test_report_non_ascii_metrics_is_input_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "budget_cell, threshold_cell, message",
+    "edits, message",
     [
-        ("2", "0.9", "cannot report across iou thresholds [0.5, 0.9]"),
-        ("2", "0.1", "iou_threshold must lie in [0.5, 1), got 0.1"),
-        ("+2", "0.5", "'+2,0,0,2'"),
-        ("0_2", "0.5", "'0_2,0,0,2'"),
-        ("2", "0.5_0", "score or threshold '0.5_0'"),
-        ("2", " 0.5", "score or threshold ' 0.5'"),
+        ({"iou_threshold": "0.9"}, "cannot report across iou thresholds [0.5, 0.9]"),
+        ({"iou_threshold": "0.1"}, "iou_threshold must lie in [0.5, 1), got 0.1"),
+        ({"budget": "+2"}, "'+2,0,0,2'"),
+        ({"budget": "0_2"}, "'0_2,0,0,2'"),
+        ({"iou_threshold": "0.5_0"}, "score or threshold '0.5_0'"),
+        ({"iou_threshold": " 0.5"}, "score or threshold ' 0.5'"),
+        # 1e30 and 1.1e4000 reached Decimal.quantize and exited 4.
+        ({"pq": "1e30"}, "malformed metrics row: pq must lie in [0, 1], got 1e+30\n"),
+        ({"pq": "1.1e4000"}, "malformed metrics row: pq must lie in [0, 1], got inf\n"),
+        ({"f1": "nan"}, "malformed metrics row: f1 must lie in [0, 1], got nan\n"),
+        ({"recall": "-0.1"}, "malformed metrics row: recall must lie in [0, 1], got -0.1\n"),
     ],
     ids=["mixed-thresholds", "threshold-below-half", "plus-sign-budget", "underscore-budget",
-         "underscore-threshold", "space-threshold"],
+         "underscore-threshold", "space-threshold", "score-1e30", "score-overflow",
+         "score-nan", "score-negative"],
 )
-def test_report_rejects_bad_metrics_cells(
-    capsys, tmp_path, budget_cell, threshold_cell, message
-):
+def test_report_rejects_bad_metrics_cells(capsys, tmp_path, edits, message):
     gt, empty = labeled_pair(tmp_path)
     metrics_dir = tmp_path / "metrics"
     for budget, pred in (("2", empty), ("4", gt)):
@@ -1048,14 +1078,14 @@ def test_report_rejects_bad_metrics_cells(
         )[0] == 0
     csv = metrics_dir / "metrics_b2.csv"
     header, row = csv.read_text().splitlines()
-    cells = row.split(",")
-    cells[0], cells[-1] = budget_cell, threshold_cell
-    csv.write_text(f"{header}\n{','.join(cells)}\n")
-    code, _, err = run(
+    cells = dict(zip(header.split(","), row.split(","))) | edits
+    csv.write_text(f"{header}\n{','.join(cells.values())}\n")
+    code, out, err = run(
         capsys, "report", "--metrics-dir", metrics_dir, "--out-dir", tmp_path / "r"
     )
     assert code == 3, err
     assert message in err
+    assert out == ""
     assert not (tmp_path / "r").exists()
 
 

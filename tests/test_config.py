@@ -19,7 +19,7 @@ from coreseg.errors import (
     SelectionError,
 )
 from coreseg.instance_metrics import match_instances
-from coreseg.label_fusion import Connectivity
+from coreseg.label_fusion import Connectivity, connectivity_kind
 from coreseg.patch_grid import plan_grid
 from coreseg.report import MetricsRecord, build_curve, first_surpass
 from coreseg.volume_io import new_volume
@@ -36,7 +36,7 @@ CURVE = build_curve({1: MetricsRecord.from_counts(1, 0, 0, 1.0)})
 # (numbers converted first), and the errors by which it refuses one.
 LIBRARY = {
     "pad_mode": (lambda t: plan_grid((2, 2, 2), (1, 1, 1), t), GridError),
-    "connectivity": (Connectivity.from_flag, FusionError),
+    "connectivity": (lambda t: Connectivity(connectivity_kind(t, FusionError)), FusionError),
     "method": (lambda t: SelectionManifest(t, 0, 0, 0).validate(), SelectionError),
     "iou_threshold": (
         lambda t: match_instances(VOLUME, VOLUME, float(t)),

@@ -1,4 +1,4 @@
-"""Tests for slice stacking and 3D connected-component labeling."""
+"""Tests for 3D connected-component labeling."""
 
 import tracemalloc
 from unittest import mock
@@ -15,12 +15,10 @@ from coreseg.label_fusion import (
     CONN_FACE6,
     CONN_FULL26,
     Connectivity,
-    component_count,
     connected_components,
     label_components,
-    stack_slices,
 )
-from coreseg.volume_io import KIND_INSTANCE, KIND_MASK
+from coreseg.volume_io import KIND_INSTANCE
 
 from helpers import bfs_label, instance_volume, mask_volume, neighbor_offsets, random_mask
 
@@ -37,43 +35,9 @@ def test_row_steps_are_the_oracles_earlier_rows():
         assert label_fusion._ROW_STEPS[kind] == steps, kind
 
 
-def test_connectivity_from_flag():
-    assert Connectivity.from_flag("6").kind == "face6"
-    assert Connectivity.from_flag("26").kind == "full26"
-    assert Connectivity.from_flag("face6").kind == "face6"
-    assert Connectivity.from_flag("full26").kind == "full26"
-    with pytest.raises(FusionError):
-        Connectivity.from_flag("18")
-
-
 def test_connectivity_rejects_unknown_kind():
     with pytest.raises(FusionError):
         Connectivity("face4")
-
-
-def test_stack_slices_binarizes_and_orders():
-    a = np.array([[0, 3], [0, 0]])
-    b = np.array([[7, 0], [0, 9]])
-    vol = stack_slices([a, b])
-    assert vol.header.value_kind == KIND_MASK
-    assert vol.header.shape == (2, 2, 2)
-    np.testing.assert_array_equal(vol.voxels[0], [[0, 1], [0, 0]])
-    np.testing.assert_array_equal(vol.voxels[1], [[1, 0], [0, 1]])
-
-
-def test_stack_slices_rejects_empty():
-    with pytest.raises(FusionError, match="at least one"):
-        stack_slices([])
-
-
-def test_stack_slices_rejects_shape_mismatch():
-    with pytest.raises(FusionError, match="slice 1"):
-        stack_slices([np.zeros((2, 2)), np.zeros((2, 3))])
-
-
-def test_stack_slices_rejects_thick_volume():
-    with pytest.raises(FusionError, match="slice 1 is 3D, expected 2D"):
-        stack_slices([np.zeros((2, 2)), np.zeros((2, 2, 2))])
 
 
 def test_opposite_corners_split_on_face6_join_on_full26():
@@ -81,8 +45,8 @@ def test_opposite_corners_split_on_face6_join_on_full26():
     corners[0, 0, 0] = 1
     corners[1, 1, 1] = 1
     vol = mask_volume(corners)
-    assert component_count(connected_components(vol, CONN_FACE6)) == 2
-    assert component_count(connected_components(vol, CONN_FULL26)) == 1
+    assert int(connected_components(vol, CONN_FACE6).voxels.max()) == 2
+    assert int(connected_components(vol, CONN_FULL26).voxels.max()) == 1
 
 
 def test_labels_are_canonical_scan_order():
@@ -167,10 +131,10 @@ def test_serpentine_long_path_is_one_component(conn):
 
 def test_all_background_and_all_foreground():
     empty = mask_volume(np.zeros((3, 3, 3), dtype=np.uint32))
-    assert component_count(connected_components(empty)) == 0
+    assert int(connected_components(empty).voxels.max()) == 0
     full = mask_volume(np.ones((3, 3, 3), dtype=np.uint32))
     out = connected_components(full, CONN_FACE6)
-    assert component_count(out) == 1
+    assert int(out.voxels.max()) == 1
     assert int(out.voxels.min()) == 1
 
 
@@ -186,8 +150,8 @@ def test_fused_stack_labels_across_slices():
     s0 = np.array([[1, 1, 0, 0], [0, 0, 0, 0]])
     s1 = np.array([[0, 1, 0, 0], [0, 0, 0, 0]])
     s2 = np.array([[0, 0, 0, 0], [0, 0, 0, 1]])
-    fused = connected_components(stack_slices([s0, s1, s2]), CONN_FULL26)
-    assert component_count(fused) == 2
+    fused = connected_components(mask_volume(np.stack([s0, s1, s2])), CONN_FULL26)
+    assert int(fused.voxels.max()) == 2
     assert fused.voxels[0, 0, 0] == fused.voxels[1, 0, 1] == 1
     assert fused.voxels[2, 1, 3] == 2
 
@@ -278,7 +242,7 @@ def test_runs_across_a_row_or_plane_border_stay_apart(conn, shape, first, second
     mask = _two_runs(shape, first, second)
     out = label_components(mask, conn)
     np.testing.assert_array_equal(out, bfs_label(mask, conn.kind))
-    assert component_count(instance_volume(out)) == 2
+    assert int(out.max()) == 2
 
 
 @st.composite
@@ -319,20 +283,6 @@ def test_below_counts_as_searchsorted(dtype, keys, q):
     keys = np.sort(np.array(keys, dtype=dtype))
     q = np.sort(np.array(q + keys[::3].tolist(), dtype=dtype))
     np.testing.assert_array_equal(label_fusion._below(keys, q), np.searchsorted(keys, q))
-
-
-def test_stack_slices_holds_only_the_mask():
-    # Stacking, comparing and converting the whole stack took 2.25x the mask.
-    rng = np.random.default_rng(2)
-    grids = [rng.integers(0, 3, size=(512, 512), dtype=np.uint32) for _ in range(16)]
-    tracemalloc.start()
-    try:
-        vol = stack_slices(grids)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_array_equal(vol.voxels, (np.stack(grids) > 0).astype(np.uint32))
-    assert peak <= 1.1 * vol.voxels.nbytes, peak / vol.voxels.nbytes
 
 
 @pytest.mark.parametrize("conn", [CONN_FACE6, CONN_FULL26], ids=["face6", "full26"])

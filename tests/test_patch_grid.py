@@ -1,4 +1,4 @@
-"""Tests for grid planning, patch extraction, padding, and reassembly."""
+"""Tests for grid planning, tiling, padding, and reassembly."""
 
 import tracemalloc
 
@@ -14,7 +14,6 @@ from coreseg.patch_grid import (
     PatchId,
     _scatter_planes,
     check_volume_name,
-    extract_patch,
     patch_filename,
     patch_ids,
     plan_grid,
@@ -67,7 +66,7 @@ def test_plan_grid_rejects_bad_input(original, patch, mode):
 def test_extract_zero_padding():
     vol = instance_volume(np.arange(1, 9, dtype=np.uint32).reshape(2, 2, 2))
     spec = plan_grid((2, 2, 2), (2, 2, 3), PAD_ZERO)
-    patch = extract_patch(vol, spec, PatchId("v", (0, 0, 0)))
+    patch = tile(vol, spec, "v")[PatchId("v", (0, 0, 0))]
     assert patch.voxels.shape == (2, 2, 3)
     np.testing.assert_array_equal(patch.voxels[:, :, :2], vol.voxels)
     assert int(patch.voxels[:, :, 2].max()) == 0
@@ -78,39 +77,30 @@ def test_extract_reflect_padding_mirrors_without_edge():
     row = np.array([[[3, 7, 9]]], dtype=np.uint32)
     vol = instance_volume(row)
     spec = plan_grid((1, 1, 3), (1, 1, 5), PAD_REFLECT)
-    patch = extract_patch(vol, spec, PatchId("v", (0, 0, 0)))
+    patch = tile(vol, spec, "v")[PatchId("v", (0, 0, 0))]
     np.testing.assert_array_equal(patch.voxels[0, 0], [3, 7, 9, 7, 3])
 
 
 def test_extract_reflect_single_plane_repeats():
     vol = instance_volume(np.array([[[5]]], dtype=np.uint32))
     spec = plan_grid((1, 1, 1), (1, 1, 4), PAD_REFLECT)
-    patch = extract_patch(vol, spec, PatchId("v", (0, 0, 0)))
+    patch = tile(vol, spec, "v")[PatchId("v", (0, 0, 0))]
     np.testing.assert_array_equal(patch.voxels[0, 0], [5, 5, 5, 5])
 
 
 def test_extract_reflect_bounces_past_axis_length():
     vol = instance_volume(np.array([[[1, 2]]], dtype=np.uint32))
     spec = plan_grid((1, 1, 2), (1, 1, 7), PAD_REFLECT)
-    patch = extract_patch(vol, spec, PatchId("v", (0, 0, 0)))
+    patch = tile(vol, spec, "v")[PatchId("v", (0, 0, 0))]
     expected = np.array([1, 2])[np.pad(np.arange(2), (0, 5), mode="reflect")]
     np.testing.assert_array_equal(patch.voxels[0, 0], expected)
-
-
-def test_extract_rejects_bad_ids():
-    vol = instance_volume(np.zeros((2, 2, 2), dtype=np.uint32))
-    spec = plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO)
-    with pytest.raises(GridError, match="outside grid"):
-        extract_patch(vol, spec, PatchId("v", (0, 0, 1)))
-    with pytest.raises(GridError, match="non-negative"):
-        extract_patch(vol, spec, PatchId("v", (0, 0, -1)))
 
 
 def test_extract_rejects_shape_mismatch():
     vol = instance_volume(np.zeros((2, 2, 2), dtype=np.uint32))
     spec = plan_grid((3, 2, 2), (2, 2, 2), PAD_ZERO)
     with pytest.raises(GridError, match="does not match"):
-        extract_patch(vol, spec, PatchId("v", (0, 0, 0)))
+        tile(vol, spec, "v")[PatchId("v", (0, 0, 0))]
 
 
 def test_tile_covers_grid_in_order():
@@ -308,9 +298,10 @@ def test_every_cell_matches_numpy_pad(shape, patch, seed):
         spec = plan_grid(shape, patch, mode)
         pad = [(0, p - n) for n, p in zip(shape, spec.padded_shape)]
         padded = np.pad(vol.voxels, pad, mode=np_mode)
+        patches = tile(vol, spec, "v")
         for pid in patch_ids(spec, "v"):
             window = tuple(slice(i * p, (i + 1) * p) for i, p in zip(pid.grid_index, patch))
-            got = extract_patch(vol, spec, pid).voxels
+            got = patches[pid].voxels
             np.testing.assert_array_equal(got, padded[window], err_msg=f"{mode} {pid}")
             assert got.dtype == np.uint32 and got.shape == spec.patch_shape
             assert got.flags.c_contiguous
@@ -319,22 +310,21 @@ def test_every_cell_matches_numpy_pad(shape, patch, seed):
 
 @pytest.mark.parametrize("pad_mode", [PAD_ZERO, PAD_REFLECT])
 def test_reflect_extraction_holds_no_more_than_the_patch(pad_mode):
-    # Each reflect patch is filled in place: the allocation peak of one
-    # extraction stays within 10 % of the patch's own bytes, for every cell
-    # (interior, mirrored and corner).
+    # Each patch is filled in place from one reused plane buffer: the
+    # allocation peak of tiling stays within 10 % of the patches' own bytes,
+    # over interior, mirrored and corner cells alike.
     rng = np.random.default_rng(3)
     shape, patch = (20, 70, 90), (16, 64, 64)
     vol = instance_volume(rng.integers(0, 9, size=shape, dtype=np.uint32))
     spec = plan_grid(shape, patch, pad_mode)
-    patch_bytes = 4 * int(np.prod(patch))
-    for pid in patch_ids(spec, "v"):
-        tracemalloc.start()
-        try:
-            extract_patch(vol, spec, pid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * patch_bytes, (pid.grid_index, peak / patch_bytes)
+    patches_bytes = 4 * int(np.prod(patch)) * spec.patch_count
+    tracemalloc.start()
+    try:
+        tile(vol, spec, "v")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * patches_bytes, peak / patches_bytes
 
 
 @pytest.mark.parametrize("pad_mode", [PAD_ZERO, PAD_REFLECT])
@@ -350,6 +340,7 @@ def test_patch_written_plane_by_plane_holds_one_plane(tmp_path, pad_mode):
     spec = plan_grid(shape, patch, pad_mode)
     plane_bytes = 4 * patch[1] * patch[2]
     header = VolumeHeader(shape=patch, value_kind=KIND_INSTANCE)
+    patches = tile(vol, spec, "v")
     for pid in patch_ids(spec, "v"):
         path = tmp_path / patch_filename(pid)
         tracemalloc.start()
@@ -362,7 +353,7 @@ def test_patch_written_plane_by_plane_holds_one_plane(tmp_path, pad_mode):
             tracemalloc.stop()
         assert peak <= 1.1 * plane_bytes, (pid.grid_index, peak / plane_bytes)
         whole = tmp_path / "whole.vol3d"
-        write_volume(extract_patch(vol, spec, pid), whole)
+        write_volume(patches[pid], whole)
         assert path.read_bytes() == whole.read_bytes(), pid.grid_index
 
 

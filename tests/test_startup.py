@@ -89,12 +89,9 @@ def test_public_names_are_pinned():
         "CONN_FACE6",
         "CONN_FULL26",
         "Connectivity",
-        "component_count",
         "connected_components",
-        "stack_slices",
         "PatchId",
         "PatchSpec",
-        "extract_patch",
         "plan_grid",
         "reassemble",
         "tile",
