@@ -43,10 +43,6 @@ def unused_exports(paths) -> list[str]:
     return sorted(set(coreseg.__all__) - used)
 
 
-def test_users_found():
-    assert {p.name for p in USERS} >= {"cli.py", "coreset.py", "test_acceptance.py"}
-
-
 def test_every_public_name_has_a_user():
     assert unused_exports(USERS) == []
 
