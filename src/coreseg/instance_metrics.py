@@ -17,6 +17,10 @@ Every ratio with a zero denominator scores 0. The identity
 f1 = 2 * accuracy / (1 + accuracy) holds algebraically, and pq <= f1 with
 equality iff every match has IoU 1. Background (label 0) never
 participates in matching.
+
+Overlap counting is one of the pipeline's two volume hot loops
+(component labeling in label_fusion is the other). Both take the voxels
+in volume_io's row blocks, so neither holds a volume whole.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ import numpy as np
 
 from .errors import InternalError, MetricsError
 from .report import MetricsRecord, check_iou_threshold
+from .volume_io import row_blocks
 
-# overlap_histogram's chunk (a 256 x 256 plane), chunks per fold.
-_CHUNK_VOXELS, _FOLD = 1 << 16, 16
+# Row blocks whose counts overlap_histogram folds into its totals at once.
+_FOLD = 16
 # Ascending keys and their counts, as np.unique(..., return_counts=True) gives.
 _Counts = tuple[np.ndarray, np.ndarray]
 
@@ -61,16 +66,15 @@ def overlap_histogram(
 ) -> tuple[dict[tuple[int, int], int], dict[int, int], dict[int, int]]:
     """Count overlap voxels per (pred_id, gt_id) pair plus per-id totals.
 
-    This is one of the two volume hot loops of the pipeline (component
-    labeling in label_fusion is the other); it has one plain NumPy
-    implementation. A volume here is anything with a ``.header`` and a
-    ``planes()`` that yields its z-planes in z order: a LabelVolume, or a
-    volume_io reader open on a file, whose planes are read as they are
-    drawn. The shapes are compared, from the headers, before the first
-    plane is drawn. The aligned plane pairs are counted chunk by chunk and
-    the chunks' counts folded into the totals in groups, so the scratch is
-    a few chunks' keys and an open reader's volume is never whole. The
-    counts are exact integers, summed in ascending key order.
+    A volume here is anything with a ``.header`` and a ``planes()`` that
+    yields its z-planes in z order: a LabelVolume, or a volume_io reader
+    open on a file, whose planes are read as they are drawn. The shapes
+    are compared, from the headers, before the first plane is drawn. The
+    two volumes are cut alike into volume_io's row blocks, the aligned
+    blocks counted pair by pair and their counts folded into the totals
+    in groups, so the scratch is a few blocks' keys and an open reader's
+    volume is never whole. The counts are exact integers, summed in
+    ascending key order.
 
     Args:
         pred: Predicted instance volume.
@@ -91,8 +95,9 @@ def overlap_histogram(
     if shape != gt.header.shape:
         raise MetricsError(f"pred shape {shape} does not match gt shape {gt.header.shape}")
     parts = []
-    for p, g in _chunks(zip(pred.planes(), gt.planes()), shape[1] * shape[2]):
-        parts.append(_chunk_counts(p, g))
+    blocks = zip(row_blocks(shape, pred.planes()), row_blocks(shape, gt.planes()))
+    for (_, p), (_, g) in blocks:
+        parts.append(_block_counts(p, g))
         if len(parts) == _FOLD:
             parts = [list(map(_merged_counts, zip(*parts)))]
     (keys, counts), pred_totals, gt_totals = map(_merged_counts, zip(*parts))
@@ -102,32 +107,8 @@ def overlap_histogram(
     return pairs, _as_dict(*pred_totals), _as_dict(*gt_totals)
 
 
-def _chunks(plane_pairs, plane_voxels: int):
-    # Cut the plane pairs into chunk pairs of at most _CHUNK_VOXELS voxels,
-    # in scan order: a large plane into chunks of its own, and small planes
-    # gathered, as many as fit, into one reused buffer.
-    group = _CHUNK_VOXELS // plane_voxels
-    if group < 2:
-        for pred_plane, gt_plane in plane_pairs:
-            p, g = pred_plane.ravel(), gt_plane.ravel()
-            for i in range(0, p.size, _CHUNK_VOXELS):
-                yield p[i : i + _CHUNK_VOXELS], g[i : i + _CHUNK_VOXELS]
-        return
-    buffer = np.empty((2, group * plane_voxels), np.uint32)
-    n = 0
-    for pred_plane, gt_plane in plane_pairs:
-        buffer[0, n : n + plane_voxels] = pred_plane.ravel()
-        buffer[1, n : n + plane_voxels] = gt_plane.ravel()
-        n += plane_voxels
-        if n == buffer.shape[1]:
-            yield buffer[0], buffer[1]
-            n = 0
-    if n:
-        yield buffer[0, :n], buffer[1, :n]
-
-
-def _chunk_counts(p: np.ndarray, g: np.ndarray) -> list[_Counts]:
-    # One chunk's counts of its pairs and of p's and g's foreground ids,
+def _block_counts(p: np.ndarray, g: np.ndarray) -> list[_Counts]:
+    # One block's counts of its pairs and of p's and g's foreground ids,
     # from masks made once. A pair packs into one (p << 32) | g key, so one
     # sort counts pairs in (p, g) order.
     p_fg = p > 0
@@ -141,7 +122,7 @@ def _chunk_counts(p: np.ndarray, g: np.ndarray) -> list[_Counts]:
 
 
 def _merged_counts(parts: tuple[_Counts, ...]) -> _Counts:
-    # Sum the chunks' counts per key, in ascending key order.
+    # Sum the blocks' counts per key, in ascending key order.
     keys, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
     counts = np.zeros(keys.size, dtype=np.int64)
     np.add.at(counts, inverse, np.concatenate([c for _, c in parts]))

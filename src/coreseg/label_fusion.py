@@ -8,7 +8,9 @@ first voxel in z-major scan order, so the labeling is a pure function of
 (mask, connectivity) and is byte-identical across thread counts.
 
 Labeling is one of the pipeline's two volume hot loops (overlap counting
-in instance_metrics is the other); it joins x-runs, not voxels.
+in instance_metrics is the other); it joins x-runs, not voxels. Both
+loops take the voxels in volume_io's row blocks: the runs are listed,
+and the labels painted, at most a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import CoresegError, FusionError, VolumeFormatError
-from .volume_io import KIND_INSTANCE, KIND_MASK, LabelVolume, VolumeHeader
+from .volume_io import (
+    KIND_INSTANCE,
+    KIND_MASK,
+    LabelVolume,
+    VolumeHeader,
+    block_rows,
+    row_blocks,
+)
 
 _CONNECTIVITY_FLAGS = {"6": "face6", "26": "full26", "face6": "face6", "full26": "full26"}
 
@@ -59,49 +68,28 @@ CONN_FACE6 = Connectivity("face6")
 CONN_FULL26 = Connectivity("full26")
 
 
-# Entries per vectorised step (whole rows, at least one, when runs are
-# listed or painted), bounding the scratch.
+# Runs or edges per vectorised step, bounding their scratch. Voxels are
+# taken in volume_io's row blocks.
 _CHUNK = 1 << 16
-
-
-def _blocking(shape: tuple[int, int, int]) -> tuple[int, int]:
-    """Return the rows per block and the z-planes per group.
-
-    Runs are listed, and labels painted, a block of rows at a time. Planes
-    of at most half a chunk are taken a group at a time, as one block;
-    larger planes are taken one at a time, as one block or more.
-    """
-    step = max(1, _CHUNK // shape[2])
-    return step, max(1, step // shape[1])
 
 
 def _runs(
     shape: tuple[int, int, int], planes: Iterable[np.ndarray], dtype: type
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Return the x-runs' first and last keys, and each row block's first run.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return the x-runs' first and last keys, listed row block by row block.
 
     A voxel's key is row * (X + 1) + x, with row = z * Y + y. No voxel has
     x = X, so a run that ends a row never abuts one that starts the next.
-    The planes are read in z order; every group of them is split into the
-    same count of row blocks.
     """
-    depth, height, width = shape
-    step, group = _blocking(shape)
-    foreground = np.empty((group, height, width), bool)
-    starts, ends, blocks = [np.empty(0, dtype)], [np.empty(0, dtype)], [0]
-    for z, plane in enumerate(planes):
-        np.not_equal(plane, 0, out=foreground[z % group])
-        if z % group < group - 1 and z < depth - 1:
-            continue
-        rows = foreground[: z % group + 1].reshape(-1, width)
-        for r in range(0, rows.shape[0], step):
-            key = np.flatnonzero(rows[r : r + step]).astype(dtype)
-            key += key // width + ((z - z % group) * height + r) * (width + 1)
-            first = np.diff(key, prepend=-2) != 1
-            starts.append(key[first])
-            ends.append(key[np.roll(first, -1)])
-            blocks.append(blocks[-1] + starts[-1].size)
-    return np.concatenate(starts), np.concatenate(ends), blocks
+    width = shape[2]
+    starts, ends = [np.empty(0, dtype)], [np.empty(0, dtype)]
+    for row, block in row_blocks(shape, planes):
+        key = np.flatnonzero(block).astype(dtype)
+        key += key // width + row * (width + 1)
+        first = np.diff(key, prepend=-2) != 1
+        starts.append(key[first])
+        ends.append(key[np.roll(first, -1)])
+    return np.concatenate(starts), np.concatenate(ends)
 
 
 def _below(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -179,7 +167,7 @@ def _label_planes(
     depth, height, width = shape
     # _below doubles the keys.
     dtype = np.int32 if depth * height * (width + 1) < 2**30 else np.int64
-    starts, ends, blocks = _runs(shape, planes, dtype)
+    starts, ends = _runs(shape, planes, dtype)
     parent = np.arange(starts.size, dtype=dtype)
     # At most two edges per run in a row step.
     a, b = np.empty((2, 2 * starts.size), dtype)
@@ -192,19 +180,24 @@ def _label_planes(
             k = _union_round(parent, a, b, k)
     del a, b
     roots = int(np.count_nonzero(parent == np.arange(parent.size, dtype=dtype)))
-    return roots, _painted(shape, starts, ends, parent, blocks)
+    return roots, _painted(shape, starts, ends, parent)
 
 
-def _painted(shape, starts, ends, parent, blocks):
-    """Yield the labeled z-planes, numbering the roots in scan order."""
+def _painted(shape, starts, ends, parent):
+    """Yield the labeled z-planes, numbering the roots in scan order.
+
+    Each plane is painted into one reused buffer a row block at a time,
+    the block's runs found by their start keys.
+    """
     depth, height, width = shape
-    step, group = _blocking(shape)
-    per_group = -(-group * height // step)
-    planes = np.empty((group, height, width), np.uint32)
+    rows = block_rows(width)
+    plane = np.empty((height, width), np.uint32)
     count = 0
-    for g, z in enumerate(range(0, depth, group)):
-        planes.fill(0)
-        bounds = blocks[g * per_group : (g + 1) * per_group + 1]
+    for z in range(depth):
+        plane.fill(0)
+        first = z * height
+        cuts = np.array([*range(first, first + height, rows), first + height], starts.dtype)
+        bounds = np.searchsorted(starts, cuts * (width + 1)).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             # Number the roots in scan order, in place: an entry's root is
             # smaller, so numbered before the entry reads it.
@@ -214,42 +207,13 @@ def _painted(shape, starts, ends, parent, blocks):
             p[roots] = np.arange(count + 1, count + found + 1, dtype=p.dtype)
             count += found
             p[~roots] = parent[p[~roots]]
-            # A run's voxels: its first voxel's index in the group plus 0, 1, ...
-            s = starts[lo:hi] - z * height * (width + 1)
+            # A run's voxels: its first voxel's index in the plane plus 0, 1, ...
+            s = starts[lo:hi] - first * (width + 1)
             length = ends[lo:hi] - starts[lo:hi] + 1
             voxel = np.repeat(s - s // (width + 1) - np.cumsum(length) + length, length)
             voxel += np.arange(voxel.size)
-            planes.reshape(-1)[voxel] = np.repeat(p.astype(np.uint32), length)
-        yield from planes[: depth - z]
-
-
-def label_components(mask: np.ndarray, conn: Connectivity) -> np.ndarray:
-    """Canonically label the connected components of a 3D binary mask.
-
-    Run-based two-scan labeling (He, Chao & Suzuki, 2008): union-find on
-    the x-runs in scan order, as vectorised hook-and-shortcut rounds (Wu,
-    Otoo & Suzuki, 2009). A run links to the runs it touches in each of
-    conn's earlier rows; hooks point at smaller roots, so a component's
-    root is its first run, and roots are numbered in order. The runs are
-    listed, and the labels painted, one z-plane at a time, so the
-    labeler's own state is the runs and a plane: cc and fuse stream their
-    planes through it, and this function gathers the labeled planes into
-    the array it returns.
-
-    Args:
-        mask: 3D array, nonzero = foreground.
-        conn: Neighborhood rule.
-
-    Returns:
-        uint32 array of the mask's shape with components numbered 1..C by
-        ascending position of each component's first voxel in z-major scan
-        order; background stays 0.
-    """
-    _, planes = _label_planes(mask.shape, mask, conn)
-    out = np.empty(mask.shape, np.uint32)
-    for z, plane in enumerate(planes):
-        out[z] = plane
-    return out
+            plane.reshape(-1)[voxel] = np.repeat(p.astype(np.uint32), length)
+        yield plane
 
 
 def _check_mask_kind(header: VolumeHeader) -> None:
@@ -265,6 +229,16 @@ def connected_components(
 ) -> LabelVolume:
     """Label the connected components of a binary mask volume.
 
+    Run-based two-scan labeling (He, Chao & Suzuki, 2008): union-find on
+    the x-runs in scan order, as vectorised hook-and-shortcut rounds (Wu,
+    Otoo & Suzuki, 2009). A run links to the runs it touches in each of
+    conn's earlier rows; hooks point at smaller roots, so a component's
+    root is its first run, and roots are numbered in order. The runs are
+    listed, and the labels painted, a row block at a time, so the
+    labeler's own state is the runs and a plane: cc and fuse stream their
+    planes through it, and this function gathers the labeled planes into
+    the volume it returns.
+
     Args:
         vol: A binary_mask LabelVolume.
         conn: Neighborhood rule; defaults to full26.
@@ -278,7 +252,10 @@ def connected_components(
     """
     _check_mask_kind(vol.header)
     vol.validate()
-    labels = label_components(vol.voxels, conn)
+    _, planes = _label_planes(vol.header.shape, vol.voxels, conn)
+    labels = np.empty(vol.header.shape, np.uint32)
+    for z, plane in enumerate(planes):
+        labels[z] = plane
     return LabelVolume(
         VolumeHeader(shape=vol.header.shape, value_kind=KIND_INSTANCE), labels
     )

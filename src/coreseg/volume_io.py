@@ -21,7 +21,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +36,9 @@ _ELEMENT_WIDTH = 4
 _STORAGE_ORDER = "zyx"
 # Bytes read for the header at first; a valid header is about 60 bytes.
 _HEADER_PREFIX = 256
+# Voxels per block of rows that the volume hot loops, component labeling
+# and overlap counting, take in one vectorised step (a 256 x 256 plane).
+_BLOCK_VOXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,41 @@ class LabelVolume:
 def _check_mask_values(voxels: np.ndarray) -> None:
     if int(voxels.max()) > 1:
         raise VolumeFormatError("binary_mask volume contains values greater than 1")
+
+
+def block_rows(width: int) -> int:
+    """Return the rows of width voxels in one block: at least one."""
+    return max(1, _BLOCK_VOXELS // width)
+
+
+def row_blocks(
+    shape: tuple[int, int, int], planes: Iterable[np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Cut the z-planes of a volume of shape, drawn in z order, into blocks.
+
+    Yields (row, block) in scan order: block is at most block_rows(X) whole
+    rows of the volume, as a 2D array, and row = z * Y + y is the index of
+    its first. Planes that a block holds at least twice are gathered, as
+    many as fit, into one reused uint32 buffer; a larger plane is cut into
+    views of itself, never copied. A block is valid until the next is drawn.
+    """
+    height, width = shape[1], shape[2]
+    rows = block_rows(width)
+    if rows < 2 * height:
+        for z, plane in enumerate(planes):
+            for y in range(0, height, rows):
+                yield z * height + y, plane[y : y + rows]
+        return
+    buffer = np.empty((rows // height * height, width), np.uint32)
+    row = n = 0
+    for plane in planes:
+        buffer[n : n + height] = plane
+        n += height
+        if n == buffer.shape[0]:
+            yield row, buffer
+            row, n = row + n, 0
+    if n:
+        yield row, buffer[:n]
 
 
 def new_volume(voxels: np.ndarray, value_kind: str = KIND_INSTANCE) -> LabelVolume:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coreseg import instance_metrics
+from coreseg import volume_io
 from coreseg.errors import MetricsError
 from coreseg.instance_metrics import MatchResult, evaluate, match_instances, overlap_histogram
 from coreseg.provenance import InputDigest
@@ -116,10 +116,10 @@ def test_overlap_histogram_rejects_shape_mismatch():
 
 @pytest.mark.parametrize("chunk", [4, 15, 32, 1 << 16])
 def test_overlap_histogram_counts_across_chunk_and_plane_borders(monkeypatch, chunk):
-    # 3x5 planes: chunks within a plane (4), one plane each (15), planes
-    # gathered two at a time with a last chunk of one plane (32), and all
-    # seven planes in one chunk.
-    monkeypatch.setattr(instance_metrics, "_CHUNK_VOXELS", chunk)
+    # 3x5 planes: blocks of one row within a plane (4), one plane each (15),
+    # planes gathered two at a time with a last block of one plane (32), and
+    # all seven planes in one block.
+    monkeypatch.setattr(volume_io, "_BLOCK_VOXELS", chunk)
     rng = np.random.default_rng(9)
     pred, gt = random_labels(rng, (7, 3, 5)), random_labels(rng, (7, 3, 5))
     assert overlap_histogram(pred, gt) == naive_histogram(pred, gt)

@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coreseg import label_fusion
+from coreseg import label_fusion, volume_io
 from coreseg.errors import FusionError, VolumeFormatError
 from coreseg.label_fusion import (
     CONN_FACE6,
     CONN_FULL26,
     Connectivity,
     connected_components,
-    label_components,
 )
-from coreseg.volume_io import KIND_INSTANCE
+from coreseg.volume_io import KIND_INSTANCE, KIND_MASK, new_volume
 
 from helpers import bfs_label, instance_volume, mask_volume, neighbor_offsets, random_mask
 
@@ -181,7 +180,7 @@ def test_linear_offsets_do_not_wrap(conn, shape, first, second):
     assert (out[first], out[second]) == (1, 2)
 
 
-# Peak traced allocation of label_components, as a multiple of its uint32
+# Peak traced allocation of connected_components, as a multiple of its uint32
 # mask, on 16x256x256 with full26. While the labeler kept a voxel-sized id
 # map it peaked at 2.25x, 3.32x and 6.04x on these masks; the run labeler
 # peaks at about 1.19x, 2.72x and 2.95x, so 60 % shares the 35 % bound.
@@ -189,9 +188,10 @@ def test_linear_offsets_do_not_wrap(conn, shape, first, second):
 def test_label_components_peak_memory(density, bound):
     rng = np.random.default_rng(0)
     mask = (rng.random((16, 256, 256)) < density).astype(np.uint32)
+    vol = new_volume(mask, KIND_MASK)
     tracemalloc.start()
     try:
-        label_components(mask, CONN_FULL26)
+        connected_components(vol, CONN_FULL26)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -206,9 +206,10 @@ def test_label_components_peak_memory(density, bound):
 def test_label_components_peak_within_2_5x_of_the_mask(density):
     rng = np.random.default_rng(1)
     mask = (rng.random((32, 512, 512)) < density).astype(np.uint32)
+    vol = new_volume(mask, KIND_MASK)
     tracemalloc.start()
     try:
-        label_components(mask, CONN_FULL26)
+        connected_components(vol, CONN_FULL26)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -240,7 +241,7 @@ def test_runs_across_a_row_or_plane_border_stay_apart(conn, shape, first, second
     # or less, so a link that ignored the y border or the row's end would
     # join them.
     mask = _two_runs(shape, first, second)
-    out = label_components(mask, conn)
+    out = connected_components(new_volume(mask, KIND_MASK), conn).voxels
     np.testing.assert_array_equal(out, bfs_label(mask, conn.kind))
     assert int(out.max()) == 2
 
@@ -266,9 +267,13 @@ def run_masks(draw):
 @settings(max_examples=200, deadline=None)
 @given(mask=run_masks(), chunk=st.sampled_from([1, 3, 1 << 16]))
 def test_run_masks_match_flood_fill(conn, mask, chunk):
-    # A small chunk splits runs, edges and slabs across chunk boundaries.
-    with mock.patch.object(label_fusion, "_CHUNK", chunk):
-        got = label_components(mask, conn)
+    # A small chunk splits runs and edges across chunk boundaries, and a
+    # small block cuts planes into row blocks; a large block spans planes.
+    with (
+        mock.patch.object(label_fusion, "_CHUNK", chunk),
+        mock.patch.object(volume_io, "_BLOCK_VOXELS", chunk),
+    ):
+        got = connected_components(new_volume(mask, KIND_MASK), conn).voxels
     np.testing.assert_array_equal(got, bfs_label(mask, conn.kind))
 
 

@@ -411,3 +411,38 @@ def test_round_trip_property(tmp_path_factory, arr):
     vol = new_volume(arr, KIND_INSTANCE)
     write_volume(vol, path)
     assert read_volume(path) == vol
+
+
+@pytest.mark.parametrize(
+    "block_voxels, shape, rows, sizes",
+    [
+        # Gathered: two 3-row planes per block, the last block one plane.
+        (24, (5, 3, 4), [0, 6, 12], [6, 6, 3]),
+        # Gathered: a block of 7 rows holds two whole planes, not 2 1/3.
+        (28, (5, 3, 4), [0, 6, 12], [6, 6, 3]),
+        # Cut: 2-row views of 5-row planes, the last of each plane 1 row.
+        (8, (2, 5, 4), [0, 2, 4, 5, 7, 9], [2, 2, 1, 2, 2, 1]),
+        # Cut: a block holds one plane but not two, so the plane is its view.
+        (36, (2, 5, 4), [0, 5], [5, 5]),
+        # Cut: a row wider than a block is a block of its own.
+        (3, (2, 2, 4), [0, 1, 2, 3], [1, 1, 1, 1]),
+    ],
+    ids=["gathered", "gathered-remainder", "cut", "cut-whole-plane", "cut-wide-row"],
+)
+def test_row_blocks_cover_the_rows_in_scan_order(monkeypatch, block_voxels, shape, rows, sizes):
+    monkeypatch.setattr(volume_io, "_BLOCK_VOXELS", block_voxels)
+    voxels = np.arange(np.prod(shape), dtype=np.uint32).reshape(shape)
+    gathered = volume_io.block_rows(shape[2]) >= 2 * shape[1]
+    got = []
+    for row, block in volume_io.row_blocks(shape, iter(voxels)):
+        assert block.ndim == 2 and block.shape[1] == shape[2]
+        assert block.shape[0] <= volume_io.block_rows(shape[2])
+        # Gathered blocks share one buffer; a cut block is a view of its plane.
+        assert np.shares_memory(block, voxels) != gathered
+        got.append((row, block.copy()))
+    assert [row for row, _ in got] == rows
+    assert [block.shape[0] for _, block in got] == sizes
+    all_rows = voxels.reshape(-1, shape[2])
+    for row, block in got:
+        np.testing.assert_array_equal(block, all_rows[row : row + block.shape[0]])
+    np.testing.assert_array_equal(np.concatenate([b for _, b in got]), all_rows)
