@@ -84,7 +84,7 @@ def _runs(
     width = shape[2]
     starts, ends = [np.empty(0, dtype)], [np.empty(0, dtype)]
     for row, block in row_blocks(shape, planes):
-        key = np.flatnonzero(block).astype(dtype)
+        key = np.flatnonzero(block != 0).astype(dtype)
         key += key // width + row * (width + 1)
         first = np.diff(key, prepend=-2) != 1
         starts.append(key[first])
