@@ -3,9 +3,7 @@
 The .vol3d header, the embedding .meta file, the grid and selection
 manifests share it: text lines of the form key=value, each expected key
 exactly once, integers as comma-separated runs of ASCII digits, at
-most 20 after any leading zeros, and floats as ASCII decimals. A
-versioned format is checked for its version before its key set, since
-another version may have other keys.
+most 20 after any leading zeros, and floats as ASCII decimals.
 Every failure raises the calling reader's own error class, with a
 message that starts with the reader's context (the file and what it
 holds).
@@ -44,14 +42,11 @@ def split_fields(
     keys: Collection[str],
     error: type[CoresegError],
     context: str,
-    *,
-    version: int | None = None,
 ) -> dict[str, str]:
     """Split key=value lines into one value per key of keys.
 
     A line without "=", a duplicate key, a missing key and an unknown key
-    are each refused. With version, a format_version other than it is
-    refused before the key set is checked.
+    are each refused.
     """
     fields: dict[str, str] = {}
     for line in lines:
@@ -61,9 +56,6 @@ def split_fields(
         if key in fields:
             raise error(f"{context}: duplicate key {key!r}")
         fields[key] = value
-    found = fields.get("format_version")
-    if version is not None and found is not None and found != str(version):
-        raise error(f"{context}: unsupported format_version {found!r}")
     missing = set(keys) - set(fields)
     if missing:
         raise error(f"{context}: missing keys {sorted(missing)}")

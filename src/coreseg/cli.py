@@ -17,8 +17,8 @@ command it runs.
 Exit statuses:
     0  success
     2  usage or configuration error
-    3  input error (missing or malformed files, invalid request, or a
-       failed read or write)
+    3  input error (missing or malformed files, invalid request, a
+       failed read or write, or a request too large to allocate)
     4  internal invariant violation
     5  outputs exist and --force was not given
 """
@@ -605,6 +605,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except (OSError, CoresegError) as exc:
         print(f"coreseg {command}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # numpy's message names the allocation; a bare MemoryError has none.
+        print(f"coreseg {command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - safety net for bugs
         print(f"coreseg {command}: internal error: {exc!r}", file=sys.stderr)

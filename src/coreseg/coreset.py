@@ -30,13 +30,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import decode_lines, parse_float, parse_ints, split_fields
+from ._fields import decode_lines, parse_ints, split_fields
 from .errors import CoresegError, InternalError, SelectionError
 from .provenance import InputDigest, read_digested
 from .rng import SplitMix64
 
 SELECTION_MANIFEST_VERSION = 1
-_SELECTION_KEYS = ("format_version", "method", "rng_seed", "k_init", "budget", "radius_trace")
 # Elements of the .f32 payload read per chunk: 256 KiB of float32.
 _READ_CHUNK = 1 << 16
 
@@ -96,10 +95,13 @@ class EmbeddingMatrix:
             raise SelectionError(
                 f"{len(self.ids)} ids for {self.values.shape[0]} embedding rows"
             )
-        if len(set(self.ids)) != len(self.ids):
+        # A sorted list and two extremes take neither an id set nor an
+        # N x Dim mask: NaN propagates to both extremes, and +-inf is one.
+        ordered = sorted(self.ids)
+        if any(a == b for a, b in zip(ordered, ordered[1:])):
             raise SelectionError("embedding ids must be unique")
         _check_ids(self.ids, "embedding id")
-        if not np.isfinite(self.values).all():
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise SelectionError("embedding matrix contains non-finite entries")
         if self.normalized:
             norms = np.linalg.norm(self.values, axis=1)
@@ -166,9 +168,10 @@ class SelectionManifest:
             raise SelectionError("selected ids are not unique")
         _check_ids(self.selected, "selected id")
         if source_ids is not None:
-            known = set(source_ids)
+            # A set of the picks, not of the source ids, which may be many.
+            missing = set(self.selected).difference(source_ids)
             for item in self.selected:
-                if item not in known:
+                if item in missing:
                     raise SelectionError(f"selected id {item!r} not in source ids")
         if self.radius_trace and self.method == METHOD_CORESET:
             for a, b in zip(self.radius_trace, self.radius_trace[1:]):
@@ -583,30 +586,3 @@ def write_selection_manifest(manifest: SelectionManifest, path: str | Path) -> N
     ]
     lines.extend(manifest.selected)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_selection_manifest(path: str | Path) -> SelectionManifest:
-    """Read a manifest written by write_selection_manifest.
-
-    Raises:
-        SelectionError: On malformed or version-mismatched manifests.
-    """
-    context = f"{path}: malformed selection manifest"
-    lines = decode_lines(Path(path).read_bytes(), SelectionError, context, "utf-8")
-    n = lines.index("selected:") if "selected:" in lines else len(lines)
-    fields = split_fields(
-        lines[:n], _SELECTION_KEYS, SelectionError, context, version=SELECTION_MANIFEST_VERSION
-    )
-    # rng_seed may be negative, as write_selection_manifest can write it.
-    (rng_seed,) = parse_ints(
-        fields["rng_seed"], SelectionError, f"{context} rng_seed", 1, signed=True
-    )
-    (k_init,) = parse_ints(fields["k_init"], SelectionError, f"{context} k_init", 1)
-    (budget,) = parse_ints(fields["budget"], SelectionError, f"{context} budget", 1)
-    trace_text = fields["radius_trace"]
-    trace_cells = trace_text.split(",") if trace_text else []
-    trace = [parse_float(v, SelectionError, f"{context} radius_trace") for v in trace_cells]
-    selected = [line for line in lines[n + 1 :] if line]
-    manifest = SelectionManifest(fields["method"], rng_seed, k_init, budget, selected, trace)
-    manifest.validate()
-    return manifest

@@ -41,7 +41,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._fields import decode_lines, parse_ints, split_fields
 from .errors import CoresegError, GridError
 from .volume_io import LabelVolume, VolumeHeader
 
@@ -51,15 +50,6 @@ _PAD_MODES = (PAD_ZERO, PAD_REFLECT)
 _NAME_FORBIDDEN = ("/", "\\", "\0", "\r", "\n")
 
 GRID_MANIFEST_VERSION = 1
-_GRID_KEYS = (
-    "format_version",
-    "volume_name",
-    "original_shape",
-    "patch_shape",
-    "pad_mode",
-    "padded_shape",
-    "grid_dims",
-)
 
 
 def check_pad_mode(pad_mode: str, error: type[CoresegError]) -> str:
@@ -343,35 +333,3 @@ def write_grid_manifest(spec: PatchSpec, volume_name: str, path: str | Path) -> 
     ]
     lines += [f"patch={patch_filename(pid)}" for pid in patch_ids(spec, volume_name)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_grid_manifest(path: str | Path) -> tuple[PatchSpec, str, list[str]]:
-    """Read a grid manifest back into (spec, volume_name, patch filenames).
-
-    The volume name must pass check_volume_name, and the patch list must be
-    exactly the one write_grid_manifest writes for the spec and name.
-
-    Raises:
-        GridError: On malformed or version-mismatched manifests.
-    """
-    context = f"{path}: malformed grid manifest"
-    lines = decode_lines(Path(path).read_bytes(), GridError, context, "utf-8")
-    # The patch= lines are the one repeated key; the rest are fields.
-    patches = [line[len("patch="):] for line in lines if line.startswith("patch=")]
-    rest = [line for line in lines if not line.startswith("patch=")]
-    fields = split_fields(rest, _GRID_KEYS, GridError, context, version=GRID_MANIFEST_VERSION)
-    original, patch, padded, grid = (
-        parse_ints(fields[key], GridError, f"{context} {key}", 3)
-        for key in ("original_shape", "patch_shape", "padded_shape", "grid_dims")
-    )
-    spec = plan_grid(original, patch, fields["pad_mode"])
-    if (spec.padded_shape, spec.grid_dims) != (padded, grid):
-        raise GridError(f"{path}: manifest geometry is internally inconsistent")
-    try:
-        name = check_volume_name(fields["volume_name"], GridError)
-    except GridError as exc:
-        raise GridError(f"{context}: {exc}") from None
-    filenames = [patch_filename(pid) for pid in patch_ids(spec, name)]
-    if patches != filenames:
-        raise GridError(f"{context}: patch list is not the grid's {len(filenames)} patch files")
-    return spec, name, filenames

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -29,13 +30,18 @@ from coreseg.coreset import (
     normalize_rows,
     random_select,
     read_embeddings,
-    read_selection_manifest,
     write_embeddings,
     write_selection_manifest,
 )
 from coreseg.coreset import EmbeddingMatrix
 from coreseg.errors import InternalError
-from coreseg.patch_grid import PatchId, patch_filename, read_grid_manifest, reassemble
+from coreseg.patch_grid import (
+    patch_filename,
+    patch_ids,
+    plan_grid,
+    reassemble,
+    write_grid_manifest,
+)
 from coreseg.report import parse_metrics_csv
 from coreseg.volume_io import (
     KIND_INSTANCE,
@@ -56,6 +62,13 @@ def run(capsys, *args):
         code = exc.code if isinstance(exc.code, int) else 2
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def written_by(tmp_path, write, *args):
+    """Return the bytes that write(*args, path) puts in a scratch file."""
+    path = tmp_path / "expected.txt"
+    write(*args, path)
+    return path.read_bytes()
 
 
 def write_instance(path, voxels):
@@ -107,16 +120,13 @@ def test_tile_writes_patches_and_manifests(capsys, tmp_path, demo_volume):
     assert out.strip() == "patches=8 grid=2,2,2 padded=4,8,8"
     assert (out_dir / "grid_manifest.txt").is_file()
     assert (out_dir / "run_manifest.txt").is_file()
-    spec, name, filenames = read_grid_manifest(out_dir / "grid_manifest.txt")
-    assert name == "demo"
-    assert len(filenames) == 8
-    patches = {}
-    nz, ny, nx = spec.grid_dims
-    for iz in range(nz):
-        for iy in range(ny):
-            for ix in range(nx):
-                pid = PatchId(name, (iz, iy, ix))
-                patches[pid] = read_volume(out_dir / patch_filename(pid))
+    spec = plan_grid(vox.shape, (2, 4, 4), "reflect")
+    assert (out_dir / "grid_manifest.txt").read_bytes() == written_by(
+        tmp_path, write_grid_manifest, spec, "demo"
+    )
+    pids = patch_ids(spec, "demo")
+    assert len(pids) == 8
+    patches = {pid: read_volume(out_dir / patch_filename(pid)) for pid in pids}
     restored = reassemble(patches, spec)
     assert np.array_equal(restored.voxels, vox)
 
@@ -163,7 +173,8 @@ def test_tile_force_rerun_removes_stale_patches(capsys, tmp_path, demo_volume):
     code, out, _ = run(capsys, *args, "--patch", "3,5,5", "--force")
     assert code == 0
     assert out.startswith("patches=1 ")
-    _, _, filenames = read_grid_manifest(out_dir / "grid_manifest.txt")
+    spec = plan_grid((3, 5, 5), (3, 5, 5), "reflect")
+    filenames = [patch_filename(pid) for pid in patch_ids(spec, "demo")]
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(
         [*filenames, "grid_manifest.txt", "run_manifest.txt"]
     )
@@ -287,6 +298,31 @@ def test_tile_holds_a_bounded_number_of_descriptors(capsys, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == unlimited
+
+
+def limit_address_space():
+    # 4 GiB of address space: an allocation past it fails at once, so no
+    # request in the child can touch more memory than that.
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("pad_mode", ["zero", "reflect"])
+def test_request_too_large_to_allocate_is_input_error(tmp_path, pad_mode):
+    # Zero padding cannot allocate its (1, 4e9) patch plane, reflect its
+    # 4e9-entry index run; either way the request is refused, not a fault.
+    vol = tmp_path / "v.vol3d"
+    write_instance(vol, np.arange(4).reshape(1, 2, 2))
+    out_dir = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(coreseg.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "coreseg.cli", "tile", "--volume", str(vol),
+         "--patch", "1,1,4000000000", "--pad-mode", pad_mode, "--out-dir", str(out_dir)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("coreseg tile: Unable to allocate"), done.stderr
+    assert not out_dir.exists()
 
 
 def test_tile_rejects_malformed_patch_flag(capsys, tmp_path, demo_volume):
@@ -527,9 +563,10 @@ def test_select_runs_budget_list_and_skips_zero(capsys, tmp_path, demo_embedding
     assert lines[1].startswith("method=coreset budget=4 radius=")
     assert lines[2].startswith("method=coreset budget=6 radius=")
     assert not (out_dir / "selection_coreset_b0.txt").exists()
-    manifest = read_selection_manifest(out_dir / "selection_coreset_b4.txt")
     expected = kcenter_greedy(normalize_rows(read_embeddings(stem)), 4, rng_seed=9)
-    assert manifest == expected
+    assert (out_dir / "selection_coreset_b4.txt").read_bytes() == written_by(
+        tmp_path, write_selection_manifest, expected
+    )
 
 
 def test_select_single_budget_flag_overrides_list(capsys, tmp_path, demo_embeddings):
@@ -555,10 +592,12 @@ def test_select_random_method(capsys, tmp_path, demo_embeddings):
         "--out-dir", out_dir,
     )
     assert code == 0
-    manifest = read_selection_manifest(out_dir / "selection_random_b5.txt")
-    assert manifest.method == "random"
-    assert manifest.k_init == 5
-    assert len(manifest.radius_trace) == 5
+    En = normalize_rows(read_embeddings(stem))
+    expected = random_select(En.ids, 5, rng_seed=0, embeddings=En)
+    assert (expected.method, expected.k_init, len(expected.radius_trace)) == ("random", 5, 5)
+    assert (out_dir / "selection_random_b5.txt").read_bytes() == written_by(
+        tmp_path, write_selection_manifest, expected
+    )
 
 
 def test_select_methods_share_directory(capsys, tmp_path, demo_embeddings):
@@ -1695,8 +1734,11 @@ def test_non_ascii_volume_name_is_written_to_the_grid_manifest(capsys, tmp_path,
         "--out-dir", out_dir,
     )
     assert code == 0, err
-    _, name, filenames = read_grid_manifest(out_dir / "grid_manifest.txt")
-    assert name == "é"
+    spec = plan_grid((3, 5, 5), (2, 4, 4), "reflect")
+    text = (out_dir / "grid_manifest.txt").read_text(encoding="utf-8")
+    assert "\nvolume_name=é\n" in text
+    assert text.encode("utf-8") == written_by(tmp_path, write_grid_manifest, spec, "é")
+    filenames = [patch_filename(pid) for pid in patch_ids(spec, "é")]
     assert sorted(filenames) == sorted(p.name for p in out_dir.glob("*.vol3d"))
 
 
@@ -1759,8 +1801,11 @@ def test_config_file_supplies_values_and_flags_win(capsys, tmp_path, demo_embedd
     assert code == 0, err
     files = sorted(p.name for p in out_dir.glob("selection_*.txt"))
     assert files == ["selection_coreset_b4.txt"]  # flag overrode the file's 2
-    manifest = read_selection_manifest(out_dir / "selection_coreset_b4.txt")
-    assert manifest.rng_seed == 5  # file value survived where no flag was given
+    # The file's rng_seed survived where no flag was given.
+    expected = kcenter_greedy(normalize_rows(read_embeddings(stem)), 4, rng_seed=5)
+    assert (out_dir / "selection_coreset_b4.txt").read_bytes() == written_by(
+        tmp_path, write_selection_manifest, expected
+    )
 
 
 @pytest.mark.parametrize("spelling", ["flag", "config"])
@@ -1861,6 +1906,44 @@ def test_malformed_value_is_usage_error(
     code, _, err = run(capsys, *args)
     assert code == 2, err
     assert value[:20] in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+@pytest.mark.parametrize("seed", [-7, -(2**63)])
+def test_negative_seed_is_accepted(capsys, tmp_path, demo_embeddings, spelling, seed):
+    # The seed is the one signed integer field; the manifest keeps its sign.
+    stem, _ = demo_embeddings
+    out_dir = tmp_path / "sel"
+    args = ["select", "--embeddings", stem, "--budget", "4", "--out-dir", out_dir]
+    if spelling == "flag":
+        args += ["--seed", seed]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"rng_seed={seed}\n", encoding="ascii")
+        args += ["--config", cfg]
+    code, _, err = run(capsys, *args)
+    assert code == 0, err
+    expected = kcenter_greedy(normalize_rows(read_embeddings(stem)), 4, rng_seed=seed)
+    written = (out_dir / "selection_coreset_b4.txt").read_bytes()
+    assert f"\nrng_seed={seed}\n".encode() in written
+    assert written == written_by(tmp_path, write_selection_manifest, expected)
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_double_minus_seed_is_usage_error(capsys, tmp_path, demo_embeddings, spelling):
+    stem, _ = demo_embeddings
+    out_dir = tmp_path / "sel"
+    args = ["select", "--embeddings", stem, "--out-dir", out_dir]
+    if spelling == "flag":
+        args.append("--seed=--7")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rng_seed=--7\n", encoding="ascii")
+        args += ["--config", cfg]
+    code, _, err = run(capsys, *args)
+    assert code == 2, err
+    assert "expected an integer, got '--7'" in err
     assert not out_dir.exists()
 
 

@@ -19,10 +19,10 @@ from coreseg.coreset import (
     normalize_rows,
     random_select,
     read_embeddings,
-    read_selection_manifest,
     write_embeddings,
     write_selection_manifest,
 )
+from coreseg._fields import parse_float
 from coreseg.errors import SelectionError
 from coreseg.rng import SplitMix64
 
@@ -77,8 +77,14 @@ def test_normalize_rows_names_a_zero_row_in_a_later_block():
 def test_embedding_validation():
     with pytest.raises(SelectionError, match="unique"):
         EmbeddingMatrix(ids=["a", "a"], values=np.ones((2, 2))).validate()
-    with pytest.raises(SelectionError, match="non-finite"):
-        EmbeddingMatrix(ids=["a"], values=np.array([[np.nan, 1.0]])).validate()
+    with pytest.raises(SelectionError, match="unique"):
+        EmbeddingMatrix(ids=["b", "a", "c", "b"], values=np.ones((4, 2))).validate()
+    for bad in (np.nan, np.inf, -np.inf):
+        for row, col in ((0, 0), (1, 1)):
+            values = np.ones((2, 2))
+            values[row, col] = bad
+            with pytest.raises(SelectionError, match="non-finite"):
+                EmbeddingMatrix(ids=["a", "b"], values=values).validate()
     with pytest.raises(SelectionError, match="ids"):
         EmbeddingMatrix(ids=["a"], values=np.ones((2, 2))).validate()
     with pytest.raises(SelectionError, match="unit norm"):
@@ -431,34 +437,39 @@ def test_read_embeddings_rejects_malformed_metadata(tmp_path, meta, match):
         read_embeddings(stem)
 
 
-def test_manifest_round_trip(tmp_path):
+def test_manifest_text_holds_every_field(tmp_path):
     rng = np.random.default_rng(25)
     E = gaussian_embeddings(rng, 30, 4)
     m = kcenter_greedy(E, 12, k_init=3, rng_seed=77)
     path = tmp_path / "sel.txt"
     write_selection_manifest(m, path)
-    back = read_selection_manifest(path)
-    assert back.method == m.method
-    assert back.rng_seed == 77
-    assert back.k_init == 3
-    assert back.budget == 12
-    assert back.selected == m.selected
-    assert back.radius_trace == m.radius_trace  # repr round-trips floats exactly
+    trace = ",".join(repr(v) for v in m.radius_trace)
+    assert path.read_text(encoding="utf-8") == (
+        "format_version=1\nmethod=coreset\nrng_seed=77\nk_init=3\nbudget=12\n"
+        f"radius_trace={trace}\nselected:\n" + "".join(f"{i}\n" for i in m.selected)
+    )
 
 
 @pytest.mark.parametrize(
-    "trace",
+    "trace, text",
     [
-        [float("inf"), 2.0, 1.5e-07, 1e-05, 5e-324, 0.0],
-        [0.25, float("-inf"), 1.7976931348623157e308, -0.0, 1e16, 0.1],
+        ([float("inf"), 2.0, 1.5e-07, 1e-05, 5e-324, 0.0], "inf,2.0,1.5e-07,1e-05,5e-324,0.0"),
+        (
+            [0.25, float("-inf"), 1.7976931348623157e308, -0.0, 1e16, 0.1],
+            "0.25,-inf,1.7976931348623157e+308,-0.0,1e+16,0.1",
+        ),
     ],
+    ids=["trace0", "trace1"],
 )
-def test_manifest_trace_round_trips_every_float(tmp_path, trace):
-    # A random selection's trace is unconstrained; its repr text reads back.
+def test_manifest_trace_round_trips_every_float(tmp_path, trace, text):
+    # A random selection's trace is unconstrained; it is written as repr
+    # text, which the field grammar reads back to the same float.
     m = SelectionManifest("random", 0, 6, 6, list("abcdef"), radius_trace=trace)
     write_selection_manifest(m, tmp_path / "sel.txt")
-    back = read_selection_manifest(tmp_path / "sel.txt")
-    assert [repr(v) for v in back.radius_trace] == [repr(v) for v in trace]
+    lines = (tmp_path / "sel.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[5] == f"radius_trace={text}"
+    back = [parse_float(v, SelectionError, "radius_trace") for v in text.split(",")]
+    assert [repr(v) for v in back] == [repr(v) for v in trace]
 
 
 def test_manifest_rewrite_is_byte_identical(tmp_path):
@@ -485,55 +496,14 @@ def test_manifest_validation():
         ).validate()
 
 
-def test_read_manifest_rejects_malformed(tmp_path):
-    path = tmp_path / "sel.txt"
-    path.write_text("format_version=9\nmethod=coreset\n")
-    with pytest.raises(SelectionError, match="version"):
-        read_selection_manifest(path)
-    path.write_text("format_version=1\nnot a line\n")
-    with pytest.raises(SelectionError, match="malformed"):
-        read_selection_manifest(path)
-
-
-@pytest.mark.parametrize(
-    "edit, match",
-    [
-        (lambda t: t.replace("k_init=", "k_init=1\nk_init="), "duplicate key 'k_init'"),
-        (lambda t: t.replace("budget=", "extra=1\nbudget="), r"unknown keys \['extra'\]"),
-        (lambda t: t.replace("method=coreset\n", ""), r"missing keys \['method'\]"),
-        (lambda t: t.replace("k_init=2", "k_init=\u00b2"), "k_init '\u00b2'"),
-        (lambda t: t.replace("budget=3", f"budget={'3' * 21}"), "budget '333"),
-        (lambda t: t.replace("format_version=1", "format_version=2\nother=1"), "version '2'"),
-        (lambda t: t.replace("rng_seed=-7", "rng_seed=--7"), "rng_seed '--7'"),
-        (lambda t: t.replace("radius_trace=", "radius_trace=0.5,0_2"), "radius_trace '0_2'"),
-        (lambda t: t.replace("radius_trace=", "radius_trace=\u0660.5"), "radius_trace '\u0660.5'"),
-        (lambda t: t.replace("radius_trace=", "radius_trace=0.5, 0.2"), "radius_trace ' 0.2'"),
-    ],
-    ids=["repeated-key", "unknown-key", "missing-key", "superscript", "21-digits",
-         "version-first", "double-minus", "underscore-trace", "arabic-indic-trace",
-         "space-trace"],
-)
-def test_read_manifest_refuses_malformed_fields(tmp_path, edit, match):
-    path = tmp_path / "sel.txt"
-    write_selection_manifest(SelectionManifest("coreset", -7, 2, 3, ["a", "b", "c"]), path)
-    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
-    with pytest.raises(SelectionError, match=match):
-        read_selection_manifest(path)
-
-
-def test_read_manifest_refuses_undecodable_bytes(tmp_path):
-    path = tmp_path / "sel.txt"
-    write_selection_manifest(SelectionManifest("coreset", 0, 1, 1, ["a"]), path)
-    path.write_bytes(path.read_bytes().replace(b"\na\n", b"\n\xffa\n"))
-    with pytest.raises(SelectionError, match="malformed selection manifest: not UTF-8"):
-        read_selection_manifest(path)
-
-
-def test_read_manifest_keeps_negative_seed_and_utf8_ids(tmp_path):
+def test_manifest_keeps_negative_seed_and_utf8_ids(tmp_path):
     path = tmp_path / "sel.txt"
     m = SelectionManifest("random", -(2**63), 2, 2, ["\u00e9t\u00e9", "b"])
     write_selection_manifest(m, path)
-    assert read_selection_manifest(path) == m
+    assert path.read_bytes() == (
+        "format_version=1\nmethod=random\nrng_seed=-9223372036854775808\nk_init=2\n"
+        "budget=2\nradius_trace=\nselected:\n\u00e9t\u00e9\nb\n"
+    ).encode("utf-8")
 
 
 # An empty id and every line boundary that str.splitlines splits on, which

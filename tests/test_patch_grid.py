@@ -17,7 +17,6 @@ from coreseg.patch_grid import (
     patch_filename,
     patch_ids,
     plan_grid,
-    read_grid_manifest,
     reassemble,
     tile,
     write_grid_manifest,
@@ -185,88 +184,18 @@ def test_patch_filename():
     assert patch_filename(PatchId("train", (1, 0, 7))) == "train_z1_y0_x7.vol3d"
 
 
-def test_grid_manifest_round_trip(tmp_path):
+def test_grid_manifest_text_lists_patches_in_grid_order(tmp_path):
     spec = plan_grid((5, 5, 5), (2, 3, 4), PAD_REFLECT)
     path = tmp_path / "grid_manifest.txt"
     write_grid_manifest(spec, "train", path)
-    back_spec, name, filenames = read_grid_manifest(path)
-    assert back_spec == spec
-    assert name == "train"
-    assert len(filenames) == spec.patch_count
-    assert filenames[0] == "train_z0_y0_x0.vol3d"
-    assert filenames[-1] == "train_z2_y1_x1.vol3d"
-
-
-def test_grid_manifest_rejects_bad_version(tmp_path):
-    spec = plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO)
-    path = tmp_path / "m.txt"
-    write_grid_manifest(spec, "v", path)
-    text = path.read_text().replace("format_version=1", "format_version=9")
-    path.write_text(text)
-    with pytest.raises(GridError, match="version"):
-        read_grid_manifest(path)
-
-
-def test_grid_manifest_rejects_missing_key(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("format_version=1\nvolume_name=v\n")
-    with pytest.raises(GridError, match="missing keys"):
-        read_grid_manifest(path)
-
-
-@pytest.mark.parametrize(
-    "edit, match",
-    [
-        (lambda t: t.replace("pad_mode=", "pad_mode=zero\npad_mode="), "duplicate key 'pad_mode'"),
-        (lambda t: t.replace("grid_dims=", "extra=1\ngrid_dims="), r"unknown keys \['extra'\]"),
-        (lambda t: t.replace("patch_shape=2,3,4", "patch_shape=2,\u00b3,4"), "patch_shape '2,"),
-        (lambda t: t.replace("original_shape=5", f"original_shape={'5' * 21}"), "original_shape"),
-        (lambda t: t.replace("format_version=1", "format_version=2\nother=1"), "version '2'"),
-        (lambda t: t + "\n", "line ''"),
-    ],
-    ids=["repeated-key", "unknown-key", "non-ascii", "21-digits", "version-first", "blank-line"],
-)
-def test_grid_manifest_refuses_malformed_fields(tmp_path, edit, match):
-    path = tmp_path / "m.txt"
-    write_grid_manifest(plan_grid((5, 5, 5), (2, 3, 4), PAD_ZERO), "v", path)
-    path.write_bytes(edit(path.read_text(encoding="ascii")).encode("utf-8"))
-    with pytest.raises(GridError, match=match):
-        read_grid_manifest(path)
-
-
-def test_grid_manifest_refuses_path_in_volume_name(tmp_path):
-    path = tmp_path / "m.txt"
-    write_grid_manifest(plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO), "v", path)
-    text = path.read_text().replace("volume_name=v\n", "volume_name=../x\n")
-    path.write_text(text.replace("patch=v_", "patch=../x_"))
-    with pytest.raises(GridError, match="malformed grid manifest: volume_name must be a plain"):
-        read_grid_manifest(path)
-
-
-def test_grid_manifest_refuses_foreign_patch_list(tmp_path):
-    path = tmp_path / "m.txt"
-    write_grid_manifest(plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO), "v", path)
-    path.write_text(path.read_text().replace("patch=v_z0_y0_x0.vol3d", "patch=/etc/passwd"))
-    with pytest.raises(GridError, match="patch list is not the grid's 1 patch files"):
-        read_grid_manifest(path)
-
-
-def test_grid_manifest_refuses_undecodable_bytes(tmp_path):
-    path = tmp_path / "m.txt"
-    write_grid_manifest(plan_grid((2, 2, 2), (2, 2, 2), PAD_ZERO), "v", path)
-    path.write_bytes(path.read_bytes() + b"patch=\xff.vol3d\n")
-    with pytest.raises(GridError, match="malformed grid manifest: not UTF-8"):
-        read_grid_manifest(path)
-
-
-def test_grid_manifest_rejects_inconsistent_geometry(tmp_path):
-    spec = plan_grid((5, 5, 5), (2, 3, 4), PAD_ZERO)
-    path = tmp_path / "m.txt"
-    write_grid_manifest(spec, "v", path)
-    text = path.read_text().replace("padded_shape=6,6,8", "padded_shape=6,6,12")
-    path.write_text(text)
-    with pytest.raises(GridError, match="inconsistent"):
-        read_grid_manifest(path)
+    patches = [
+        f"patch=train_z{iz}_y{iy}_x{ix}.vol3d\n"
+        for iz in range(3) for iy in range(2) for ix in range(2)
+    ]
+    assert path.read_text(encoding="utf-8") == (
+        "format_version=1\nvolume_name=train\noriginal_shape=5,5,5\npatch_shape=2,3,4\n"
+        "pad_mode=reflect\npadded_shape=6,6,8\ngrid_dims=3,2,2\n" + "".join(patches)
+    )
 
 
 @settings(max_examples=40, deadline=None)
