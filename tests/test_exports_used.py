@@ -96,15 +96,6 @@ def test_every_public_definition_has_a_user():
         ("from .label_fusion import CONN_FACE6 as face", {"CONN_FACE6"}),
         ("import coreseg.report", {"report"}),
         ("def f(v: LabelVolume) -> int: pass", {"LabelVolume", "int"}),
-    ],
-)
-def test_reads_count_as_references(snippet, names):
-    assert referenced_names(ast.parse(snippet)) == names
-
-
-@pytest.mark.parametrize(
-    "snippet, names",
-    [
         ("_checked('label_fusion', 'connectivity_kind')", {"_checked", "connectivity_kind"}),
         ("_checked('coreset', 'check_k_init', _parse_int)",
          {"_checked", "check_k_init", "_parse_int"}),
@@ -112,7 +103,7 @@ def test_reads_count_as_references(snippet, names):
          {"config", "_checked", "check_iou_threshold"}),
     ],
 )
-def test_checked_names_its_check(snippet, names):
+def test_reads_count_as_references(snippet, names):
     assert referenced_names(ast.parse(snippet)) == names
 
 
