@@ -2005,3 +2005,21 @@ def test_internal_failure_of_a_command_exits_4(capsys, monkeypatch, exc, message
     assert code == 4
     assert out == ""
     assert err == f"coreseg report: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_allocation_failure_of_a_command_exits_3(capsys, monkeypatch, exc, message):
+    def greedy(cfg, force):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "report", greedy)
+    code, out, err = run(capsys, "report")
+    assert (code, out) == (3, "")
+    assert err == f"coreseg report: {message}\n"
