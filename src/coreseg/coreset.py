@@ -111,18 +111,17 @@ class EmbeddingMatrix:
 
 @dataclass
 class DistanceMatrix:
-    """N x N symmetric cosine-distance matrix with entries in [0, 2]."""
+    """N x N symmetric cosine-distance matrix with entries in [0, 2], its
+    rows and columns in the order of its N ids."""
 
-    size: int
     entries: np.ndarray
-    ids: list[str] | None = None
+    ids: list[str]
 
     def validate(self) -> None:
         """Raise SelectionError when any invariant fails."""
-        if self.entries.shape != (self.size, self.size):
-            raise SelectionError(
-                f"entries shape {self.entries.shape} does not match size {self.size}"
-            )
+        n = len(self.ids)
+        if self.entries.shape != (n, n):
+            raise SelectionError(f"entries shape {self.entries.shape} does not match {n} ids")
         if not np.allclose(self.entries, self.entries.T, atol=1e-6, rtol=0.0):
             raise SelectionError("distance matrix is not symmetric within 1e-6")
         if np.any(np.abs(np.diagonal(self.entries)) > 1e-6):
@@ -258,7 +257,7 @@ def cosine_distance_matrix(E: EmbeddingMatrix) -> DistanceMatrix:
     for i in range(n):
         entries[i] = _distance_row(values, values[i])
     np.fill_diagonal(entries, 0.0)
-    return DistanceMatrix(size=n, entries=entries, ids=list(E.ids))
+    return DistanceMatrix(entries=entries, ids=list(E.ids))
 
 
 def _as_normalized(E: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -434,37 +433,30 @@ def random_select(
     return _select(METHOD_RANDOM, rng_seed, ids, forced, budget, embeddings)
 
 
-def coverage_radius(d: DistanceMatrix, selected: Sequence[str] | Sequence[int]) -> float:
+def coverage_radius(d: DistanceMatrix, selected: Sequence[str]) -> float:
     """Return the k-center objective of a selection.
 
     Args:
-        d: Distance matrix; must carry ids when selected holds strings.
-        selected: Non-empty ids or row indices of the selected set.
+        d: Distance matrix.
+        selected: Non-empty ids of the selected set, from d.ids.
 
     Returns:
         Max over unselected items of the min distance to any selected
         item; 0.0 when every item is selected.
 
     Raises:
-        SelectionError: On an empty selection or unknown id/index.
+        SelectionError: On an empty selection or an id not in d.ids.
     """
     d.validate()
     items = list(selected)
     if not items:
         raise SelectionError("coverage_radius requires a non-empty selection")
-    if isinstance(items[0], str):
-        if d.ids is None:
-            raise SelectionError("distance matrix carries no ids to resolve names")
-        index_of = {item: i for i, item in enumerate(d.ids)}
-        try:
-            idx = [index_of[item] for item in items]
-        except KeyError as exc:
-            raise SelectionError(f"unknown selected id {exc.args[0]!r}") from None
-    else:
-        idx = [int(i) for i in items]
-        if any(i < 0 or i >= d.size for i in idx):
-            raise SelectionError("selected index outside the distance matrix")
-    mask = np.zeros(d.size, dtype=np.bool_)
+    index_of = {item: i for i, item in enumerate(d.ids)}
+    try:
+        idx = [index_of[item] for item in items]
+    except KeyError as exc:
+        raise SelectionError(f"unknown selected id {exc.args[0]!r}") from None
+    mask = np.zeros(len(d.ids), dtype=np.bool_)
     mask[idx] = True
     if mask.all():
         return 0.0

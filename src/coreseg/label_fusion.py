@@ -179,12 +179,15 @@ def _label_planes(
         while k:
             k = _union_round(parent, a, b, k)
     del a, b
-    roots = int(np.count_nonzero(parent == np.arange(parent.size, dtype=dtype)))
-    return roots, _painted(shape, starts, ends, parent)
+    # parent is fully shortcut, so a run's root is parent[run]: the roots,
+    # counted in scan order, number the components 1..C.
+    number = np.cumsum(parent == np.arange(parent.size, dtype=dtype), dtype=np.uint32)
+    count = int(number[-1]) if number.size else 0
+    return count, _painted(shape, starts, ends, number[parent])
 
 
-def _painted(shape, starts, ends, parent):
-    """Yield the labeled z-planes, numbering the roots in scan order.
+def _painted(shape, starts, ends, labels):
+    """Yield the labeled z-planes, each run painted with its label.
 
     Each plane is painted into one reused buffer a row block at a time,
     the block's runs found by their start keys.
@@ -192,27 +195,18 @@ def _painted(shape, starts, ends, parent):
     depth, height, width = shape
     rows = block_rows(width)
     plane = np.empty((height, width), np.uint32)
-    count = 0
     for z in range(depth):
         plane.fill(0)
         first = z * height
         cuts = np.array([*range(first, first + height, rows), first + height], starts.dtype)
         bounds = np.searchsorted(starts, cuts * (width + 1)).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            # Number the roots in scan order, in place: an entry's root is
-            # smaller, so numbered before the entry reads it.
-            p = parent[lo:hi]
-            roots = p == np.arange(lo, hi, dtype=p.dtype)
-            found = int(np.count_nonzero(roots))
-            p[roots] = np.arange(count + 1, count + found + 1, dtype=p.dtype)
-            count += found
-            p[~roots] = parent[p[~roots]]
             # A run's voxels: its first voxel's index in the plane plus 0, 1, ...
             s = starts[lo:hi] - first * (width + 1)
             length = ends[lo:hi] - starts[lo:hi] + 1
             voxel = np.repeat(s - s // (width + 1) - np.cumsum(length) + length, length)
             voxel += np.arange(voxel.size)
-            plane.reshape(-1)[voxel] = np.repeat(p.astype(np.uint32), length)
+            plane.reshape(-1)[voxel] = np.repeat(labels[lo:hi], length)
         yield plane
 
 
@@ -233,11 +227,11 @@ def connected_components(
     the x-runs in scan order, as vectorised hook-and-shortcut rounds (Wu,
     Otoo & Suzuki, 2009). A run links to the runs it touches in each of
     conn's earlier rows; hooks point at smaller roots, so a component's
-    root is its first run, and roots are numbered in order. The runs are
-    listed, and the labels painted, a row block at a time, so the
-    labeler's own state is the runs and a plane: cc and fuse stream their
-    planes through it, and this function gathers the labeled planes into
-    the volume it returns.
+    root is its first run, and one cumulative count of the roots in scan
+    order numbers the components. The runs are listed, and the labels
+    painted, a row block at a time, so the labeler's own state is the runs
+    and a plane: cc and fuse stream their planes through it, and this
+    function gathers the labeled planes into the volume it returns.
 
     Args:
         vol: A binary_mask LabelVolume.

@@ -176,11 +176,6 @@ def _runs(spec: PatchSpec, axis: int, i: int, pad_mode: str) -> list[tuple[slice
     return runs
 
 
-def _axis_runs(spec: PatchSpec, pid: PatchId, pad_mode: str) -> list[list[tuple[slice, slice]]]:
-    """Return, per axis, the (patch slice, source slice) runs of pid's window."""
-    return [_runs(spec, axis, i, pad_mode) for axis, i in enumerate(pid.grid_index)]
-
-
 def _scatter_planes(
     spec: PatchSpec, planes: Iterable[np.ndarray], pids: Sequence[PatchId]
 ) -> Iterator[tuple[PatchId, int, np.ndarray]]:
@@ -302,8 +297,10 @@ def reassemble(patches: Mapping[PatchId, LabelVolume], spec: PatchSpec) -> Label
                 f"patch {pid.grid_index} has shape {tuple(patch.voxels.shape)}, "
                 f"expected {spec.patch_shape}"
             )
-        for (dz, sz), (dy, sy), (dx, sx) in itertools.product(*_axis_runs(spec, pid, PAD_ZERO)):
-            voxels[sz, sy, sx] = patch.voxels[dz, dy, dx]
+        # Zero padding gives one in-bounds run per axis.
+        runs = (_runs(spec, axis, i, PAD_ZERO)[0] for axis, i in enumerate(pid.grid_index))
+        (dz, sz), (dy, sy), (dx, sx) = runs
+        voxels[sz, sy, sx] = patch.voxels[dz, dy, dx]
     return LabelVolume(
         VolumeHeader(shape=spec.original_shape, value_kind=next(iter(kinds))), voxels
     )

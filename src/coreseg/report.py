@@ -141,15 +141,11 @@ class LearningCurve:
     The last row, the largest budget, is the full annotation set.
 
     Attributes:
-        rows: (budget, fraction, record) rows; fraction = budget /
-            full_budget.
+        rows: (budget, fraction, record) rows; fraction = budget / the
+            last row's budget.
     """
 
     rows: tuple[CurveRow, ...]
-
-    @property
-    def full_budget(self) -> int:
-        return self.rows[-1].budget
 
     def full_record(self) -> MetricsRecord:
         return self.rows[-1].record

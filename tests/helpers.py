@@ -7,8 +7,10 @@ rescans instead of incremental minima) so agreement is meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
+import signal
 from collections import deque
 
 import numpy as np
@@ -122,11 +124,13 @@ def shrink(monkeypatch, path, size):
 
 
 def shrink_payload(monkeypatch, path, size):
-    """Make coreset.read_embeddings cut path, an .f32 payload, to size bytes
-    right after it has checked the file's size.
+    """Cut path to size bytes each time a reader takes its size by fstat,
+    right after, as if the file shrank then.
 
-    The check passes on the whole file, so the read that follows comes up
-    short, in whichever chunk holds byte size.
+    coreset.read_embeddings checks an .f32 payload's size on the whole
+    file, so the read that follows comes up short, in whichever chunk holds
+    byte size. volume_io's reader takes a .vol3d file's size before it
+    reads the header.
     """
     real = os.fstat
 
@@ -137,6 +141,28 @@ def shrink_payload(monkeypatch, path, size):
         return found
 
     monkeypatch.setattr(coreset.os, "fstat", fstat_then_truncate)
+
+
+class Overran(BaseException):
+    """Raised by time_limit. Not an Exception, so the code under test
+    cannot handle it as an error of its own."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise Overran in the block once it has run for seconds, so a loop
+    that never ends fails its test instead of hanging the suite."""
+
+    def overran(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from coreseg.volume_io import (
     write_volume,
 )
 
-from helpers import shrink
+from helpers import shrink, shrink_payload, time_limit
 
 
 def run(capsys, *args):
@@ -512,6 +512,21 @@ def test_cc_header_shape_of_5000_digits_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "cc", "--mask", path, "--out", tmp_path / "o" / "l.vol3d")
     assert code == 3, err
     assert f"{path}: malformed header shape '111" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cc_mask_that_shrinks_within_its_header_is_input_error(capsys, tmp_path, monkeypatch):
+    # The size is taken before the header is read, and the file then holds
+    # only a header longer than the first read, without its blank line.
+    header = b"shape=" + b"0" * 300 + b"1,1,1\nkind=binary_mask\nwidth=4\norder=zyx\n"
+    path = tmp_path / "m.vol3d"
+    path.write_bytes(header + b"\x00" * 1000)
+    shrink_payload(monkeypatch, path, len(header))
+    with time_limit(10):
+        code, out, err = run(capsys, "cc", "--mask", path, "--out", tmp_path / "o" / "l.vol3d")
+    assert code == 3
+    assert err == f"coreseg cc: {path}: malformed header: missing blank-line terminator\n"
+    assert out == ""
     assert not (tmp_path / "o").exists()
 
 

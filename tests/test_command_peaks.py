@@ -34,8 +34,9 @@ PLANE_MIB = 4 * SHAPE[1] * SHAPE[2] / MIB
 RUN_BYTES = 28
 ROWS, DIM = 20000, 128  # 19.5 MiB of float64 embeddings
 # What select holds per id: the str and its list slot (about 72 bytes for
-# the 10-character ids below), and while validation runs, its share of
-# the set that checks uniqueness (about 130 bytes).
+# the 10-character ids below), and while validation runs, its slot in the
+# sorted copy of the list that checks uniqueness (8 bytes). The bound is
+# looser than that.
 ID_BYTES = 256
 
 SPAWN = """\

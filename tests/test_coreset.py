@@ -96,7 +96,7 @@ def test_distance_matrix_properties():
     En = normalize_rows(gaussian_embeddings(rng, 15, 4))
     D = cosine_distance_matrix(En)
     D.validate()
-    assert D.size == 15
+    assert D.ids == list(En.ids) and D.entries.shape == (15, 15)
     assert float(np.diagonal(D.entries).max()) == 0.0
     assert D.entries.min() >= 0.0 and D.entries.max() <= 2.0
     # antipodal pair reaches the top of the range
@@ -113,17 +113,19 @@ def test_distance_matrix_requires_normalized():
 
 def test_distance_matrix_validation_rejects_bad_entries():
     good = np.zeros((2, 2))
-    with pytest.raises(SelectionError, match="shape"):
-        DistanceMatrix(size=3, entries=good).validate()
+    DistanceMatrix(entries=good, ids=["a", "b"]).validate()
+    with pytest.raises(SelectionError) as info:
+        DistanceMatrix(entries=good, ids=["a", "b", "c"]).validate()
+    assert str(info.value) == "entries shape (2, 2) does not match 3 ids"
     asym = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(SelectionError, match="symmetric"):
-        DistanceMatrix(size=2, entries=asym).validate()
+        DistanceMatrix(entries=asym, ids=["a", "b"]).validate()
     diag = np.array([[0.5, 0.0], [0.0, 0.0]])
     with pytest.raises(SelectionError, match="diagonal"):
-        DistanceMatrix(size=2, entries=diag).validate()
+        DistanceMatrix(entries=diag, ids=["a", "b"]).validate()
     rng = np.array([[0.0, 3.0], [3.0, 0.0]])
     with pytest.raises(SelectionError, match=r"\[0, 2\]"):
-        DistanceMatrix(size=2, entries=rng).validate()
+        DistanceMatrix(entries=rng, ids=["a", "b"]).validate()
 
 
 def test_unit_circle_frozen_example():
@@ -272,25 +274,24 @@ def test_negative_budget_is_a_selection_error():
     assert str(info.value) == "k_init 1 outside [1, budget=-1]"
 
 
-def test_coverage_radius_by_ids_and_indices():
+def test_coverage_radius_by_ids():
     rng = np.random.default_rng(16)
     E = normalize_rows(gaussian_embeddings(rng, 10, 3))
     D = cosine_distance_matrix(E)
-    by_ids = coverage_radius(D, ["i0", "i4"])
-    by_idx = coverage_radius(D, [0, 4])
-    assert by_ids == by_idx
+    radius = coverage_radius(D, ["i0", "i4"])
+    assert radius == float(np.delete(D.entries[:, [0, 4]], [0, 4], axis=0).min(axis=1).max())
+    # Any sequence of ids will do; row indices name ids through D.ids.
+    assert coverage_radius(D, ("i0", "i4")) == radius
+    assert coverage_radius(D, np.array(["i0", "i4"])) == radius
+    assert coverage_radius(D, [D.ids[i] for i in (0, 4)]) == radius
     assert coverage_radius(D, list(E.ids)) == 0.0
     with pytest.raises(SelectionError, match="non-empty"):
         coverage_radius(D, [])
-    with pytest.raises(SelectionError, match="unknown selected id"):
+    with pytest.raises(SelectionError, match="unknown selected id 'nope'"):
         coverage_radius(D, ["nope"])
-    with pytest.raises(SelectionError, match="outside"):
-        coverage_radius(D, [99])
-    # Indices need no ids; names do.
-    bare = DistanceMatrix(size=D.size, entries=D.entries)
-    assert coverage_radius(bare, [0, 4]) == by_idx
-    with pytest.raises(SelectionError, match="carries no ids"):
-        coverage_radius(bare, ["i0", "i4"])
+    # A row index is not an id.
+    with pytest.raises(SelectionError, match="unknown selected id 0"):
+        coverage_radius(D, [0, 4])
 
 
 def test_embeddings_round_trip(tmp_path):

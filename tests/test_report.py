@@ -55,7 +55,7 @@ def test_format_goldens():
 
 def test_build_curve_rows_and_fractions():
     curve = fixture_curve()
-    assert curve.full_budget == 1024
+    assert curve.rows[-1].budget == 1024
     assert tuple(r.budget for r in curve.rows) == CURVE_BUDGETS
     assert curve.rows[4].fraction == 64 / 1024
     assert curve.full_record().f1 == CURVE_F1[-1]
@@ -63,7 +63,7 @@ def test_build_curve_rows_and_fractions():
 
 def test_build_curve_default_full_budget_is_largest():
     records = {4: zero_record(), 16: zero_record()}
-    assert build_curve(records).full_budget == 16
+    assert build_curve(records).rows[-1] == (16, 1.0, zero_record())
 
 
 def test_build_curve_rejects_bad_inputs():

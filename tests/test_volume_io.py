@@ -23,7 +23,7 @@ from coreseg.volume_io import (
     write_volume,
 )
 
-from helpers import shrink
+from helpers import shrink, shrink_payload, time_limit
 
 
 def small_volume() -> LabelVolume:
@@ -286,6 +286,21 @@ def test_read_rejects_missing_blank_line(tmp_path):
     path.write_bytes(b"shape=1,1,1\nkind=binary_mask\nwidth=4\norder=zyx\n")
     with pytest.raises(VolumeFormatError, match="blank-line"):
         read_volume(path)
+
+
+# A header longer than the first prefix read, without its blank line.
+UNENDED_HEADER = b"shape=" + b"0" * 300 + b"1,1,1\nkind=binary_mask\nwidth=4\norder=zyx\n"
+
+
+def test_header_read_ends_where_a_shrunk_file_ends(tmp_path, monkeypatch):
+    # The file's size is taken at 1000 more bytes than it holds once it is
+    # read, so only an empty read can end the growing header read.
+    path = tmp_path / "v.vol3d"
+    path.write_bytes(UNENDED_HEADER + b"\x00" * 1000)
+    shrink_payload(monkeypatch, path, len(UNENDED_HEADER))
+    with time_limit(10), pytest.raises(VolumeFormatError) as info:
+        read_volume(path)
+    assert str(info.value) == f"{path}: malformed header: missing blank-line terminator"
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,9 @@ them. Each tree then runs the same fixed script (SCRIPT) of
 tree after the other, so every path that a message or a manifest holds
 reads alike. The script covers every command: both pad modes, both
 connectivities, both methods, refused and forced reruns, and calls that
-exit 2, 3 and 5. Both methods also run on an embedding set larger than
+exit 2, 3 and 5. Both connectivities also label a mask whose planes are
+cut into row blocks of coreseg.volume_io, so that components are numbered
+across block and plane borders. Both methods also run on an embedding set larger than
 one read chunk and one normalization block of coreseg.coreset, so that
 the chunk and block boundaries are crossed. Every file and every
 directory the script leaves (an empty one too), and each call's stdout,
@@ -67,6 +69,11 @@ SCRIPT = [
     ["cc", "--mask", "vol.vol3d", "--out", "cc/bad.vol3d"],  # not a mask: 3
     ["cc", "--mask", "mask_last.vol3d", "--out", "cc/last.vol3d"],  # a 2 in the last plane: 3
     ["cc", "--mask", "mask.vol3d", "--out", "vol.vol3d/x/c.vol3d"],  # a file above: 3
+    # 4x300x300: each plane is cut into two row blocks, and components span
+    # blocks and planes.
+    ["cc", "--mask", "mask_wide.vol3d", "--connectivity", "6", "--out", "cc_wide/face6.vol3d"],
+    ["cc", "--mask", "mask_wide.vol3d", "--connectivity", "26",
+     "--out", "cc_wide/full26.vol3d"],
     ["fuse", "--slices-dir", "slices", "--connectivity", "6", "--out", "fuse/face6.vol3d"],
     ["fuse", "--slices-dir", "slices", "--out", "fuse/full26.vol3d"],
     ["fuse", "--slices-dir", "cc", "--out", "fuse/bad.vol3d"],  # no numeric suffix: 3
@@ -117,6 +124,8 @@ def write_inputs(into: Path) -> None:
                 KIND_INSTANCE)
     mask = rng.random((6, 10, 12)) < 0.3
     write_vol3d(into / "mask.vol3d", mask, KIND_MASK)
+    write_vol3d(into / "mask_wide.vol3d", np.random.default_rng(23).random((4, 300, 300)) < 0.3,
+                KIND_MASK)
     (into / "slices").mkdir()
     for z in range(4):
         write_vol3d(into / "slices" / f"s{z}.vol3d", rng.random((1, 10, 12)) < 0.4, KIND_MASK)
